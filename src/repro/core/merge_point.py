@@ -19,7 +19,7 @@ scores both.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.config import BranchRunaheadConfig
 from repro.emulator.shadow import ShadowUop
@@ -143,38 +143,52 @@ class MergePointPredictor:
     # -- training -------------------------------------------------------------
 
     def train_on_mispredict(self, record: DynamicUop,
-                            shadow_uops: List[ShadowUop]) -> None:
+                            wrong_path: Iterable[DynamicUop],
+                            budget: int) -> int:
         """Fill the WPB from the forward ROB walk of wrong-path uops.
 
-        The walk stops early if a second dynamic instance of the branch is
-        found on the wrong path (loop case) — everything up to it is copied.
+        ``wrong_path`` yields the wrong-path uops in fetch order and may
+        execute each one only as it is pulled
+        (:func:`~repro.emulator.shadow.wrong_path_steps`).  The fill pulls
+        at most ``min(budget, max_merge_distance)`` of them, and stops early
+        when the walk ends or at a second dynamic instance of the branch
+        (loop case) — everything before it is copied.  Returns the number
+        of uops pulled.
         """
         self.wpb.invalidate()
         self.searches += 1
+        insert = self.wpb.insert
+        branch_pc = record.pc
         running_mask = 0
-        self._wp_stores = BloomFilter()
+        wp_stores = self._wp_stores = BloomFilter()
         self._cp_guards = set()
-        self._wp_branch_order = {}
-        self._wp_pc_order = {}
-        copied = 0
-        for shadow in shadow_uops:
-            if copied >= self.config.max_merge_distance:
-                break
-            if shadow.pc == record.pc:
-                break  # second instance: we are in a loop
-            if shadow.is_cond_branch and shadow.pc not in self._wp_branch_order:
-                self._wp_branch_order[shadow.pc] = copied
-            if shadow.pc not in self._wp_pc_order:
-                self._wp_pc_order[shadow.pc] = copied
-            # the entry's dest set covers uops strictly *before* it: a merge
-            # instruction executes on both paths, so its own writes are not
-            # divergent state
-            self.wpb.insert(shadow.pc, running_mask)
-            for dst in shadow.dst_regs:
-                running_mask |= reg_bit(dst)
-            if shadow.store_addr >= 0:
-                self._wp_stores.add(shadow.store_addr)
-            copied += 1
+        branch_order = self._wp_branch_order = {}
+        pc_order = self._wp_pc_order = {}
+        limit = min(budget, self.config.max_merge_distance)
+        copied = pulled = 0
+        if limit > 0:
+            for shadow in wrong_path:
+                pulled += 1
+                pc = shadow.pc
+                if pc == branch_pc:
+                    break  # second instance: we are in a loop
+                op = shadow.uop
+                if op.is_cond_branch and pc not in branch_order:
+                    branch_order[pc] = copied
+                if pc not in pc_order:
+                    pc_order[pc] = copied
+                # the entry's dest set covers uops strictly *before* it: a
+                # merge instruction executes on both paths, so its own
+                # writes are not divergent state.  Every visit inserts: a
+                # revisit re-installs a PC the set has since evicted.
+                insert(pc, running_mask)
+                for dst in op.dst_regs:
+                    running_mask |= reg_bit(dst)
+                if op.is_store and shadow.addr >= 0:
+                    wp_stores.add(shadow.addr)
+                copied += 1
+                if copied == limit:
+                    break
         self.wpb.valid = copied > 0
         self._branch_pc = record.pc
         self._branch_uop = record.uop
@@ -182,6 +196,7 @@ class MergePointPredictor:
         self._distance = 0
         self._cp_dest_mask = 0
         self._cp_stores = set()
+        return pulled
 
     # -- correct-path probing ----------------------------------------------------
 

@@ -37,7 +37,7 @@ from repro.core.prediction_queue import (
     PredictionQueueFile,
 )
 from repro.emulator.memory import Memory
-from repro.emulator.shadow import wrong_path_walk
+from repro.emulator.shadow import wrong_path_steps, wrong_path_walk
 from repro.emulator.trace import DynamicUop
 from repro.isa.program import Program
 from repro.memsys.hierarchy import MemoryHierarchy
@@ -158,6 +158,9 @@ class BranchRunahead(RunaheadHooks):
         self._lfsr = Lfsr(seed=0x1234)
         #: chains not yet usable: (ready_cycle, chain) installed with latency
         self._install_delay: List[Tuple[int, object]] = []
+        #: Shadow uops executed by wrong-path walks (host work, not a
+        #: simulated event).
+        self.wrong_path_uops = 0
 
     # -- RunaheadHooks: fetch ------------------------------------------------
 
@@ -226,13 +229,16 @@ class BranchRunahead(RunaheadHooks):
         if mispredicted:
             self._release_installed(resolve_cycle)
             if self.config.enable_affector_guard:
-                shadow = wrong_path_walk(self.program, regs, self.memory,
-                                         pc, not actual, wrong_path_budget)
-                self.merge_predictor.train_on_mispredict(record, shadow)
+                self.wrong_path_uops += \
+                    self.merge_predictor.train_on_mispredict(
+                        record, wrong_path_steps(self.program, regs,
+                                                 self.memory, pc, not actual),
+                        wrong_path_budget)
                 if self.oracle is not None:
                     long_shadow = wrong_path_walk(
                         self.program, regs, self.memory, pc, not actual,
                         self.oracle.max_distance)
+                    self.wrong_path_uops += len(long_shadow)
                     self.oracle.start(record, long_shadow,
                                       static_merge_prediction(record.uop))
 
@@ -348,8 +354,11 @@ class BranchRunahead(RunaheadHooks):
 
     def register_into(self, registry) -> None:
         """Publish every mechanism's stats: ``runahead.*``, ``dce.*``,
-        ``pq.*`` namespaces of the unified registry."""
+        ``pq.*`` namespaces of the unified registry, plus the host-side
+        ``host.runahead.wrong_path_uops``."""
         self.stats.register_into(registry.scope("runahead"))
+        registry.scope("host").scope("runahead").counter(
+            "wrong_path_uops").set(self.wrong_path_uops)
         self.queues.register_into(registry.scope("pq"))
         dce_scope = registry.scope("dce")
         self.dce.stats.register_into(dce_scope)

@@ -6,20 +6,28 @@ wrong path is not free — it must be produced by actually executing the wrong
 direction of the branch on a private copy of architectural state.  The walk
 uses a register-file copy and an :class:`~repro.emulator.memory.OverlayMemory`
 so wrong-path stores never corrupt the committed image.
+
+:func:`wrong_path_steps` executes the walk lazily, for the merge-point
+predictor's WPB fill, which reads only a prefix of it;
+:func:`wrong_path_walk` collects a fixed-length prefix as
+:class:`ShadowUop` objects, for the merge-point oracle's long walk.
 """
 
 from __future__ import annotations
 
-from typing import List
+from itertools import islice
+from typing import Iterator, List
 
 from repro.emulator.machine import execute_uop
 from repro.emulator.memory import Memory, OverlayMemory
+from repro.emulator.trace import DynamicUop
 from repro.isa import uop as U
 from repro.isa.program import Program
 
 
 class ShadowUop:
-    """A uop observed on the wrong path (what the WPB records)."""
+    """A uop observed on the wrong path (an entry of
+    :func:`wrong_path_walk`)."""
 
     __slots__ = ("pc", "dst_regs", "is_cond_branch", "taken", "store_addr")
 
@@ -32,46 +40,50 @@ class ShadowUop:
         self.store_addr = store_addr
 
 
-def wrong_path_walk(program: Program, regs: List[int], memory: Memory,
-                    branch_pc: int, wrong_taken: bool,
-                    max_uops: int) -> List[ShadowUop]:
-    """Execute the wrong direction of a branch for up to ``max_uops``.
+def wrong_path_steps(program: Program, regs: List[int], memory: Memory,
+                     branch_pc: int,
+                     wrong_taken: bool) -> Iterator[DynamicUop]:
+    """Lazily execute the wrong direction of a branch.
 
     ``regs``/``memory`` are the architectural state *just before* the branch
     executes (CC already set, since CC is written by an older compare).
-    ``wrong_taken`` is the direction the branch did NOT actually go.  Returns
-    the wrong-path uops in fetch order, starting with the first uop after the
-    branch.  The walk stops early at HALT or if it would leave the program.
+    ``wrong_taken`` is the direction the branch did NOT actually go.  Yields
+    one record per wrong-path uop in fetch order, starting with the first
+    uop after the branch; each uop executes only when its record is pulled,
+    so a consumer that stops early pays for nothing beyond.  The walk ends
+    at HALT or where it would leave the program.  It reads ``regs`` and
+    ``memory`` as it runs, so consume it before either changes.
     """
-    branch_uop = program.uops[branch_pc]
+    uops = program.uops
+    branch_uop = uops[branch_pc]
+    if branch_uop.opcode != U.BR:
+        raise ValueError("a wrong-path walk requires a conditional branch")
+    pc = branch_uop.target if wrong_taken else branch_pc + 1
     shadow_regs = list(regs)
     shadow_memory = OverlayMemory(memory)
-
-    if branch_uop.opcode == U.BR:
-        pc = branch_uop.target if wrong_taken else branch_pc + 1
-    else:
-        raise ValueError("wrong_path_walk requires a conditional branch")
-
-    observed: List[ShadowUop] = []
-    uops = program.uops
     program_len = len(uops)
-    for _ in range(max_uops):
-        if not 0 <= pc < program_len:
-            break
+    while 0 <= pc < program_len:
         op = uops[pc]
         if op.opcode == U.HALT:
-            break
+            return
         run = op.execute
         if run is not None:
             record = run(shadow_regs, shadow_memory)
         else:
             record = execute_uop(op, shadow_regs, shadow_memory)
-        observed.append(ShadowUop(
-            pc=pc,
-            dst_regs=op.dst_regs,
-            is_cond_branch=op.is_cond_branch,
-            taken=record.taken,
-            store_addr=record.addr if op.is_store else -1,
-        ))
+        yield record
         pc = record.next_pc
-    return observed
+
+
+def wrong_path_walk(program: Program, regs: List[int], memory: Memory,
+                    branch_pc: int, wrong_taken: bool,
+                    max_uops: int) -> List[ShadowUop]:
+    """The first ``max_uops`` uops of :func:`wrong_path_steps`, as a list."""
+    return [ShadowUop(pc=record.pc,
+                      dst_regs=record.uop.dst_regs,
+                      is_cond_branch=record.uop.is_cond_branch,
+                      taken=record.taken,
+                      store_addr=record.addr if record.uop.is_store else -1)
+            for record in islice(wrong_path_steps(program, regs, memory,
+                                                  branch_pc, wrong_taken),
+                                 max_uops)]

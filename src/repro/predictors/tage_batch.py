@@ -56,7 +56,7 @@ exact-type (`supported`); anything else stays on the lockstep path.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.predictors.loop_predictor import LoopPredictor
 from repro.predictors.statistical_corrector import StatisticalCorrector
@@ -69,7 +69,7 @@ from repro.predictors.tage_scl import TageSCL
 #: mid-block allocation patch maps stay cache-friendly.
 BLOCK_EVENTS = 1024
 
-__all__ = ["BLOCK_EVENTS", "supported", "run_tage_lanes"]
+__all__ = ["BLOCK_EVENTS", "supported", "stream_signature", "run_tage_lanes"]
 
 
 # -- lane gating -------------------------------------------------------------
@@ -120,6 +120,16 @@ def supported(predictor) -> bool:
                         corrector.history_lengths,
                         corrector.table_size_log2))
     return _pristine(predictor, fresh)
+
+
+def stream_signature(predictor) -> Optional[tuple]:
+    """Key that fixes the predictor's predictions on any branch stream.
+
+    Two pristine lanes the kernel supports predict every stream alike
+    exactly when their `_dedupe_key` values are equal; a trained,
+    unsupported or subclassed predictor has no such key and gets None.
+    """
+    return _dedupe_key(predictor) if supported(predictor) else None
 
 
 def _tage_sig(cfg) -> tuple:

@@ -62,7 +62,13 @@ def simulate(program: Program,
     ``trace_cache`` memoizes the committed dynamic-uop stream: the first
     run of a ``(program, start, length)`` region records it (fast-forward
     included), subsequent runs replay it without re-emulating.  Replays are
-    bit-identical to live runs (see :mod:`repro.sim.trace_cache`).
+    bit-identical to live runs (see :mod:`repro.sim.trace_cache`).  It
+    also memoizes the baseline predictor's predictions per region: a
+    pristine predictor the TAGE batch kernel supports records a
+    prediction column, and a later run of the region with an equally
+    configured pristine predictor reads that column instead of running
+    the predictor.  Such a memo hit leaves the passed predictor untrained;
+    results are identical either way.
     """
     if telemetry is None:
         telemetry = Telemetry(tracer=tracer)
@@ -86,11 +92,16 @@ def simulate(program: Program,
     with timers.phase("setup"):
         if machine is None:
             machine = Machine(program)
+        baseline = finish_column = None
+        if trace_cache is not None:
+            baseline, finish_column = trace_cache.bind_baseline(
+                program, start_instruction, total, predictor)
         hierarchy = MemoryHierarchy(hierarchy_config,
                                     tracer=telemetry.tracer)
         core_config = core_config or CoreConfig()
         core = CoreModel(config=core_config, hierarchy=hierarchy,
-                         predictor=predictor, tracer=telemetry.tracer)
+                         predictor=predictor, tracer=telemetry.tracer,
+                         baseline=baseline)
         runahead = None
         if br_config is not None:
             runahead = BranchRunahead(
@@ -120,6 +131,8 @@ def simulate(program: Program,
         core_stats = core.run(stream, warmup=warmup,
                               initial_regs=machine.regs if start_instruction
                               else None)
+    if finish_column is not None:
+        finish_column()
     # the DCE self-times its cascades; surface it as a first-class phase
     # (a subset of "timing", which also contains "emulation")
     if runahead is not None:

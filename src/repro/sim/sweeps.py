@@ -14,9 +14,9 @@ default session.  Every sweep cell reports into the session's merged
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
+from repro.config import env_int
 from repro.session import Session, default_session
 from repro.sim.results import arithmetic_mean, mpki_improvement
 
@@ -32,8 +32,11 @@ SWEEPS: Dict[str, List] = {
 }
 
 #: Shorter regions for the many sweep simulations (paper footnote 16).
-SWEEP_INSTRUCTIONS = int(os.environ.get("REPRO_SWEEP_INSTRUCTIONS", "6000"))
-SWEEP_WARMUP = int(os.environ.get("REPRO_SWEEP_WARMUP", "4000"))
+#: The environment variables below override them, read on every call.
+SWEEP_INSTRUCTIONS = 6000
+SWEEP_WARMUP = 4000
+SWEEP_INSTRUCTIONS_ENV = "REPRO_SWEEP_INSTRUCTIONS"
+SWEEP_WARMUP_ENV = "REPRO_SWEEP_WARMUP"
 
 
 def sweep_parameter(parameter: str, benchmarks: Sequence[str],
@@ -56,6 +59,8 @@ def sweep_parameter(parameter: str, benchmarks: Sequence[str],
     """
     session = session if session is not None else default_session()
     values = values if values is not None else SWEEPS[parameter]
+    instructions = env_int(SWEEP_INSTRUCTIONS_ENV, SWEEP_INSTRUCTIONS)
+    warmup = env_int(SWEEP_WARMUP_ENV, SWEEP_WARMUP)
     recorder = None
     if journal is not None or progress is not None:
         from repro.observe.journal import SweepRecorder
@@ -65,7 +70,7 @@ def sweep_parameter(parameter: str, benchmarks: Sequence[str],
         recorder = SweepRecorder(
             journal,
             config=session.config.replace(
-                instructions=SWEEP_INSTRUCTIONS, warmup=SWEEP_WARMUP),
+                instructions=instructions, warmup=warmup),
             cells=plan, jobs=1, outputs="full", executor="inline",
             progress=progress)
         recorder.start()
@@ -77,8 +82,8 @@ def sweep_parameter(parameter: str, benchmarks: Sequence[str],
             reference[name] = run_recorded(
                 recorder, index, name, "mini",
                 lambda name=name: session.run(
-                    name, "mini", instructions=SWEEP_INSTRUCTIONS,
-                    warmup=SWEEP_WARMUP, merge=True))
+                    name, "mini", instructions=instructions,
+                    warmup=warmup, merge=True))
             index += 1
         series: Dict[object, float] = {}
         for value in values:
@@ -94,8 +99,8 @@ def sweep_parameter(parameter: str, benchmarks: Sequence[str],
                     recorder, index, name,
                     f"mini[{parameter}={value}]",
                     lambda name=name, overrides=overrides: session.run(
-                        name, "mini", instructions=SWEEP_INSTRUCTIONS,
-                        warmup=SWEEP_WARMUP, br_overrides=overrides,
+                        name, "mini", instructions=instructions,
+                        warmup=warmup, br_overrides=overrides,
                         merge=True))
                 index += 1
                 improvements.append(

@@ -36,6 +36,14 @@ a truncated, corrupted, or version-mismatched file is a clean miss (the
 offender is deleted best-effort), never a crash.  Writes go through a
 same-directory temp file and ``os.replace`` so concurrent workers spilling
 the same region can never expose a half-written entry.
+
+**Baseline prediction columns.**  The baseline predictor sees only the
+committed branch stream and Branch Runahead never reads or trains it, so
+its predictions on a region are as timing-independent as the stream.
+:meth:`TraceCache.bind_baseline` records them once per region and
+predictor signature as a column of one byte per conditional branch, held
+on the entry in memory only: columns are evicted with their entry and
+never spilled, so the on-disk formats are unchanged.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ import hashlib
 import os
 import pickle
 from collections import OrderedDict
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.config import env_int, env_str
 from repro.emulator.machine import Machine
@@ -53,6 +61,8 @@ from repro.emulator.trace import DynamicUop
 from repro.isa import uop as U
 from repro.isa.program import Program
 from repro.isa.registers import CC
+from repro.predictors.base import BranchPredictor
+from repro.predictors.tage_batch import stream_signature
 from repro.sim.branch_events import (
     EVENT_FORMAT_VERSION,
     BranchColumns,
@@ -141,7 +151,8 @@ class TraceEntry:
 
     __slots__ = ("program", "start", "total", "records", "pre_memory",
                  "start_regs", "start_pc", "start_seq",
-                 "final_pc", "final_seq", "halted", "branch_columns")
+                 "final_pc", "final_seq", "halted", "branch_columns",
+                 "prediction_columns")
 
     def __init__(self, program: Program, start: int, total: int,
                  records: List[DynamicUop], pre_memory: Memory,
@@ -162,6 +173,10 @@ class TraceEntry:
         #: for the region (the MPKI-only replay path's working set); None
         #: until :meth:`TraceCache.branch_columns` extracts or loads them.
         self.branch_columns = None
+        #: Baseline prediction columns, one byte per conditional branch in
+        #: region order, keyed by predictor signature (see
+        #: :meth:`TraceCache.bind_baseline`).  Memory only: never spilled.
+        self.prediction_columns: Dict[tuple, bytes] = {}
 
     @property
     def branch_events(self):
@@ -275,6 +290,8 @@ class TraceCache:
         self.corrupt_entries = 0
         self.event_disk_hits = 0
         self.event_spills = 0
+        self.prediction_hits = 0
+        self.prediction_misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -376,6 +393,58 @@ class TraceCache:
         memo.move_to_end(key)
         while len(memo) > self.capacity:
             memo.popitem(last=False)
+
+    def bind_baseline(self, program: Program, start: int, total: int,
+                      predictor: BranchPredictor
+                      ) -> Tuple[Callable[[int, bool], bool],
+                                 Optional[Callable[[], None]]]:
+        """Bind the baseline predictor for one run of a region.
+
+        Returns ``(baseline, finish)``.  ``baseline(pc, taken)`` is what the
+        core calls once per conditional branch.  When the region's entry
+        holds a prediction column for the predictor's
+        :func:`~repro.predictors.tage_batch.stream_signature`, it reads the
+        column and never touches the predictor, which stays untrained, and
+        ``finish`` is None.  Otherwise it is the predictor's ``observe``.
+        For a predictor that has a signature it also records each
+        prediction, and ``finish()``, called once the run has consumed the
+        whole region, stores the column on the region's entry.
+        """
+        key = (id(program), start, total)
+        entry = self._entries.get(key)
+        if entry is not None and entry.program is not program:
+            entry = None
+        signature = stream_signature(predictor)
+        column = None
+        if entry is not None and signature is not None:
+            column = entry.prediction_columns.get(signature)
+        if column is not None:
+            self.prediction_hits += 1
+            next_prediction = map(bool, column).__next__
+
+            def read(pc: int, taken: bool) -> bool:
+                return next_prediction()
+
+            return read, None
+        self.prediction_misses += 1
+        observe = predictor.observe
+        if signature is None:
+            return observe, None
+        recorded = bytearray()
+        append = recorded.append
+
+        def record(pc: int, taken: bool) -> bool:
+            prediction = observe(pc, taken)
+            append(prediction)
+            return prediction
+
+        def finish() -> None:
+            # a recording run stores its entry only when the stream ends
+            done = self._entries.get(key)
+            if done is not None and done.program is program:
+                done.prediction_columns[signature] = bytes(recorded)
+
+        return record, finish
 
     def record(self, machine: Machine, start: int, total: int,
                source: Iterator[DynamicUop]) -> Iterator[DynamicUop]:
@@ -547,6 +616,8 @@ class TraceCache:
         scope.counter("misses").set(self.misses)
         scope.counter("evictions").set(self.evictions)
         scope.gauge("entries").set(len(self._entries))
+        scope.counter("prediction_hits").set(self.prediction_hits)
+        scope.counter("prediction_misses").set(self.prediction_misses)
         if self.disk_dir is not None:
             scope.counter("disk_hits").set(self.disk_hits)
             scope.counter("disk_misses").set(self.disk_misses)

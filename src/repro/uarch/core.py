@@ -15,7 +15,7 @@ the DCE alongside (not inside) the pipeline.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 from repro.emulator.trace import DynamicUop
 from repro.isa.registers import NUM_ARCH_REGS
@@ -29,11 +29,22 @@ from repro.uarch.resources import FuTracker, RingTracker
 from repro.uarch.stats import CoreStats
 
 
+def _perfect_baseline(pc: int, taken: bool) -> bool:
+    return taken
+
+
 class RunaheadHooks:
     """Interface Branch Runahead implements to attach to the core.
 
     The default implementations are no-ops, so the baseline core runs with a
     ``RunaheadHooks()`` (or ``None``) attachment.
+
+    Hooks see the baseline predictor only through the ``tage_pred``
+    argument of :meth:`fetch_prediction`; they must never read or train the
+    baseline predictor itself.  The core obtains each baseline prediction
+    (already trained on the branch's outcome) before it calls the hooks,
+    and ``simulate()`` may serve those predictions from a recorded column
+    without running the predictor at all.
     """
 
     def fetch_prediction(self, pc: int, fetch_cycle: int,
@@ -67,11 +78,20 @@ class CoreModel:
                  hierarchy: Optional[MemoryHierarchy] = None,
                  predictor: Optional[BranchPredictor] = None,
                  runahead: Optional[RunaheadHooks] = None,
-                 tracer=None):
+                 tracer=None,
+                 baseline: Optional[Callable[[int, bool], bool]] = None):
         self.config = config or CoreConfig()
         self.hierarchy = hierarchy or MemoryHierarchy()
         self._l1_latency = self.hierarchy.config.l1_latency
-        self.predictor = predictor
+        #: ``baseline(pc, taken)``: the baseline predictor's direction for
+        #: one committed conditional branch, trained on ``taken`` before it
+        #: returns.  Defaults to ``predictor.observe`` (a perfect baseline
+        #: when there is no predictor); ``simulate()`` may pass a reader
+        #: over a recorded prediction column instead.
+        if baseline is None:
+            baseline = predictor.observe if predictor is not None \
+                else _perfect_baseline
+        self.baseline = baseline
         self.runahead = runahead or RunaheadHooks()  # property: caches hooks
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # the one-time no-op-sink check: per-event emission is guarded by
@@ -548,37 +568,23 @@ class CoreModel:
         stats.branch_counts[pc] += 1
         if taken:
             stats.taken_branches += 1
-        predictor = self.predictor
-        if self._on_retire is None:
-            # default no-op hooks: fetch_prediction would return
-            # (tage_pred, "tage"), so fuse predict+update and skip the call
-            if predictor is not None:
-                tage_pred = predictor.observe(pc, taken)
-            else:
-                tage_pred = taken  # perfect baseline when absent
-            source = "tage"
-            mispredicted = tage_pred != taken
-            if mispredicted:
-                stats.baseline_mispredicts += 1
-                stats.mispredicts += 1
-                stats.branch_mispredicts[pc] += 1
-        else:
-            if predictor is not None:
-                tage_pred = predictor.predict(pc)
-            else:
-                tage_pred = taken  # perfect baseline when absent
+        # predict and train in one call: no hook reads the baseline, so
+        # training it before fetch_prediction changes nothing
+        tage_pred = self.baseline(pc, taken)
+        mispredicted = tage_pred != taken
+        if mispredicted:
+            stats.baseline_mispredicts += 1
+        source = "tage"
+        if self._on_retire is not None:
+            # default no-op hooks would return (tage_pred, "tage"): skip them
             final_pred, source = self._runahead.fetch_prediction(
                 pc, fetch_cycle, tage_pred)
             if source == "dce":
                 stats.dce_predictions_used += 1
             mispredicted = final_pred != taken
-            if tage_pred != taken:
-                stats.baseline_mispredicts += 1
-            if predictor is not None:
-                predictor.update(pc, taken)
-            if mispredicted:
-                stats.mispredicts += 1
-                stats.branch_mispredicts[pc] += 1
+        if mispredicted:
+            stats.mispredicts += 1
+            stats.branch_mispredicts[pc] += 1
 
         # ---- dispatch / issue --------------------------------------------
         dispatch = fetch_cycle + cfg.frontend_depth

@@ -14,10 +14,12 @@ import pytest
 from repro.config import CONFIG_FILE_ENV, ENV_VARS
 from repro.predictors.batched import BACKEND_ENV
 from repro.session import BATCH_REPLAY_ENV
+from repro.sim.sweeps import SWEEP_INSTRUCTIONS_ENV, SWEEP_WARMUP_ENV
 
 
 @pytest.fixture(autouse=True)
 def _clean_repro_env(monkeypatch):
     for var in (*ENV_VARS.values(), CONFIG_FILE_ENV,
-                BACKEND_ENV, BATCH_REPLAY_ENV):
+                BACKEND_ENV, BATCH_REPLAY_ENV,
+                SWEEP_INSTRUCTIONS_ENV, SWEEP_WARMUP_ENV):
         monkeypatch.delenv(var, raising=False)

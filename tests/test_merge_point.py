@@ -8,8 +8,10 @@ from repro.core.merge_point import (
     WrongPathBuffer,
     static_merge_prediction,
 )
-from repro.emulator.machine import Machine
-from repro.emulator.shadow import wrong_path_walk
+from repro.emulator.machine import Machine, execute_uop
+from repro.emulator.memory import OverlayMemory
+from repro.emulator.shadow import ShadowUop, wrong_path_steps, wrong_path_walk
+from repro.emulator.trace import DynamicUop
 from repro.isa import uop as U
 from repro.isa.program import ProgramBuilder
 from repro.isa.registers import reg_bit
@@ -131,9 +133,9 @@ class TestMergePointPredictor:
         if record.taken == wrong_taken:
             return None, None  # need the other direction; caller retries
         predictor = MergePointPredictor(BranchRunaheadConfig())
-        shadow = wrong_path_walk(program, regs, machine.memory, branch_pc,
-                                 wrong_taken, 50)
-        predictor.train_on_mispredict(record, shadow)
+        predictor.train_on_mispredict(
+            record, wrong_path_steps(program, regs, machine.memory,
+                                     branch_pc, wrong_taken), 50)
         result = None
         for _ in range(20):
             nxt = machine.step()
@@ -157,9 +159,9 @@ class TestMergePointPredictor:
         regs = list(machine.regs)
         record = machine.step()
         predictor = MergePointPredictor(BranchRunaheadConfig())
-        shadow = wrong_path_walk(program, regs, machine.memory, branch_pc,
-                                 not record.taken, 50)
-        predictor.train_on_mispredict(record, shadow)
+        predictor.train_on_mispredict(
+            record, wrong_path_steps(program, regs, machine.memory,
+                                     branch_pc, not record.taken), 50)
         result = None
         while result is None:
             result = predictor.on_retire(machine.step())
@@ -195,9 +197,9 @@ class TestMergePointPredictor:
         regs = list(machine.regs)
         record = machine.step()
         predictor = MergePointPredictor(BranchRunaheadConfig())
-        shadow = wrong_path_walk(program, regs, machine.memory, outer_pc,
-                                 not record.taken, 60)
-        predictor.train_on_mispredict(record, shadow)
+        predictor.train_on_mispredict(
+            record, wrong_path_steps(program, regs, machine.memory,
+                                     outer_pc, not record.taken), 60)
         result = None
         while result is None:
             result = predictor.on_retire(machine.step())
@@ -223,8 +225,8 @@ class TestMergePointPredictor:
         regs = list(machine.regs)
         record = machine.step()
         predictor = MergePointPredictor(BranchRunaheadConfig())
-        # empty shadow: pretend the walk produced nothing useful
-        predictor.train_on_mispredict(record, [])
+        # empty walk: pretend the wrong path produced nothing useful
+        predictor.train_on_mispredict(record, [], 50)
         for _ in range(30):
             predictor.on_retire(machine.step())
             if not predictor.active:
@@ -251,3 +253,154 @@ class TestOracle:
                 break
         assert oracle.resolved == 1
         assert oracle.dynamic_correct == 1
+
+
+# -- lazy walk + fused fill vs the list-based reference -----------------------
+
+def reference_walk(program, regs, memory, branch_pc, wrong_taken, max_uops):
+    """The list-based wrong-path walk the lazy walk replaced.
+
+    Returns ``(shadow_uops, end)`` where ``end`` says why the walk stopped:
+    ``"budget"``, ``"halt"`` or ``"exit"`` (left the program).
+    """
+    branch_uop = program.uops[branch_pc]
+    shadow_regs = list(regs)
+    shadow_memory = OverlayMemory(memory)
+    pc = branch_uop.target if wrong_taken else branch_pc + 1
+    observed = []
+    uops = program.uops
+    for _ in range(max_uops):
+        if not 0 <= pc < len(uops):
+            return observed, "exit"
+        op = uops[pc]
+        if op.opcode == U.HALT:
+            return observed, "halt"
+        run = op.execute
+        if run is not None:
+            record = run(shadow_regs, shadow_memory)
+        else:
+            record = execute_uop(op, shadow_regs, shadow_memory)
+        observed.append(ShadowUop(
+            pc=pc, dst_regs=op.dst_regs, is_cond_branch=op.is_cond_branch,
+            taken=record.taken,
+            store_addr=record.addr if op.is_store else -1))
+        pc = record.next_pc
+    return observed, "budget"
+
+
+def reference_fill(config, record, shadow_uops):
+    """The list-based WPB fill, on its own buffer; returns its snapshot
+    (as :func:`fill_snapshot`), the uops it read, and what it saw."""
+    wpb = WrongPathBuffer(config.wpb_entries, config.wpb_ways)
+    stores = BloomFilter()
+    branch_order, pc_order = {}, {}
+    running_mask = 0
+    copied = read = 0
+    seen = set()
+    for shadow in shadow_uops:
+        if copied >= config.max_merge_distance:
+            break
+        read += 1
+        if shadow.pc == record.pc:
+            seen.add("repeat")
+            break
+        if shadow.is_cond_branch and shadow.pc not in branch_order:
+            branch_order[shadow.pc] = copied
+        if shadow.pc not in pc_order:
+            pc_order[shadow.pc] = copied
+        elif shadow.pc not in wpb._set_for(shadow.pc):
+            seen.add("revisit_after_eviction")
+        wpb.insert(shadow.pc, running_mask)
+        for dst in shadow.dst_regs:
+            running_mask |= reg_bit(dst)
+        if shadow.store_addr >= 0:
+            stores.add(shadow.store_addr)
+        elif shadow.store_addr != -1:
+            seen.add("negative_store")
+        copied += 1
+    wpb.valid = copied > 0
+    snapshot = ([list(entries.items()) for entries in wpb._sets],
+                list(pc_order.items()), list(branch_order.items()),
+                stores._bits, wpb.valid)
+    return snapshot, read, seen
+
+
+def fill_snapshot(predictor):
+    return ([list(entries.items()) for entries in predictor.wpb._sets],
+            list(predictor._wp_pc_order.items()),
+            list(predictor._wp_branch_order.items()),
+            predictor._wp_stores._bits, predictor.wpb.valid)
+
+
+def random_program(rng):
+    """Straight-line ALU/memory code with branches and jumps to any PC,
+    the end of the program (leaving it) included, and the odd HALT."""
+    b = ProgramBuilder()
+    data = b.data("data", [rng.randrange(-60, 60) for _ in range(24)])
+    regs = b.regs("a", "b", "c", "d", "e")
+    size = rng.randrange(6, 40)
+    branch_at = rng.randrange(size)
+    for position in range(size):
+        b.label(f"L{position}")
+        pick = rng.random()
+        r = rng.choice
+        target = f"L{rng.randrange(size + 1)}"
+        if position == branch_at or pick < 0.18:
+            b.br(r(["eq", "ne", "lt", "le", "gt", "ge"]), target)
+        elif pick < 0.24:
+            b.jmp(target)
+        elif pick < 0.27:
+            b.halt()
+        elif pick < 0.40:
+            b.ld(r(regs), base=r(regs), disp=rng.randrange(-3, 8))
+        elif pick < 0.55:
+            b.st(r(regs), base=r(regs), disp=rng.randrange(-3, 8))
+        elif pick < 0.65:
+            b.cmpi(r(regs), rng.randrange(-20, 20))
+        elif pick < 0.72:
+            b.movi(r(regs), rng.choice([data, data + 5, -7, -40, 3]))
+        else:
+            b.addi(r(regs), r(regs), rng.randrange(-9, 9))
+    b.label(f"L{size}")
+    return b.build(), data
+
+
+def test_fused_walk_fill_matches_list_reference():
+    import random
+    rng = random.Random(0x5EED)
+    covered = set()
+    for _ in range(600):
+        program, data = random_program(rng)
+        machine = Machine(program)  # compiles the execute closures
+        branches = [op.pc for op in program.uops if op.is_cond_branch]
+        branch_pc = rng.choice(branches)
+        values = [data, data + 3, -5, -30, 0, 7, rng.randrange(-99, 99)]
+        regs = [rng.choice(values) for _ in range(len(machine.regs))]
+        wrong_taken = rng.random() < 0.5
+        config = BranchRunaheadConfig(
+            wpb_entries=rng.choice([4, 8, 128]), wpb_ways=2,
+            max_merge_distance=rng.randrange(1, 40))
+        budget = rng.randrange(0, 2 * config.max_merge_distance + 2)
+        record = DynamicUop(program.uops[branch_pc], 0, branch_pc + 1,
+                            not wrong_taken)
+
+        shadow, end = reference_walk(program, regs, machine.memory,
+                                     branch_pc, wrong_taken, budget)
+        expected, read, seen = reference_fill(config, record, shadow)
+
+        predictor = MergePointPredictor(config)
+        pulled = predictor.train_on_mispredict(
+            record, wrong_path_steps(program, regs, machine.memory,
+                                     branch_pc, wrong_taken), budget)
+        assert fill_snapshot(predictor) == expected
+        assert pulled == read
+        assert predictor.active
+
+        if "repeat" not in seen and read == len(shadow):
+            covered.add(end)  # the fill read the walk up to its end
+        covered |= seen
+        covered.add("budget_below" if budget < config.max_merge_distance
+                    else "budget_above")
+    assert covered >= {"budget_below", "budget_above", "halt", "exit",
+                       "repeat", "negative_store",
+                       "revisit_after_eviction"}, covered
