@@ -56,10 +56,9 @@ class ChainExtractionBuffer:
         self.retire_width = retire_width
         self._buffer: deque = deque(maxlen=self.config.ceb_entries)
         self.stats = ExtractionStats()
-
-    def on_retire(self, record: DynamicUop) -> None:
-        """Append a retired uop (newest at the right)."""
-        self._buffer.append(record)
+        #: ``on_retire(record)``: append a retired uop (newest at the
+        #: right) — the buffer's own append, called once per retirement.
+        self.on_retire = self._buffer.append
 
     def __len__(self) -> int:
         return len(self._buffer)

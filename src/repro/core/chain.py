@@ -63,11 +63,12 @@ class DependenceChain:
         self.terminated_by = terminated_by
         #: Local physical registers the chain needs after local rename.
         self.num_local_regs = num_local_regs
-
-    @property
-    def length(self) -> int:
-        """Post-elimination uop count (what Figure 2 reports)."""
-        return sum(self.timed_flags)
+        #: Post-elimination uop count (what Figure 2 reports).
+        self.length = sum(timed_flags)
+        #: The chain's compiled kernels, indexed by the DCE's in-order
+        #: flag; bound on first execution (:mod:`repro.core.chain_kernel`).
+        #: A chain is never mutated once built, so they never go stale.
+        self.kernels = [None, None]
 
     @property
     def is_wildcard(self) -> bool:

@@ -3,12 +3,16 @@
 Chains are identified by ``(branch_pc, tag)`` and looked up by trigger
 events: a resolving branch ``<pc, outcome>`` initiates every cached chain
 whose tag is ``<pc, outcome>`` or ``<pc, *>``.
+
+Besides the LRU order over all chains, the cache keeps each trigger PC's
+chains in the same relative LRU order, so a lookup visits only the chains
+of its trigger instead of scanning the whole cache.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List
+from typing import Dict, List
 
 from repro.core.chain import WILDCARD, DependenceChain
 
@@ -21,6 +25,10 @@ class ChainCache:
             raise ValueError("chain cache needs at least one entry")
         self.capacity = capacity
         self._chains: OrderedDict = OrderedDict()  # key -> chain
+        #: trigger pc -> {key: chain}, in the LRU order of ``_chains``
+        self._by_trigger: Dict[int, OrderedDict] = {}
+        #: predicted branch pc -> number of its installed chains
+        self._per_branch: Dict[int, int] = {}
         self.installs = 0
         self.evictions = 0
         self.hits = 0
@@ -33,49 +41,74 @@ class ChainCache:
         """Install (or refresh) a chain, evicting LRU if needed."""
         key = chain.key()
         if key in self._chains:
-            del self._chains[key]
+            self._forget(key)
         elif len(self._chains) >= self.capacity:
-            self._chains.popitem(last=False)
+            self._forget(next(iter(self._chains)))
             self.evictions += 1
         self._chains[key] = chain
+        self._by_trigger.setdefault(key[1][0], OrderedDict())[key] = chain
+        self._per_branch[key[0]] = self._per_branch.get(key[0], 0) + 1
         self.installs += 1
+
+    def _forget(self, key) -> None:
+        del self._chains[key]
+        trigger_pc = key[1][0]
+        bucket = self._by_trigger[trigger_pc]
+        del bucket[key]
+        if not bucket:
+            del self._by_trigger[trigger_pc]
+        remaining = self._per_branch[key[0]] - 1
+        if remaining:
+            self._per_branch[key[0]] = remaining
+        else:
+            del self._per_branch[key[0]]
 
     def remove_for_branch(self, branch_pc: int) -> int:
         """Drop every chain predicting ``branch_pc`` (re-extraction path)."""
         victims = [key for key in self._chains if key[0] == branch_pc]
         for key in victims:
-            del self._chains[key]
+            self._forget(key)
         return len(victims)
 
     def matching(self, trigger_pc: int, outcome: bool
                  ) -> List[DependenceChain]:
         """Chains initiated by the trigger ``<trigger_pc, outcome>``.
 
-        Matches exact-outcome tags and wildcard tags; touching a chain
-        refreshes its LRU position.
+        Matches exact-outcome tags and wildcard tags, in LRU order; touching
+        a chain refreshes its LRU position.
         """
-        outcome_bit = 1 if outcome else 0
-        matched = []
-        for key in list(self._chains):
-            _, (tag_pc, tag_outcome) = key
-            if tag_pc == trigger_pc and tag_outcome in (outcome_bit, WILDCARD):
-                chain = self._chains.pop(key)
-                self._chains[key] = chain  # LRU refresh
-                matched.append(chain)
-        if matched:
-            self.hits += 1
-        else:
+        bucket = self._by_trigger.get(trigger_pc)
+        if not bucket:
             self.misses += 1
-        return matched
+            return []
+        outcome_bit = 1 if outcome else 0
+        found = [(key, chain) for key, chain in bucket.items()
+                 if key[1][1] == outcome_bit or key[1][1] == WILDCARD]
+        if not found:
+            self.misses += 1
+            return []
+        chains = self._chains
+        for key, _ in found:
+            bucket.move_to_end(key)  # LRU refresh
+            chains.move_to_end(key)
+        self.hits += 1
+        return [chain for _, chain in found]
 
-    def wildcard_chains_for(self, trigger_pc: int) -> List[DependenceChain]:
-        """Only the wildcard-tagged chains of a trigger (independent-early)."""
-        return [chain for (branch_pc, (tag_pc, tag_outcome)), chain
-                in self._chains.items()
-                if tag_pc == trigger_pc and tag_outcome == WILDCARD]
+    def tagged_length(self, trigger_pc: int, outcome_bit: int) -> int:
+        """Total length of the chains tagged exactly ``<trigger_pc,
+        outcome_bit>`` (no LRU refresh)."""
+        bucket = self._by_trigger.get(trigger_pc)
+        if not bucket:
+            return 0
+        return sum(chain.length for key, chain in bucket.items()
+                   if key[1][1] == outcome_bit)
 
     def chains(self) -> List[DependenceChain]:
         return list(self._chains.values())
+
+    def covers(self, branch_pc: int) -> bool:
+        """Whether at least one installed chain predicts ``branch_pc``."""
+        return branch_pc in self._per_branch
 
     def covered_branches(self) -> set:
         """PCs of branches with at least one installed chain."""

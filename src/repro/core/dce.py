@@ -22,6 +22,13 @@ live-in values refreshed from the core's retired register file at every
 synchronization.  Loads read the shared data memory through the shared
 hierarchy; stores never escape the engine (they are move-eliminated at
 extraction, and executed only as value forwards here).
+
+An instance runs as its chain's compiled kernel
+(:mod:`repro.core.chain_kernel`): straight-line code emitted once per
+distinct chain content that computes values and ready cycles in locals,
+books ALUs and D-cache ports through inlined fast paths, and calls the
+hierarchy only for loads — the same values, cycles and bookings as
+executing the chain uop by uop.
 """
 
 from __future__ import annotations
@@ -29,17 +36,16 @@ from __future__ import annotations
 import heapq
 import time
 from collections import defaultdict, deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.core.chain import DependenceChain
 from repro.core.chain_cache import ChainCache
+from repro.core.chain_kernel import kernel_for
 from repro.core.config import (
     INDEPENDENT_EARLY,
     NON_SPECULATIVE,
     BranchRunaheadConfig,
 )
 from repro.core.prediction_queue import PredictionQueueFile
-from repro.emulator.machine import execute_uop
 from repro.emulator.memory import Memory
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.memsys.hierarchy import MemoryHierarchy
@@ -145,6 +151,9 @@ class DependenceChainEngine:
         self._active_finishes: List[int] = []
         # instances that could not allocate a prediction-queue slot
         self._parked: Dict[int, deque] = defaultdict(deque)
+        #: Chain kernels this engine had to compile (host work: kernels are
+        #: shared per process, see :mod:`repro.core.chain_kernel`).
+        self.kernels_compiled = 0
 
     # -- synchronization ----------------------------------------------------
 
@@ -181,11 +190,6 @@ class DependenceChainEngine:
                          for chain in chains)
         return self._run_cascade(worklist)
 
-    def initiate_chain(self, chain: DependenceChain, cycle: int) -> int:
-        """Directly initiate one chain (used by re-extraction paths)."""
-        return self._run_cascade(deque([(chain, cycle,
-                                         self._root_lineage())]))
-
     def on_queue_slot_freed(self, branch_pc: int, cycle: int) -> None:
         """A prediction for ``branch_pc`` retired; resume parked work."""
         parked = self._parked.get(branch_pc)
@@ -197,173 +201,117 @@ class DependenceChainEngine:
     # -- cascade ------------------------------------------------------------------
 
     def _run_cascade(self, worklist: deque) -> int:
+        """Run worklist instances and every successor they trigger.
+
+        Per instance: global rename binds a window slot (local RF + local
+        RS), the chain's prediction queue supplies a slot, the chain's
+        compiled kernel (:mod:`repro.core.chain_kernel`) executes it, and
+        the outcome initiates the successor chains.
+        """
         host_start = time.perf_counter()
+        config = self.config
+        stats = self.stats
+        tracing = self._tracing
+        queues = self.queues
+        matching = self.chain_cache.matching
+        finishes = self._active_finishes
+        window_slots = config.window_slots
+        runahead_limit = config.runahead_limit
+        mode = config.initiation_mode
+        in_order = 1 if config.dce_in_order else 0
+        mem_get = self.memory._words.get  # Memory.read, minus the call
+        alus = self.alus
+        alu_usage = alus._usage
+        ports = self.ports
+        port_usage = ports._usage
+        access_data = self.hierarchy.access_data
         executed = 0
         steps = 0
         while worklist and steps < MAX_CASCADE_STEPS:
             steps += 1
-            chain, lower_bound, state = worklist.popleft()
-            result = self._run_instance(chain, lower_bound, state)
-            if result is None:
+            chain, init_cycle, state = worklist.popleft()
+            # global rename: bind to a window slot (local RF + local RS)
+            while finishes and finishes[0] <= init_cycle:
+                heapq.heappop(finishes)
+            if len(finishes) >= window_slots:
+                earliest = heapq.heappop(finishes)
+                if earliest > init_cycle:
+                    init_cycle = earliest
+                    stats.window_stalls += 1
+            branch_pc = chain.branch_pc
+            queue = queues.get_or_assign(branch_pc)
+            if queue is None:
+                stats.uncovered_initiations += 1
                 continue
+            if queue.throttle < 0:
+                # the DCE-side corollary of prediction throttling: a lineage
+                # whose values keep losing to TAGE is not worth executing;
+                # the throttle decays on retirements so the chain
+                # periodically retries (energy control, see Figure 14)
+                stats.suppressed_instances += 1
+                continue
+            ahead_cap = min(queue.capacity, runahead_limit)
+            slot = (-1 if queue.push_ptr - queue.retire_ptr >= ahead_cap
+                    else queue.allocate())
+            if slot < 0:
+                self._parked[branch_pc].append((chain, init_cycle, state))
+                stats.parked_events += 1
+                continue
+
+            if tracing:
+                self.tracer.emit("chain_launch", "dce", init_cycle,
+                                 pc=branch_pc, length=chain.length,
+                                 tag=list(chain.tag))
+            kernel = chain.kernels[in_order]
+            if kernel is None:
+                kernel, compiled = kernel_for(chain, in_order)
+                chain.kernels[in_order] = kernel
+                self.kernels_compiled += compiled
+            outcome, finish = kernel(state.regs, state.ready, init_cycle,
+                                     mem_get, alus, alu_usage, ports,
+                                     port_usage, access_data, stats)
+            heapq.heappush(finishes, finish)
+            queue.fill(slot, outcome, finish)
+            stats.instances_executed += 1
+            stats.instance_uops_total += chain.length
+            if tracing:
+                self.tracer.emit("chain_complete", "dce", init_cycle,
+                                 duration=max(1, finish - init_cycle),
+                                 pc=branch_pc, outcome=outcome)
             executed += 1
-            init_cycle, outcome, finish = result
-            self._enqueue_successors(worklist, chain, init_cycle, outcome,
-                                     finish, state)
+
+            # successors: every chain this outcome initiates
+            successors = matching(branch_pc, outcome)
+            if not successors:
+                continue
+            # which successors may start one cycle after this initiation
+            # instead of at its completion (§4.1)
+            if mode == NON_SPECULATIVE:
+                all_early = wildcards_early = False
+            elif mode == INDEPENDENT_EARLY:
+                all_early, wildcards_early = False, True
+            else:  # PREDICTIVE
+                predicted = self.init_predictor.predict(branch_pc)
+                self.init_predictor.update(branch_pc, outcome)
+                all_early, wildcards_early = predicted == outcome, True
+                if not all_early:
+                    # the wrong-direction exact-tag chains were issued,
+                    # then flushed when the producing chain resolved
+                    # (energy cost)
+                    stats.flushed_uops += self.chain_cache.tagged_length(
+                        branch_pc, 1 if predicted else 0)
+            # every successor consumes the producer's live-outs: each
+            # receives a snapshot of the lineage state at this completion,
+            # so siblings' writes can never leak into one another (a single
+            # successor may take the state itself — no sibling reads it
+            # afterwards)
+            single = len(successors) == 1
+            for successor in successors:
+                if all_early or (wildcards_early and successor.is_wildcard):
+                    start = init_cycle + 1
+                else:
+                    start = finish
+                worklist.append((successor, start,
+                                 state if single else state.snapshot()))
         self.host_seconds += time.perf_counter() - host_start
         return executed
-
-    def _enqueue_successors(self, worklist: deque, chain: DependenceChain,
-                            init_cycle: int, outcome: bool, finish: int,
-                            state: "_LineageState") -> None:
-        mode = self.config.initiation_mode
-        successors = self.chain_cache.matching(chain.branch_pc, outcome)
-        if not successors:
-            return
-        if mode == NON_SPECULATIVE:
-            starts = [finish] * len(successors)
-        elif mode == INDEPENDENT_EARLY:
-            starts = [init_cycle + 1 if successor.is_wildcard else finish
-                      for successor in successors]
-        else:  # PREDICTIVE
-            predicted = self.init_predictor.predict(chain.branch_pc)
-            self.init_predictor.update(chain.branch_pc, outcome)
-            if predicted != outcome:
-                # the wrong-direction exact-tag chains were issued, then
-                # flushed when the producing chain resolved (energy cost)
-                wrong_bit = 1 if predicted else 0
-                for candidate in self.chain_cache.chains():
-                    tag_pc, tag_outcome = candidate.tag
-                    if tag_pc == chain.branch_pc and tag_outcome == wrong_bit:
-                        self.stats.flushed_uops += candidate.length
-            starts = [init_cycle + 1
-                      if successor.is_wildcard or predicted == outcome
-                      else finish
-                      for successor in successors]
-        # every successor consumes the producer's live-outs: each receives a
-        # snapshot of the lineage state at this completion, so siblings'
-        # writes can never leak into one another (a single successor may
-        # take the state itself — no sibling reads it afterwards)
-        if len(successors) == 1:
-            worklist.append((successors[0], starts[0], state))
-            return
-        for successor, start in zip(successors, starts):
-            worklist.append((successor, start, state.snapshot()))
-
-    # -- one dynamic instance --------------------------------------------------------
-
-    def _run_instance(self, chain: DependenceChain, lower_bound: int,
-                      state: "_LineageState"
-                      ) -> Optional[Tuple[int, bool, int]]:
-        # global rename: bind to a window slot (local RF + local RS)
-        init_cycle = lower_bound
-        finishes = self._active_finishes
-        while finishes and finishes[0] <= init_cycle:
-            heapq.heappop(finishes)
-        if len(finishes) >= self.config.window_slots:
-            earliest = heapq.heappop(finishes)
-            if earliest > init_cycle:
-                init_cycle = earliest
-                self.stats.window_stalls += 1
-
-        queue = self.queues.get_or_assign(chain.branch_pc)
-        if queue is None:
-            self.stats.uncovered_initiations += 1
-            return None
-        if queue.throttled:
-            # the DCE-side corollary of prediction throttling: a lineage
-            # whose values keep losing to TAGE is not worth executing; the
-            # throttle decays on retirements so the chain periodically
-            # retries (energy control, see Figure 14)
-            self.stats.suppressed_instances += 1
-            return None
-        ahead_cap = min(queue.capacity, self.config.runahead_limit)
-        slot = -1 if queue.occupancy() >= ahead_cap else queue.allocate()
-        if slot < 0:
-            self._parked[chain.branch_pc].append((chain, init_cycle, state))
-            self.stats.parked_events += 1
-            return None
-
-        if self._tracing:
-            self.tracer.emit("chain_launch", "dce", init_cycle,
-                             pc=chain.branch_pc, length=chain.length,
-                             tag=list(chain.tag))
-        outcome, finish = self._execute(chain, init_cycle, state)
-        heapq.heappush(finishes, finish)
-        queue.fill(slot, outcome, finish)
-        self.stats.instances_executed += 1
-        self.stats.instance_uops_total += chain.length
-        if self._tracing:
-            self.tracer.emit("chain_complete", "dce", init_cycle,
-                             duration=max(1, finish - init_cycle),
-                             pc=chain.branch_pc, outcome=outcome)
-        return init_cycle, outcome, finish
-
-    def _execute(self, chain: DependenceChain, start: int,
-                 state: "_LineageState") -> Tuple[bool, int]:
-        """Functional + timing execution of one instance.
-
-        Values come from the DCE architectural state and the shared memory;
-        timing respects per-register readiness (live-ins from producer
-        chains or the last sync), intra-chain dataflow, ALU occupancy, and
-        D-cache port availability.
-        """
-        regs = state.regs
-        ready = state.ready
-        pair_values: Dict[int, int] = {}
-        pair_ready: Dict[int, int] = {}
-        taken = False
-        finish = start
-        in_order = self.config.dce_in_order
-        previous_done = start
-
-        for index, op in enumerate(chain.exec_uops):
-            timed = chain.timed_flags[index]
-            if op.is_store:
-                # never writes memory inside the DCE; forward value + timing
-                pair_values[index] = regs[op.srcs[0]]
-                pair_ready[index] = ready[op.srcs[0]]
-                continue
-            if op.is_load and index in chain.pair_map:
-                store_index = chain.pair_map[index]
-                regs[op.dst] = pair_values.get(store_index, 0)
-                ready[op.dst] = pair_ready.get(store_index, start)
-                continue
-            if not timed:  # eliminated MOV
-                regs[op.dst] = regs[op.srcs[0]]
-                ready[op.dst] = ready[op.srcs[0]]
-                continue
-
-            data_ready = start
-            for src in op.src_regs:
-                if ready[src] > data_ready:
-                    data_ready = ready[src]
-            if in_order and previous_done > data_ready:
-                # §4.2 ablation: strict program-order scheduling serializes
-                # each uop behind its predecessor's completion (no MLP)
-                data_ready = previous_done
-
-            # compiled handler when the uop lives in a built program;
-            # reference interpreter for synthetic chain uops
-            run = op.execute
-            if run is not None:
-                record = run(regs, self.memory)
-            else:
-                record = execute_uop(op, regs, self.memory)
-            if op.is_load:
-                port_cycle = self.ports.acquire_free(data_ready)
-                done = self.hierarchy.access_data(record.addr, port_cycle,
-                                                  from_dce=True)
-                self.stats.loads_executed += 1
-            else:
-                issue = self.alus.acquire(data_ready)
-                done = issue + op.latency
-            self.stats.uops_executed += 1
-            previous_done = done
-            for dst in op.dst_regs:
-                ready[dst] = done
-            if op.is_cond_branch:
-                taken = record.taken
-            if done > finish:
-                finish = done
-        return taken, finish

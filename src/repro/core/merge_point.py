@@ -19,12 +19,11 @@ scores both.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.config import BranchRunaheadConfig
 from repro.emulator.shadow import ShadowUop
 from repro.emulator.trace import DynamicUop
-from repro.isa.registers import reg_bit
 from repro.isa.uop import Uop
 
 
@@ -86,7 +85,8 @@ class WrongPathBuffer:
 
     def invalidate(self) -> None:
         for entry_set in self._sets:
-            entry_set.clear()
+            if entry_set:
+                entry_set.clear()
         self.valid = False
 
 
@@ -143,21 +143,26 @@ class MergePointPredictor:
     # -- training -------------------------------------------------------------
 
     def train_on_mispredict(self, record: DynamicUop,
-                            wrong_path: Iterable[DynamicUop],
+                            wrong_path: Iterable[Uop],
+                            store_address: Callable[[int], int],
                             budget: int) -> int:
         """Fill the WPB from the forward ROB walk of wrong-path uops.
 
-        ``wrong_path`` yields the wrong-path uops in fetch order and may
-        execute each one only as it is pulled
-        (:func:`~repro.emulator.shadow.wrong_path_steps`).  The fill pulls
-        at most ``min(budget, max_merge_distance)`` of them, and stops early
-        when the walk ends or at a second dynamic instance of the branch
-        (loop case) — everything before it is copied.  Returns the number
-        of uops pulled.
+        ``wrong_path`` yields the static uops of the wrong path in fetch
+        order and may execute each one only as it is pulled;
+        ``store_address(k)`` is the address of its ``k``-th store,
+        available once that store has been pulled.  The fill pulls at most
+        ``min(budget, max_merge_distance)`` uops, and stops early when the
+        walk ends or at a second dynamic instance of the branch (loop
+        case) — everything before it is copied.  Returns the number of
+        uops pulled.
         """
-        self.wpb.invalidate()
+        wpb = self.wpb
+        wpb.invalidate()
         self.searches += 1
-        insert = self.wpb.insert
+        sets = wpb._sets
+        num_sets = wpb.num_sets
+        ways = wpb.ways
         branch_pc = record.pc
         running_mask = 0
         wp_stores = self._wp_stores = BloomFilter()
@@ -165,31 +170,37 @@ class MergePointPredictor:
         branch_order = self._wp_branch_order = {}
         pc_order = self._wp_pc_order = {}
         limit = min(budget, self.config.max_merge_distance)
-        copied = pulled = 0
+        copied = pulled = stores = 0
         if limit > 0:
-            for shadow in wrong_path:
+            for op in wrong_path:
                 pulled += 1
-                pc = shadow.pc
+                pc = op.pc
                 if pc == branch_pc:
                     break  # second instance: we are in a loop
-                op = shadow.uop
                 if op.is_cond_branch and pc not in branch_order:
                     branch_order[pc] = copied
                 if pc not in pc_order:
                     pc_order[pc] = copied
                 # the entry's dest set covers uops strictly *before* it: a
                 # merge instruction executes on both paths, so its own
-                # writes are not divergent state.  Every visit inserts: a
-                # revisit re-installs a PC the set has since evicted.
-                insert(pc, running_mask)
-                for dst in op.dst_regs:
-                    running_mask |= reg_bit(dst)
-                if op.is_store and shadow.addr >= 0:
-                    wp_stores.add(shadow.addr)
+                # writes are not divergent state.  Every visit inserts
+                # (WrongPathBuffer.insert, inlined): a revisit re-installs
+                # a PC the set has since evicted.
+                entry_set = sets[pc % num_sets]
+                if pc not in entry_set:
+                    if len(entry_set) >= ways:
+                        del entry_set[next(iter(entry_set))]
+                    entry_set[pc] = running_mask
+                running_mask |= op.dst_mask
+                if op.is_store:
+                    address = store_address(stores)
+                    stores += 1
+                    if address >= 0:
+                        wp_stores.add(address)
                 copied += 1
                 if copied == limit:
                     break
-        self.wpb.valid = copied > 0
+        wpb.valid = copied > 0
         self._branch_pc = record.pc
         self._branch_uop = record.uop
         self._trigger_seq = record.seq
@@ -202,7 +213,7 @@ class MergePointPredictor:
 
     def on_retire(self, record: DynamicUop) -> Optional[MergeResult]:
         """Probe with a retired correct-path uop; MergeResult when found."""
-        if not self.active:
+        if self._branch_pc < 0:  # no search open
             return None
         pc = record.pc
         if record.seq == self._trigger_seq:
@@ -234,8 +245,7 @@ class MergePointPredictor:
             self._abort()
             return None
         op = record.uop
-        for dst in op.dst_regs:
-            self._cp_dest_mask |= reg_bit(dst)
+        self._cp_dest_mask |= op.dst_mask
         if op.is_store:
             self._cp_stores.add(record.addr)
         if op.is_cond_branch:
@@ -289,6 +299,11 @@ class OracleMergeTracker:
         self._distance = 0
         self._dynamic_prediction = None
         self._static_prediction = static_prediction
+
+    @property
+    def active(self) -> bool:
+        """Whether a search is open (retirements still matter)."""
+        return self._active
 
     def register_dynamic(self, merge_pc: int) -> None:
         """The dynamic predictor produced ``merge_pc`` for the open search."""

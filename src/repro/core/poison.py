@@ -18,7 +18,6 @@ from typing import Optional, Set
 
 from repro.core.merge_point import MergeResult
 from repro.emulator.trace import DynamicUop
-from repro.isa.registers import reg_bit
 
 
 class PoisonPass:
@@ -35,18 +34,6 @@ class PoisonPass:
         #: Branch PCs found to source poison (affectees of ``affector_pc``).
         self.affectees: Set[int] = set()
 
-    def _sources_poison(self, record: DynamicUop) -> bool:
-        op = record.uop
-        for src in op.src_regs:
-            if self._poison_mask & reg_bit(src):
-                return True
-        if op.is_load:
-            if record.addr in self._poisoned_addresses:
-                return True
-            if self._wp_stores.contains(record.addr):
-                return True
-        return False
-
     def on_retire(self, record: DynamicUop) -> Optional[Set[int]]:
         """Process one retired uop; returns the affectee set when the pass
         completes (else None)."""
@@ -61,18 +48,20 @@ class PoisonPass:
             self.active = False
             return self.affectees
 
-        poisoned = self._sources_poison(record)
+        # sources poison: a poisoned register, or a load from a poisoned
+        # address (correct-path store set or wrong-path bloom filter)
+        poisoned = bool(self._poison_mask & op.src_mask) or (
+            op.is_load and (record.addr in self._poisoned_addresses
+                            or self._wp_stores.contains(record.addr)))
         if poisoned:
-            for dst in op.dst_regs:
-                self._poison_mask |= reg_bit(dst)
+            self._poison_mask |= op.dst_mask
             if op.is_store:
                 self._poisoned_addresses.add(record.addr)
             if op.is_cond_branch:
                 self.affectees.add(op.pc)
         else:
             # clean overwrite clears poison
-            for dst in op.dst_regs:
-                self._poison_mask &= ~reg_bit(dst)
+            self._poison_mask &= ~op.dst_mask
             if op.is_store:
                 self._poisoned_addresses.discard(record.addr)
         return None

@@ -17,8 +17,10 @@ together every mechanism of the paper:
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict, deque
-from typing import Deque, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.ceb import ChainExtractionBuffer
 from repro.core.chain_cache import ChainCache
@@ -37,9 +39,15 @@ from repro.core.prediction_queue import (
     PredictionQueueFile,
 )
 from repro.emulator.memory import Memory
-from repro.emulator.shadow import wrong_path_steps, wrong_path_walk
+from repro.emulator.shadow import (
+    WalkPrefix,
+    pc_typecode,
+    wrong_path_steps,
+    wrong_path_walk,
+)
 from repro.emulator.trace import DynamicUop
 from repro.isa.program import Program
+from repro.isa.uop import Uop
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.memsys.port import PortTracker
 from repro.predictors.counters import Lfsr
@@ -161,6 +169,16 @@ class BranchRunahead(RunaheadHooks):
         #: Shadow uops executed by wrong-path walks (host work, not a
         #: simulated event).
         self.wrong_path_uops = 0
+        #: Recorded wrong-path walks by mispredicted ``seq``: this run's own,
+        #: unless ``simulate()`` binds the region's from the trace cache
+        #: (:meth:`~repro.sim.trace_cache.TraceCache.bind_wrong_paths`).
+        self.wrong_path_memo: Dict[int, WalkPrefix] = {}
+        self.wrong_path_memo_hits = 0
+        self.wrong_path_memo_misses = 0
+        self._pc_typecode = pc_typecode(program)
+        #: Whether a retirement may matter beyond the CEB: a merge search,
+        #: poison pass or oracle search is open.
+        self._watching = False
 
     # -- RunaheadHooks: fetch ------------------------------------------------
 
@@ -229,11 +247,8 @@ class BranchRunahead(RunaheadHooks):
         if mispredicted:
             self._release_installed(resolve_cycle)
             if self.config.enable_affector_guard:
-                self.wrong_path_uops += \
-                    self.merge_predictor.train_on_mispredict(
-                        record, wrong_path_steps(self.program, regs,
-                                                 self.memory, pc, not actual),
-                        wrong_path_budget)
+                self._train_merge_point(record, regs, wrong_path_budget)
+                self._watching = True
                 if self.oracle is not None:
                     long_shadow = wrong_path_walk(
                         self.program, regs, self.memory, pc, not actual,
@@ -249,6 +264,48 @@ class BranchRunahead(RunaheadHooks):
         if diverged or (mispredicted and not lineage_healthy):
             if self.chain_cache.matching(pc, actual):
                 self._cluster_resync(record, resolve_cycle, regs)
+
+    def _train_merge_point(self, record: DynamicUop, regs,
+                           budget: int) -> None:
+        """Fill the WPB from the mispredicted branch's wrong path."""
+        memo = self.wrong_path_memo
+        prefix = memo.get(record.seq)
+        if prefix is None:
+            self.wrong_path_memo_misses += 1
+            prefix = memo[record.seq] = WalkPrefix(self._pc_typecode)
+        else:
+            self.wrong_path_memo_hits += 1
+        self.merge_predictor.train_on_mispredict(
+            record, self._recorded_walk(prefix, regs, record.pc,
+                                        not record.taken),
+            prefix.store_address, budget)
+
+    def _recorded_walk(self, prefix: WalkPrefix, regs, branch_pc: int,
+                       wrong_taken: bool) -> Iterator[Uop]:
+        """The wrong path's static uops: the recorded prefix, then — only
+        if the consumer pulls past an unfinished prefix — a fresh walk that
+        re-executes the prefix and records every uop pulled after it."""
+        uops = self.program.uops
+        pcs = prefix.pcs
+        yield from map(uops.__getitem__, pcs)
+        if prefix.ended:
+            return
+        steps = wrong_path_steps(self.program, regs, self.memory, branch_pc,
+                                 wrong_taken)
+        if pcs:
+            deque(islice(steps, len(pcs)), maxlen=0)
+            self.wrong_path_uops += len(pcs)
+        append_pc = pcs.append
+        for shadow in steps:
+            self.wrong_path_uops += 1
+            op = shadow.uop
+            if op.is_store:
+                if prefix.stores is None:
+                    prefix.stores = array("q")
+                prefix.stores.append(shadow.addr)
+            append_pc(shadow.pc)
+            yield op
+        prefix.ended = True
 
     def _cluster_resync(self, record: DynamicUop, cycle: int, regs) -> None:
         """Resynchronize the lineage cluster rooted at the resolved branch.
@@ -276,6 +333,9 @@ class BranchRunahead(RunaheadHooks):
     def on_retire(self, record: DynamicUop, retire_cycle: int,
                   mispredicted: bool, regs) -> None:
         op = record.uop
+        if not (self._watching or op.is_cond_branch):
+            self.ceb.on_retire(record)  # nothing else sees this retirement
+            return
         pc = record.pc
 
         if op.is_cond_branch:
@@ -285,7 +345,24 @@ class BranchRunahead(RunaheadHooks):
                 self.dce.on_queue_slot_freed(pc, retire_cycle)
             self.hbt.on_branch_retired(pc, record.taken, mispredicted)
 
-        # merge-point detection on the correct path
+        if self._watching:
+            self._watch_retirement(record)
+
+        self.ceb.on_retire(record)
+
+        # chain extraction trigger (§4.3)
+        if op.is_cond_branch and self.hbt.contains(pc):
+            saturated = self.hbt.is_hard(pc)
+            lucky = (self._lfsr.bits(7) <
+                     int(self.config.random_extract_chance * 128))
+            if saturated or (lucky and self.hbt.entries[pc].misp_counter > 0):
+                needs_chain = not self.chain_cache.covers(pc)
+                if needs_chain or self.hbt.agc(pc):
+                    self._extract(pc, retire_cycle)
+
+    def _watch_retirement(self, record: DynamicUop) -> None:
+        """Merge-point probing on the correct path, the oracle, and the
+        poison pass's affector detection."""
         merge = self.merge_predictor.on_retire(record)
         if merge is not None:
             for guarded_pc in merge.guarded_branches:
@@ -303,18 +380,9 @@ class BranchRunahead(RunaheadHooks):
                     self.hbt.add_affector_guard(affectee_pc,
                                                 self._poison.affector_pc)
                 self._poison = None
-
-        self.ceb.on_retire(record)
-
-        # chain extraction trigger (§4.3)
-        if op.is_cond_branch and self.hbt.contains(pc):
-            saturated = self.hbt.is_hard(pc)
-            lucky = (self._lfsr.bits(7) <
-                     int(self.config.random_extract_chance * 128))
-            if saturated or (lucky and self.hbt.entries[pc].misp_counter > 0):
-                needs_chain = pc not in self.chain_cache.covered_branches()
-                if needs_chain or self.hbt.agc(pc):
-                    self._extract(pc, retire_cycle)
+        self._watching = (self.merge_predictor.active
+                          or self._poison is not None
+                          or (self.oracle is not None and self.oracle.active))
 
     def _extract(self, branch_pc: int, retire_cycle: int) -> None:
         chain, latency = self.ceb.extract(branch_pc)
@@ -355,10 +423,18 @@ class BranchRunahead(RunaheadHooks):
     def register_into(self, registry) -> None:
         """Publish every mechanism's stats: ``runahead.*``, ``dce.*``,
         ``pq.*`` namespaces of the unified registry, plus the host-side
-        ``host.runahead.wrong_path_uops``."""
+        ``host.runahead.wrong_path_uops``/``wrong_path_memo_hits``/
+        ``wrong_path_memo_misses`` and ``host.dce.kernels_compiled``."""
         self.stats.register_into(registry.scope("runahead"))
-        registry.scope("host").scope("runahead").counter(
-            "wrong_path_uops").set(self.wrong_path_uops)
+        host = registry.scope("host")
+        host_runahead = host.scope("runahead")
+        host_runahead.counter("wrong_path_uops").set(self.wrong_path_uops)
+        host_runahead.counter("wrong_path_memo_hits").set(
+            self.wrong_path_memo_hits)
+        host_runahead.counter("wrong_path_memo_misses").set(
+            self.wrong_path_memo_misses)
+        host.scope("dce").counter("kernels_compiled").set(
+            self.dce.kernels_compiled)
         self.queues.register_into(registry.scope("pq"))
         dce_scope = registry.scope("dce")
         self.dce.stats.register_into(dce_scope)

@@ -11,10 +11,16 @@ so wrong-path stores never corrupt the committed image.
 predictor's WPB fill, which reads only a prefix of it;
 :func:`wrong_path_walk` collects a fixed-length prefix as
 :class:`ShadowUop` objects, for the merge-point oracle's long walk.
+
+A walk reads nothing but the committed registers and memory at its branch,
+so within one recorded region it is a pure function of the branch's
+``seq``: :class:`WalkPrefix` keeps what a WPB fill pulled of it, in compact
+arrays, so a later fill for the same branch replays it without executing.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import islice
 from typing import Iterator, List
 
@@ -87,3 +93,31 @@ def wrong_path_walk(program: Program, regs: List[int], memory: Memory,
             for record in islice(wrong_path_steps(program, regs, memory,
                                                   branch_pc, wrong_taken),
                                  max_uops)]
+
+
+class WalkPrefix:
+    """The pulled prefix of one wrong-path walk: its uops' PCs in fetch
+    order, the addresses of the stores among them in the same order (None
+    until the first store), and whether the walk ended (HALT or program
+    exit) after them."""
+
+    __slots__ = ("pcs", "stores", "ended")
+
+    def __init__(self, pc_typecode: str):
+        self.pcs = array(pc_typecode)
+        self.stores = None
+        self.ended = False
+
+    def store_address(self, index: int) -> int:
+        """Address of the prefix's ``index``-th store."""
+        return self.stores[index]
+
+
+def pc_typecode(program: Program) -> str:
+    """The smallest unsigned ``array`` typecode holding every PC."""
+    size = len(program.uops)
+    if size <= 1 << 8:
+        return "B"
+    if size <= 1 << 16:
+        return "H"
+    return "I"

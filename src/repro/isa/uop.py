@@ -124,6 +124,13 @@ def _compute_kind(opcode: int) -> int:
     return KIND_ALU
 
 
+def _mask_of(regs: tuple) -> int:
+    mask = 0
+    for reg in regs:
+        mask |= 1 << reg
+    return mask
+
+
 class Uop:
     """A static micro-operation.
 
@@ -136,7 +143,7 @@ class Uop:
         "pc", "opcode", "dst", "srcs", "imm",
         "base", "index", "scale", "disp",
         "cond", "target",
-        "dst_regs", "src_regs",
+        "dst_regs", "src_regs", "dst_mask", "src_mask",
         "is_cond_branch", "is_branch", "is_load", "is_store", "is_mem",
         "latency", "kind", "execute",
     )
@@ -183,6 +190,11 @@ class Uop:
 
         self.dst_regs = self._compute_dst_regs()
         self.src_regs = self._compute_src_regs()
+        #: One bit per register of ``dst_regs`` / ``src_regs`` (the
+        #: :func:`~repro.isa.registers.reg_bit` layout), so dest-set and
+        #: poison dataflow pay one OR/AND per uop instead of a loop.
+        self.dst_mask = _mask_of(self.dst_regs)
+        self.src_mask = _mask_of(self.src_regs)
 
     def _compute_dst_regs(self) -> tuple:
         if self.opcode in (CMP, CMPI):

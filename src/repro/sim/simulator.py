@@ -68,7 +68,9 @@ def simulate(program: Program,
     prediction column, and a later run of the region with an equally
     configured pristine predictor reads that column instead of running
     the predictor.  Such a memo hit leaves the passed predictor untrained;
-    results are identical either way.
+    results are identical either way.  With Branch Runahead attached it
+    memoizes the merge-point predictor's wrong-path walks per region the
+    same way (:meth:`TraceCache.bind_wrong_paths`).
     """
     if telemetry is None:
         telemetry = Telemetry(tracer=tracer)
@@ -112,6 +114,11 @@ def simulate(program: Program,
                 track_merge_oracle=track_merge_oracle,
                 tracer=telemetry.tracer)
             core.runahead = runahead
+        finish_walks = None
+        if trace_cache is not None and runahead is not None:
+            runahead.wrong_path_memo, finish_walks = \
+                trace_cache.bind_wrong_paths(program, start_instruction,
+                                             total)
 
     if start_instruction and not replaying:
         with timers.phase("fast_forward"):
@@ -133,6 +140,8 @@ def simulate(program: Program,
                               else None)
     if finish_column is not None:
         finish_column()
+    if finish_walks is not None:
+        finish_walks()
     # the DCE self-times its cascades; surface it as a first-class phase
     # (a subset of "timing", which also contains "emulation")
     if runahead is not None:

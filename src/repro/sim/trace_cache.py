@@ -44,6 +44,15 @@ its predictions on a region are as timing-independent as the stream.
 predictor signature as a column of one byte per conditional branch, held
 on the entry in memory only: columns are evicted with their entry and
 never spilled, so the on-disk formats are unchanged.
+
+**Wrong-path walks.**  The merge-point predictor's wrong-path walk at a
+mispredicted branch reads only the committed registers and memory at that
+branch, so within a region it is a pure function of the branch's ``seq``
+whichever configuration mispredicted it.  :meth:`TraceCache.bind_wrong_paths`
+hands a run the region's walks recorded so far
+(:class:`~repro.emulator.shadow.WalkPrefix` per ``seq``) under the
+prediction-column rules: memory only, evicted with the entry, never
+spilled, stored by the run that records them.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from repro.config import env_int, env_str
 from repro.emulator.machine import Machine
 from repro.emulator.memory import Memory
+from repro.emulator.shadow import WalkPrefix
 from repro.emulator.trace import DynamicUop
 from repro.isa import uop as U
 from repro.isa.program import Program
@@ -152,7 +162,7 @@ class TraceEntry:
     __slots__ = ("program", "start", "total", "records", "pre_memory",
                  "start_regs", "start_pc", "start_seq",
                  "final_pc", "final_seq", "halted", "branch_columns",
-                 "prediction_columns")
+                 "prediction_columns", "wrong_paths")
 
     def __init__(self, program: Program, start: int, total: int,
                  records: List[DynamicUop], pre_memory: Memory,
@@ -177,6 +187,10 @@ class TraceEntry:
         #: region order, keyed by predictor signature (see
         #: :meth:`TraceCache.bind_baseline`).  Memory only: never spilled.
         self.prediction_columns: Dict[tuple, bytes] = {}
+        #: Recorded wrong-path walks by mispredicted branch ``seq`` (see
+        #: :meth:`TraceCache.bind_wrong_paths`).  Memory only: never
+        #: spilled.
+        self.wrong_paths: Dict[int, WalkPrefix] = {}
 
     @property
     def branch_events(self):
@@ -445,6 +459,32 @@ class TraceCache:
                 done.prediction_columns[signature] = bytes(recorded)
 
         return record, finish
+
+    def bind_wrong_paths(self, program: Program, start: int, total: int
+                         ) -> Tuple[Dict[int, WalkPrefix],
+                                    Optional[Callable[[], None]]]:
+        """Bind the wrong-path walk memo for one run of a region.
+
+        Returns ``(memo, finish)``: ``memo`` maps a mispredicted branch's
+        ``seq`` to the prefix of its wrong-path walk recorded so far, and
+        the run adds and extends prefixes in it as it walks.  When the
+        region's entry is in memory, ``memo`` is the entry's own and
+        ``finish`` is None.  Otherwise the run is recording the region, and
+        ``finish()``, called once the run has consumed the whole region,
+        stores ``memo`` on the entry the recording created.
+        """
+        key = (id(program), start, total)
+        entry = self._entries.get(key)
+        if entry is not None and entry.program is program:
+            return entry.wrong_paths, None
+        memo: Dict[int, WalkPrefix] = {}
+
+        def finish() -> None:
+            done = self._entries.get(key)
+            if done is not None and done.program is program:
+                done.wrong_paths = memo
+
+        return memo, finish
 
     def record(self, machine: Machine, start: int, total: int,
                source: Iterator[DynamicUop]) -> Iterator[DynamicUop]:

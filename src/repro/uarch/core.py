@@ -198,12 +198,6 @@ class CoreModel:
     # the timing phase.  KEEP THE FIVE BODIES IN SYNC; the
     # pipeline-behaviour and differential tests pin the shared semantics.
 
-    def _process(self, record: DynamicUop) -> None:
-        """Kind-dispatching entry point (compatibility wrapper)."""
-        (self._process_alu, self._process_load, self._process_store,
-         self._process_branch, self._process_jump,
-         self._process_alu)[record.uop.kind](record)
-
     def _process_alu(self, record: DynamicUop) -> None:
         cfg = self.config
         op = record.uop

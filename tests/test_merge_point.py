@@ -60,6 +60,20 @@ def run_until_branch(program, branch_pc, skip=3):
         machine.step()
 
 
+def static_walk(records):
+    """A live walk of records as the fill takes it: the static uops, and
+    the store addresses as a lookup by store index."""
+    stores = []
+
+    def uops():
+        for record in records:
+            if record.uop.is_store:
+                stores.append(record.addr)
+            yield record.uop
+
+    return uops(), stores.__getitem__
+
+
 class TestBloomFilter:
     def test_member_found(self):
         bloom = BloomFilter()
@@ -134,8 +148,8 @@ class TestMergePointPredictor:
             return None, None  # need the other direction; caller retries
         predictor = MergePointPredictor(BranchRunaheadConfig())
         predictor.train_on_mispredict(
-            record, wrong_path_steps(program, regs, machine.memory,
-                                     branch_pc, wrong_taken), 50)
+            record, *static_walk(wrong_path_steps(
+                program, regs, machine.memory, branch_pc, wrong_taken)), 50)
         result = None
         for _ in range(20):
             nxt = machine.step()
@@ -160,8 +174,9 @@ class TestMergePointPredictor:
         record = machine.step()
         predictor = MergePointPredictor(BranchRunaheadConfig())
         predictor.train_on_mispredict(
-            record, wrong_path_steps(program, regs, machine.memory,
-                                     branch_pc, not record.taken), 50)
+            record, *static_walk(wrong_path_steps(
+                program, regs, machine.memory, branch_pc,
+                not record.taken)), 50)
         result = None
         while result is None:
             result = predictor.on_retire(machine.step())
@@ -198,8 +213,9 @@ class TestMergePointPredictor:
         record = machine.step()
         predictor = MergePointPredictor(BranchRunaheadConfig())
         predictor.train_on_mispredict(
-            record, wrong_path_steps(program, regs, machine.memory,
-                                     outer_pc, not record.taken), 60)
+            record, *static_walk(wrong_path_steps(
+                program, regs, machine.memory, outer_pc,
+                not record.taken)), 60)
         result = None
         while result is None:
             result = predictor.on_retire(machine.step())
@@ -226,7 +242,7 @@ class TestMergePointPredictor:
         record = machine.step()
         predictor = MergePointPredictor(BranchRunaheadConfig())
         # empty walk: pretend the wrong path produced nothing useful
-        predictor.train_on_mispredict(record, [], 50)
+        predictor.train_on_mispredict(record, *static_walk([]), 50)
         for _ in range(30):
             predictor.on_retire(machine.step())
             if not predictor.active:
@@ -390,8 +406,9 @@ def test_fused_walk_fill_matches_list_reference():
 
         predictor = MergePointPredictor(config)
         pulled = predictor.train_on_mispredict(
-            record, wrong_path_steps(program, regs, machine.memory,
-                                     branch_pc, wrong_taken), budget)
+            record, *static_walk(wrong_path_steps(
+                program, regs, machine.memory, branch_pc, wrong_taken)),
+            budget)
         assert fill_snapshot(predictor) == expected
         assert pulled == read
         assert predictor.active
@@ -404,3 +421,66 @@ def test_fused_walk_fill_matches_list_reference():
     assert covered >= {"budget_below", "budget_above", "halt", "exit",
                        "repeat", "negative_store",
                        "revisit_after_eviction"}, covered
+
+
+def test_memo_fills_match_fresh_walks():
+    """A fill from a recorded walk prefix (replayed, or extended by a
+    re-walk when the budget outruns it) equals a fill from a fresh walk,
+    and executes only the uops no earlier fill recorded."""
+    import random
+
+    from repro.core.runahead import BranchRunahead
+    from repro.memsys.hierarchy import MemoryHierarchy
+    from repro.memsys.port import PortTracker
+
+    rng = random.Random(0xFACE)
+    covered = set()
+    for _ in range(400):
+        program, data = random_program(rng)
+        machine = Machine(program)
+        branch_pc = rng.choice([op.pc for op in program.uops
+                                if op.is_cond_branch])
+        values = [data, data + 3, -5, -30, 0, 7, rng.randrange(-99, 99)]
+        regs = [rng.choice(values) for _ in range(len(machine.regs))]
+        wrong_taken = rng.random() < 0.5
+        config = BranchRunaheadConfig(
+            wpb_entries=rng.choice([4, 8, 128]), wpb_ways=2,
+            max_merge_distance=rng.randrange(1, 40))
+        record = DynamicUop(program.uops[branch_pc], 9, branch_pc + 1,
+                            not wrong_taken)
+        runahead = BranchRunahead(config, program, machine.memory,
+                                  MemoryHierarchy(), PortTracker())
+        runahead.wrong_path_memo = memo = {}
+        for fill in range(3):
+            budget = rng.randrange(0, 2 * config.max_merge_distance + 2)
+            fresh = MergePointPredictor(config)
+            pulled = fresh.train_on_mispredict(
+                record, *static_walk(wrong_path_steps(
+                    program, regs, machine.memory, branch_pc, wrong_taken)),
+                budget)
+            prefix = memo.get(record.seq)
+            recorded = len(prefix.pcs) if prefix is not None else 0
+            finished = prefix is not None and (
+                prefix.ended or branch_pc in prefix.pcs)
+            before = runahead.wrong_path_uops
+            runahead._train_merge_point(record, regs, budget)
+            executed = runahead.wrong_path_uops - before
+            assert fill_snapshot(runahead.merge_predictor) == \
+                fill_snapshot(fresh)
+            prefix = memo[record.seq]
+            if finished or pulled < recorded:
+                assert executed == 0
+                covered.add("replayed")
+            elif pulled > recorded:
+                assert executed == len(prefix.pcs)
+                covered.add("rewalked" if recorded else "recorded")
+            else:
+                # the fill took the whole prefix: a walk that ends right
+                # after it is found out (and marked) only by a re-walk
+                assert executed in (0, len(prefix.pcs))
+            if prefix.ended:
+                covered.add("ended")
+            if prefix.stores:
+                covered.add("stores")
+    assert covered >= {"replayed", "rewalked", "recorded", "ended",
+                       "stores"}, covered
