@@ -9,15 +9,10 @@ Commands
 * ``run BENCH`` — simulate one benchmark under a configuration.
 * ``compare BENCH [BENCH...]`` — baseline vs Branch Runahead table
   (``--jobs`` runs cells through the parallel experiment runner).
-* ``bench`` — time the experiment matrix and emit a ``BENCH_run.json``
-  perf report; fails if the fast path drifts from the reference path
-  (``--strict`` also fails on committed-baseline throughput warnings).
 * ``baseline record`` / ``baseline check`` — write, then tolerance-gate,
   one committed JSON regression baseline per benchmark (``baselines/``).
-* ``trend`` — per-pass/per-cell trajectory over the ``BENCH_*.json``
-  family; ``--fail-on-regression`` gates on the best recorded run.
 * ``sweep report`` / ``sweep watch`` / ``sweep resume`` — merge a
-  ``repro-journal-v1`` sweep journal (``compare``/``bench --journal``)
+  ``repro-journal-v1`` sweep journal (``compare --journal``)
   into a drift-audited ``repro-sweep-report-v1``, tail a growing
   journal's progress live, or re-run an interrupted sweep replaying
   already-landed cells from the content-addressed result store.
@@ -48,10 +43,10 @@ from repro.core.config import UARCH_CONFIGS
 from repro.observe import baseline as observe_baseline
 from repro.observe import journal as observe_journal
 from repro.observe import sweep_report as observe_sweep
-from repro.observe import trend as observe_trend
 from repro.predictors.registry import PREDICTORS
 from repro.sched import executor_names
-from repro.sim import bench, experiments
+from repro.sim import experiments
+from repro.sim.bench import payload_digest
 from repro.sim.results import ipc_improvement, mpki_improvement
 from repro.sim.sampling import select_simpoints
 from repro.sim.simulator import simulate
@@ -169,50 +164,10 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--json", action="store_true",
                          help="emit one JSON object per benchmark")
 
-    bench_cmd = sub.add_parser(
-        "bench", help="time the experiment matrix; write BENCH_run.json")
-    bench_cmd.add_argument("--quick", action="store_true",
-                           help="small CI smoke matrix")
-    bench_cmd.add_argument("--benchmarks", nargs="*", default=None,
-                           metavar="BENCH",
-                           help="benchmarks to time (default: full suite)")
-    bench_cmd.add_argument("--variants", nargs="*", default=None,
-                           choices=sorted(variant_names()),
-                           help="variants to time")
-    bench_cmd.add_argument("--instructions", type=int, default=None)
-    bench_cmd.add_argument("--warmup", type=int, default=None)
-    bench_cmd.add_argument("--jobs", type=int, default=None,
-                           help="parallel worker processes "
-                           "(default: resolved config, serial when unset)")
-    bench_cmd.add_argument("--out", default="BENCH_run.json",
-                           help="report path (default: BENCH_run.json)")
-    bench_cmd.add_argument("--baseline", default=None, metavar="PATH",
-                           help="committed report (e.g. BENCH_seed.json) "
-                           "to diff uops/sec against, warn-only")
-    bench_cmd.add_argument("--strict", action="store_true",
-                           help="promote --baseline throughput warnings "
-                           "(and an unreadable baseline) to a nonzero "
-                           "exit")
-    bench_cmd.add_argument("--baseline-tolerance", type=float,
-                           default=None, metavar="FRACTION",
-                           help="relative throughput drop tolerated "
-                           "against --baseline (default: "
-                           f"{bench.BASELINE_WARN_FRACTION})")
-    bench_cmd.add_argument("--journal", default=None, metavar="PATH",
-                           help="flight-record the optimized pass as a "
-                           "repro-journal-v1 JSONL file")
-    bench_cmd.add_argument("--progress", action="store_true",
-                           help="force the live progress line on stderr "
-                           "(auto-enabled on a tty)")
-    bench_cmd.add_argument("--executor", default=None,
-                           choices=executor_names(),
-                           help="sweep executor backend for the optimized "
-                           "pass (default: resolved config)")
-
     def add_matrix_args(p):
         p.add_argument("--quick", action="store_true",
-                       help="CI smoke matrix (same cells as bench "
-                       "--quick)")
+                       help="CI smoke matrix (the one baselines/ is "
+                       "recorded at)")
         p.add_argument("--benchmarks", nargs="*", default=None,
                        metavar="BENCH",
                        help="benchmarks to cover (default: quick subset)")
@@ -257,24 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check_cmd.add_argument("--report", default=None, metavar="PATH",
                            help="also write the JSON report to PATH")
 
-    trend_cmd = sub.add_parser(
-        "trend",
-        help="per-benchmark trajectory over the BENCH_*.json family")
-    trend_cmd.add_argument("reports", nargs="*", metavar="BENCH_JSON",
-                           help="bench reports oldest-first "
-                           "(default: ./BENCH_*.json sorted by name)")
-    trend_cmd.add_argument("--threshold", type=float,
-                           default=observe_trend.DEFAULT_THRESHOLD,
-                           help="relative drop vs the best recorded run "
-                           "that counts as a regression "
-                           "(default: 0.5)")
-    trend_cmd.add_argument("--fail-on-regression", action="store_true",
-                           help="exit nonzero when a pass regressed")
-    trend_cmd.add_argument("--json", action="store_true",
-                           help="emit the trend report as JSON")
-    trend_cmd.add_argument("--report", default=None, metavar="PATH",
-                           help="also write the JSON report to PATH")
-
     sweep_cmd = sub.add_parser(
         "sweep",
         help="sweep flight-recorder journals: drift-audited reports "
@@ -287,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "incomplete sweep)")
     sweep_report_cmd.add_argument("journal", metavar="JOURNAL",
                                   help="journal written by "
-                                  "compare/bench --journal")
+                                  "compare --journal")
     sweep_report_cmd.add_argument("--slowest", type=int,
                                   default=observe_sweep.DEFAULT_SLOWEST,
                                   help="slowest-cell table length "
@@ -641,63 +578,6 @@ def _cmd_compare(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_bench(args) -> int:
-    progress = _progress_callback(force=args.progress)
-    try:
-        report = bench.run_bench(benchmarks=args.benchmarks,
-                                 variants=args.variants,
-                                 instructions=args.instructions,
-                                 warmup=args.warmup,
-                                 jobs=args.jobs,
-                                 quick=args.quick,
-                                 journal=args.journal,
-                                 progress=progress,
-                                 executor=args.executor)
-    finally:
-        if progress is not None:
-            progress.finish()
-    try:
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    except OSError as error:
-        print(f"repro bench: error: cannot write {args.out}: {error}",
-              file=sys.stderr)
-        return 1
-    print(bench.format_report(report))
-    print(f"report written to {args.out}")
-    baseline_failed = False
-    if args.baseline:
-        try:
-            with open(args.baseline) as handle:
-                baseline_report = json.load(handle)
-        except (OSError, ValueError) as error:
-            severity = "error" if args.strict else "warning"
-            print(f"repro bench: {severity}: cannot read baseline "
-                  f"{args.baseline}: {error}", file=sys.stderr)
-            baseline_failed = args.strict
-        else:
-            tolerance = args.baseline_tolerance \
-                if args.baseline_tolerance is not None \
-                else bench.BASELINE_WARN_FRACTION
-            warnings = bench.compare_to_baseline(report, baseline_report,
-                                                 fraction=tolerance)
-            severity = "error" if args.strict else "warning"
-            for warning in warnings:
-                print(f"repro bench: {severity}: {warning}",
-                      file=sys.stderr)
-            if not warnings:
-                print(f"throughput within {100 * tolerance:.0f}% of "
-                      f"{args.baseline}")
-            elif args.strict:
-                baseline_failed = True
-    if not report["drift"]["ok"]:
-        print("repro bench: error: fast-path results drifted from the "
-              "reference path", file=sys.stderr)
-        return 1
-    return 1 if baseline_failed else 0
-
-
 def _matrix_kwargs(args) -> dict:
     """Shared ``baseline record``/``check`` matrix selection."""
     return dict(benchmarks=args.benchmarks, variants=args.variants,
@@ -737,38 +617,6 @@ def _cmd_baseline(args) -> int:
         for line in observe_baseline.github_annotations(report):
             print(line)
     return 0 if report["ok"] else 1
-
-
-def _cmd_trend(args) -> int:
-    paths = args.reports or observe_trend.default_report_paths()
-    if not paths:
-        print("repro trend: error: no BENCH_*.json reports found "
-              "(pass paths explicitly or run `repro bench` first)",
-              file=sys.stderr)
-        return 2
-    try:
-        entries = observe_trend.load_reports(paths)
-        trend = observe_trend.build_trend(entries,
-                                          threshold=args.threshold)
-    except ValueError as error:
-        print(f"repro trend: error: {error}", file=sys.stderr)
-        return 2
-    if args.report:
-        try:
-            with open(args.report, "w") as handle:
-                json.dump(trend, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        except OSError as error:
-            print(f"repro trend: error: cannot write {args.report}: "
-                  f"{error}", file=sys.stderr)
-            return 1
-    if args.json:
-        print(json.dumps(trend, indent=2, sort_keys=True))
-    else:
-        print(observe_trend.format_trend_report(trend))
-    if args.fail_on_regression and not trend["ok"]:
-        return 1
-    return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -911,7 +759,7 @@ def _cmd_sweep_resume(args) -> int:
     resumed = stats.get("cells_resumed_from_store", 0)
     failed = [row for row in rows if not row.get("ok", True)]
     digests = {f"{row['benchmark']}/{row['variant']}":
-               bench.payload_digest(row["payload"])
+               payload_digest(row["payload"])
                for row in rows if row.get("payload") is not None}
     summary = {
         "journal": args.journal,
@@ -1006,9 +854,7 @@ COMMANDS = {
     "config": _cmd_config,
     "run": _cmd_run,
     "compare": _cmd_compare,
-    "bench": _cmd_bench,
     "baseline": _cmd_baseline,
-    "trend": _cmd_trend,
     "sweep": _cmd_sweep,
     "stats": _cmd_stats,
     "trace": _cmd_trace,

@@ -247,9 +247,9 @@ def resolve_jobs(explicit: Optional[int] = None,
                  environ: Optional[Mapping[str, str]] = None) -> int:
     """Single worker-count resolver: explicit flag > env/file > serial.
 
-    Every jobs-precedence decision in the harness (`run_cells`,
-    ``repro bench --jobs``, ``repro compare --jobs``) funnels through
-    here, so the precedence rule cannot fork between call sites.
+    ``repro baseline record/check --jobs`` and ``default_jobs`` resolve
+    through here; ``Session.run_cells`` applies the same rule to its own
+    frozen config (an explicit ``jobs`` argument, else ``config.jobs``).
     """
     if explicit is not None:
         return max(1, explicit)

@@ -3,13 +3,13 @@
 The paper's headline claims are *deltas* — MPKI and IPC improvements of
 Branch Runahead over a TAGE-class baseline — so the reproduction is only
 trustworthy while those deltas stay pinned as the harness keeps getting
-rewritten.  This package turns the ad-hoc whole-suite drift gate into a
-per-benchmark regression observatory:
+rewritten.  This package is the per-benchmark regression observatory
+(how fast the simulator runs is ``perfbench/``'s job, not this one's):
 
 * :mod:`repro.observe.manifest` — run manifests: resolved
   :class:`~repro.config.RunConfig` fingerprint + provenance, git sha,
   interpreter/platform, per-phase wall clock, peak RSS.  Every baseline
-  and bench report is stamped with one, so a number can always be traced
+  and sweep journal is stamped with one, so a number can always be traced
   back to the exact configuration and host that produced it.
 * :mod:`repro.observe.baseline` — ``repro baseline record`` writes one
   committed JSON baseline per benchmark (MPKI, IPC, chain coverage, key
@@ -17,10 +17,6 @@ per-benchmark regression observatory:
   ``repro baseline check`` re-runs and diffs against them under
   per-metric tolerance bands (exact for digests/MPKI/IPC/counters,
   percentage bands for host timings).
-* :mod:`repro.observe.trend` — ``repro trend`` ingests the growing
-  ``BENCH_*.json`` family and renders the per-pass/per-cell trajectory
-  across PRs, failing on throughput regressions against the best
-  recorded run.
 * :mod:`repro.observe.journal` — the sweep flight recorder: an
   append-only ``repro-journal-v1`` JSONL event stream written live as a
   parallel ``run_cells`` sweep lands rows (per-worker manifests, per-cell
@@ -46,12 +42,6 @@ from repro.observe.baseline import (  # noqa: F401
     format_check_report,
     github_annotations,
     record_baselines,
-)
-from repro.observe.trend import (  # noqa: F401
-    TREND_SCHEMA,
-    build_trend,
-    format_trend_report,
-    load_reports,
 )
 from repro.observe.journal import (  # noqa: F401
     JOURNAL_SCHEMA,

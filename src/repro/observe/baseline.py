@@ -34,13 +34,20 @@ from typing import Dict, List, Optional, Tuple
 from repro import config as repro_config
 from repro.observe.manifest import run_manifest
 from repro.session import Session
-from repro.sim import bench
+from repro.sim.bench import payload_digest
 
 BASELINE_SCHEMA = "repro-baseline-v1"
 CHECK_SCHEMA = "repro-baseline-check-v1"
 
 #: Default committed-baseline directory (repo root relative).
 BASELINE_DIR = "baselines"
+
+#: The ``--quick`` matrix, and the default benchmarks and variants of
+#: any run that names none.  ``baselines/`` is recorded at this size.
+QUICK_BENCHMARKS = ["sjeng_06", "mcf_17"]
+QUICK_VARIANTS = ["tage64", "mini", "big"]
+QUICK_INSTRUCTIONS = 3_000
+QUICK_WARMUP = 1_500
 
 #: Flat ``StatRegistry`` counter names pinned per variant.  Chosen to
 #: localize a drift fast: region identity (instructions/cycles), the
@@ -143,14 +150,22 @@ def _variant_entry(payload: dict) -> dict:
         "mpki": payload["mpki"],
         "ipc": payload["ipc"],
         "chain_coverage": chain_coverage(flat),
-        "digest": bench.payload_digest(payload),
+        "digest": payload_digest(payload),
         "counters": counters,
     }
 
 
 def _timing_totals(payloads: List[dict]) -> Dict[str, float]:
     """Aggregate ``host.phase.*_seconds`` across one benchmark's cells."""
-    return bench._phase_seconds(payloads)
+    totals: Dict[str, float] = {}
+    for payload in payloads:
+        phases = payload.get("stats", {}).get("host", {}).get("phase", {})
+        for name, seconds in phases.items():
+            if name.endswith("_seconds"):
+                key = name[:-len("_seconds")]
+                totals[key] = totals.get(key, 0.0) + float(seconds)
+    return {name: round(seconds, 6)
+            for name, seconds in sorted(totals.items())}
 
 
 # -- matrix execution ------------------------------------------------------
@@ -166,20 +181,18 @@ def _run_matrix(benchmarks: Optional[List[str]],
                            Dict[str, List[Tuple[str, dict]]], Session]:
     """Run the baseline matrix; returns per-benchmark (variant, payload)s.
 
-    ``quick`` selects the CI smoke matrix exactly like ``repro bench
-    --quick`` so the committed baselines and the bench trajectory cover
-    the same cells.  A fresh :class:`~repro.session.Session` is built
-    unless the caller supplies one (cells still bypass its result cache —
-    a baseline must price real runs, not cache hits).
+    ``quick`` selects the CI smoke matrix (``QUICK_*``) the committed
+    baselines were recorded with; explicit arguments override it.  A
+    fresh :class:`~repro.session.Session` is built unless the caller
+    supplies one (cells still bypass its result cache — a baseline must
+    price real runs, not cache hits).
     """
     if quick:
-        benchmarks = benchmarks or bench.QUICK_BENCHMARKS
-        variants = variants or bench.QUICK_VARIANTS
-        instructions = instructions or bench.QUICK_INSTRUCTIONS
-        warmup = warmup if warmup is not None else bench.QUICK_WARMUP
+        instructions = instructions or QUICK_INSTRUCTIONS
+        warmup = warmup if warmup is not None else QUICK_WARMUP
     run_config = repro_config.current_config()
-    benchmarks = list(benchmarks or bench.QUICK_BENCHMARKS)
-    variants = list(variants or bench.QUICK_VARIANTS)
+    benchmarks = list(benchmarks or QUICK_BENCHMARKS)
+    variants = list(variants or QUICK_VARIANTS)
     instructions = instructions or run_config.instructions
     warmup = warmup if warmup is not None else run_config.warmup
     jobs = repro_config.resolve_jobs(jobs)

@@ -43,19 +43,13 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.observe.manifest import manifest_fingerprint, run_manifest
+from repro.sim.bench import payload_digest
 
 JOURNAL_SCHEMA = "repro-journal-v1"
 
 #: Environment knob: ``cprofile`` writes per-cell pstats next to the
 #: journal (only consulted when a journal path is active).
 PROFILE_ENV = "REPRO_PROFILE"
-
-
-def _payload_digest(payload: dict) -> str:
-    # lazy: repro.sim.bench imports repro.session at module level, which
-    # must stay importable without this package being fully initialized
-    from repro.sim.bench import payload_digest
-    return payload_digest(payload)
 
 
 def profile_dir_for(path: str) -> str:
@@ -205,7 +199,7 @@ class SweepRecorder:
                 peak_rss_kb_delta=cell.get("peak_rss_kb_delta"),
                 trace_cache_hit=row.get("trace_cache_hit"),
                 result_cache_hit=row.get("result_cache_hit"),
-                payload_sha256=(_payload_digest(payload)
+                payload_sha256=(payload_digest(payload)
                                 if payload else None),
                 mpki=payload.get("mpki"),
                 ipc=payload.get("ipc"),

@@ -1,7 +1,7 @@
 """Run manifests: who produced this number, under exactly what config.
 
 A manifest is the provenance stamp attached to every baseline file and
-``BENCH_*.json`` report.  It has two parts with different stability
+sweep journal.  It has two parts with different stability
 contracts:
 
 * the **deterministic part** — the resolved :class:`~repro.config.RunConfig`
@@ -72,8 +72,8 @@ def run_manifest(resolved: Union[ResolvedConfig, RunConfig, None] = None,
     (an explicit :class:`~repro.session.Session` config — provenance is
     reported as ``explicit`` for every field), or None to resolve the
     current environment.  ``phase_seconds`` carries the producer's
-    per-phase wall clock (aggregated simulator phases, or bench pass
-    walls) into ``host.phase_seconds``.
+    per-phase wall clock (aggregated simulator phases) into
+    ``host.phase_seconds``.
     """
     if resolved is None:
         resolved = resolve_config()

@@ -5,51 +5,46 @@ predictor configurations.  Run scalar, that costs N full Python loops of
 ``observe(pc, taken)``; this module advances all N lanes over one pass
 of the stream, which is where the sweep fast path's 10x comes from.
 
-Two backends, selected by :func:`numpy_backend` (``REPRO_BATCH_BACKEND``
-= ``auto``/``numpy``/``pure``):
+Pristine lanes of the supported families run per-family vectorized numpy
+kernels over the whole stream:
 
-* **numpy** — per-family vectorized kernels over the whole stream:
+* *saturating-counter tables* (bimodal, gshare): the full index stream
+  of a lane is computable up front (bimodal indexes on the PC alone;
+  gshare's global history is a pure function of the outcome column, so
+  every lane's history register materializes as one shifted-OR pass).
+  Each table entry then evolves independently, and the per-entry
+  counter walk is solved with a segmented prefix *composition* scan:
+  events sort by table index (stable, so stream order survives inside
+  a segment), each event becomes its transition map over the counter's
+  state space, and a Hillis–Steele pass composes maps within segments
+  in ``log2(longest segment)`` steps.  The state *before* each event —
+  the prediction — is the previous event's composed map applied to the
+  pristine fill value.
+* *perceptrons*: K lanes' weight tables stack into one ``(rows,
+  max_history+1)`` matrix; each branch is one gather + mat-vec +
+  masked training update across all K lanes at once (columns past a
+  lane's own history length are never trained, stay zero, and thus
+  never contribute to its dot product).
+* *TAGE / TAGE-SC-L / MTAGE*: lanes grouped by geometry signature
+  share one folded-history/index/tag materialization and advance
+  lane-stacked counter matrices through LUT-compiled automata — see
+  :mod:`repro.predictors.tage_batch`.  The kernel engages once a
+  geometry group reaches the ``batch_min_lanes`` cutover
+  (:func:`tage_min_lanes`); smaller groups stay on lockstep, where
+  the scalar loop is faster.
 
-  - *saturating-counter tables* (bimodal, gshare): the full index stream
-    of a lane is computable up front (bimodal indexes on the PC alone;
-    gshare's global history is a pure function of the outcome column, so
-    every lane's history register materializes as one shifted-OR pass).
-    Each table entry then evolves independently, and the per-entry
-    counter walk is solved with a segmented prefix *composition* scan:
-    events sort by table index (stable, so stream order survives inside
-    a segment), each event becomes its transition map over the counter's
-    state space, and a Hillis–Steele pass composes maps within segments
-    in ``log2(longest segment)`` steps.  The state *before* each event —
-    the prediction — is the previous event's composed map applied to the
-    pristine fill value.
-  - *perceptrons*: K lanes' weight tables stack into one ``(rows,
-    max_history+1)`` matrix; each branch is one gather + mat-vec +
-    masked training update across all K lanes at once (columns past a
-    lane's own history length are never trained, stay zero, and thus
-    never contribute to its dot product).
+The vectorized kernels assume a *pristine* (freshly constructed)
+predictor — the scan starts every table entry from the fill value — so
+each lane is checked and falls back to :func:`_lockstep` when it has
+trained state, is a subclass, or uses an unsupported geometry.  Remaining
+families (local-history, loop-only hybrids, custom subclasses) always take
+that path, as does an empty stream.  Lockstep is a scalar loop sharing
+one pass of the stream (and one ``bool()`` conversion of the outcome
+column) across lanes, driving each instance's own ``observe``; it is also
+the differential reference the kernels are pinned against in
+``tests/test_batch_replay.py``.
 
-  - *TAGE / TAGE-SC-L / MTAGE*: lanes grouped by geometry signature
-    share one folded-history/index/tag materialization and advance
-    lane-stacked counter matrices through LUT-compiled automata — see
-    :mod:`repro.predictors.tage_batch`.  The kernel engages once a
-    geometry group reaches the ``batch_min_lanes`` cutover
-    (:func:`tage_min_lanes`); smaller groups stay on lockstep, where
-    the scalar loop is faster.
-
-  The vectorized kernels assume a *pristine* (freshly constructed)
-  predictor — the scan starts every table entry from the fill value — so
-  each lane is checked and falls back to lockstep when it has trained
-  state, is a subclass, or uses an unsupported geometry.  Remaining
-  families (local-history, loop-only hybrids, custom subclasses) always
-  take the lockstep path.
-
-* **pure** — a lockstep scalar loop sharing one pass of the stream (and
-  one ``bool()`` conversion of the outcome column) across lanes.  Always
-  available, no third-party imports; this is also the differential
-  reference the numpy kernels are pinned against in
-  ``tests/test_batch_replay.py``.
-
-Both backends reproduce ``predict → update`` per branch bit-exactly, so
+Both paths reproduce ``predict → update`` per branch bit-exactly, so
 per-lane mispredicted-PC sequences — and therefore MPKI, per-PC
 breakdowns, and payload digests — match the scalar
 :func:`~repro.sim.predictor_replay.replay_mpki` for every lane.  After a
@@ -60,18 +55,15 @@ callers treat lane predictors as consumed.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.predictors import tage_batch
 from repro.predictors.base import BranchPredictor
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.perceptron import PerceptronPredictor
-
-#: ``auto`` (default) uses numpy when importable; ``numpy`` requires it;
-#: ``pure``/``off``/``none``/``0`` forces the array fallback.
-BACKEND_ENV = "REPRO_BATCH_BACKEND"
 
 #: Below this many pristine perceptron lanes the per-event numpy overhead
 #: outweighs the stacked-lane win; lockstep is faster.
@@ -91,17 +83,15 @@ _MAX_SCAN_STATES = 256
 
 
 def warm_backend() -> None:
-    """Pay the backend's one-time costs now.
+    """Pay the batch kernels' one-time costs now.
 
-    Runs a miniature batch so numpy is imported, the scan LUT is built,
-    and numpy's lazily-initialized kernel paths (argsort, take, cumsum,
-    ...) are primed, then times a miniature TAGE kernel against its own
+    Runs a miniature batch so the scan LUT is built and numpy's
+    lazily-initialized kernel paths (argsort, take, cumsum, ...) are
+    primed, then times a miniature TAGE kernel against its own
     scalar lockstep to calibrate the auto TAGE-lane cutover (see
     :func:`tage_min_lanes`).  Perf harnesses call this off-clock so a
     timed first batch measures kernel throughput, not interpreter warmup.
     """
-    if numpy_backend() is None:
-        return
     pcs = [(i * 97) & 0xFFFF for i in range(256)]
     takens = [bool((i * 11) & 4) for i in range(256)]
     replay_lanes([BimodalPredictor(size_log2=6),
@@ -122,7 +112,6 @@ def _calibrate_tage_min() -> None:
     global _calibrated_tage_min
     if _calibrated_tage_min is not None:
         return
-    np = numpy_backend()
     from time import perf_counter
 
     from repro.predictors.tage import TageConfig, TagePredictor
@@ -171,21 +160,6 @@ def tage_min_lanes(explicit: Optional[int] = None) -> int:
     return _calibrated_tage_min or DEFAULT_TAGE_MIN_LANES
 
 
-def numpy_backend():
-    """The numpy module to vectorize with, or None for the pure backend."""
-    mode = (os.environ.get(BACKEND_ENV) or "auto").strip().lower()
-    if mode in ("pure", "off", "none", "0"):
-        return None
-    try:
-        import numpy
-    except ImportError:
-        if mode == "numpy":
-            raise RuntimeError(
-                f"{BACKEND_ENV}=numpy but numpy is not importable")
-        return None
-    return numpy
-
-
 def replay_lanes(predictors: Sequence[BranchPredictor],
                  pcs: Sequence[int], takens: Sequence[int],
                  split: int,
@@ -204,14 +178,13 @@ def replay_lanes(predictors: Sequence[BranchPredictor],
     ``0`` both mean auto (see :func:`tage_min_lanes`); callers with a
     resolved config pass ``RunConfig.batch_min_lanes`` through.
     """
-    np = numpy_backend()
-    if np is None or len(pcs) == 0:
+    if len(pcs) == 0:
         return _lockstep(predictors, pcs, takens, split)
     return _numpy_lanes(np, predictors, pcs, takens, split,
                         tage_min_lanes(min_lanes))
 
 
-# -- pure backend ------------------------------------------------------------
+# -- lockstep fallback -------------------------------------------------------
 
 def _lockstep(predictors: Sequence[BranchPredictor],
               pcs: Sequence[int], takens: Sequence[int],
@@ -219,8 +192,8 @@ def _lockstep(predictors: Sequence[BranchPredictor],
     """Scalar fallback: one stream pass feeding every lane in lockstep.
 
     Valid for any predictor in any starting state — it drives the
-    instances' own ``observe`` — so it doubles as the escape hatch for
-    trained/unsupported lanes inside the numpy backend.
+    instances' own ``observe`` — so it is the escape hatch for
+    trained/unsupported lanes and empty streams.
     """
     outcomes = [bool(taken) for taken in takens]
     lanes: List[List[int]] = [[] for _ in predictors]
@@ -240,7 +213,7 @@ def _lockstep(predictors: Sequence[BranchPredictor],
     return lanes
 
 
-# -- numpy backend -----------------------------------------------------------
+# -- vectorized kernels ------------------------------------------------------
 
 def _uniform(store, value: int) -> bool:
     if isinstance(store, (bytes, bytearray)):

@@ -136,8 +136,7 @@ def stacked_store(np, lanes: int, entries: int, fill: int = 0,
     The lane-stacked twin of :func:`signed_store`/:func:`unsigned_store`:
     K lanes' flat tables become the rows of one matrix so per-event
     gather/scatter amortizes numpy call overhead across every lane.
-    ``np`` is passed in (storage itself must import cleanly without
-    numpy — the pure backend never touches this helper).
+    ``np`` is the array module the calling kernel runs on.
     """
     if fill:
         return np.full((lanes, entries), fill, dtype=dtype or np.int64)

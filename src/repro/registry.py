@@ -144,9 +144,5 @@ class Registry:
     def entries(self) -> List[Entry]:
         return list(self._entries.values())
 
-    def as_dict(self) -> Dict[str, Any]:
-        """Plain ``{name: obj}`` snapshot (registration order)."""
-        return {name: entry.obj for name, entry in self._entries.items()}
-
     def __repr__(self) -> str:
         return f"Registry({self.kind!r}, {list(self._entries)})"

@@ -55,16 +55,6 @@ from repro.sim.variants import (
 from repro.telemetry import StatRegistry
 from repro.workloads import suite
 
-#: Set to ``0``/``off``/``no``/``false`` to disable collapsing groups of
-#: predictor-only MPKI cells into one batched replay per benchmark.
-BATCH_REPLAY_ENV = "REPRO_BATCH_REPLAY"
-
-
-def batch_replay_enabled() -> bool:
-    value = (os.environ.get(BATCH_REPLAY_ENV) or "1").strip().lower()
-    return value not in ("0", "off", "no", "false")
-
-
 class Session:
     """One experiment context: a config plus the caches it governs."""
 
@@ -149,7 +139,7 @@ class Session:
             self._results.popitem(last=False)
 
     def clear_caches(self) -> None:
-        """Drop this session's caches (bench harness isolation)."""
+        """Drop this session's caches."""
         self._results.clear()
         self.trace_cache.clear()
 
@@ -340,8 +330,7 @@ class Session:
     def manifest(self, phase_seconds=None) -> dict:
         """This session's run manifest (see :mod:`repro.observe.manifest`).
 
-        Stamped onto baselines and bench reports produced under this
-        session; the config fingerprint inside is the comparability key.
+        The config fingerprint inside is the comparability key.
         """
         from repro.observe.manifest import run_manifest
         return run_manifest(self.config, phase_seconds=phase_seconds)
@@ -409,8 +398,7 @@ class Session:
         :func:`~repro.sim.predictor_replay.replay_mpki_batch` call (one
         region load, one stream pass for the whole group) while still
         producing one row per cell with scalar-identical payloads and
-        result-cache keys.  Set ``REPRO_BATCH_REPLAY=0`` to force the
-        scalar per-cell path; per-cell profiling (``REPRO_PROFILE``)
+        result-cache keys.  Per-cell profiling (``REPRO_PROFILE``)
         disables batching automatically since a fused group's cells
         cannot be attributed individually.
         """
@@ -453,7 +441,7 @@ class Session:
                     SweepPlanMismatchWarning(describe_mismatch(mismatch)),
                     stacklevel=2)
         batching = (outputs == "mpki" and len(cells) > 1
-                    and profile_mode is None and batch_replay_enabled())
+                    and profile_mode is None)
         groups: Dict[str, List[Tuple[str, int]]] = {}
         if batching:
             for index, (benchmark, variant) in plan:
@@ -814,29 +802,17 @@ def _run_task_in(session: Session, task: Tuple) -> List[dict]:
     return [_run_cell_in(session, task)]
 
 
-def _run_cell(task: Tuple) -> dict:
-    """Worker entry: module-level so fork *and* spawn pools can pickle it.
-
-    The task's first element is the parent's ``RunConfig``; resolving it
-    through :func:`_session_for_config` gives spawn-start workers the
-    exact parent configuration (satellite of the layered-config work) and
-    fork-start workers their inherited warm session.
-    """
-    return _run_cell_in(_session_for_config(task[0]), task)
-
-
-def _run_task(task: Tuple) -> List[dict]:
-    """Worker entry for mixed scalar/batched sweeps (see ``_run_cell``)."""
-    return _run_task_in(_session_for_config(task[0]), task)
-
-
 def _run_unit(unit: List[Tuple]) -> List[List[dict]]:
     """Worker entry for a scheduler dispatch unit (a list of tasks).
 
-    Returns one row list per task so the scheduler can map results back
-    to DAG nodes.  All tasks of a unit share one resolved session —
-    units are built benchmark-aligned exactly so this keeps trace-cache
-    locality inside a worker dispatch.
+    Module-level so fork *and* spawn pools can pickle it.  Every task's
+    first element is the parent's ``RunConfig``; resolving it through
+    :func:`_session_for_config` gives spawn-start workers the exact
+    parent configuration and fork-start workers their inherited warm
+    session.  Returns one row list per task so the scheduler can map
+    results back to DAG nodes.  All tasks of a unit share one resolved
+    session — units are built benchmark-aligned exactly so this keeps
+    trace-cache locality inside a worker dispatch.
     """
     session = _session_for_config(unit[0][0])
     return [_run_task_in(session, task) for task in unit]

@@ -18,17 +18,15 @@ Variant and component catalogues moved to decorator-based registries:
 * named variants — :mod:`repro.sim.variants` (``@register_variant``);
 * benchmarks — :mod:`repro.workloads.registry` (``@register_benchmark``).
 
-The historical views (``VARIANTS``, ``PREDICTOR_FACTORIES``,
-``CONFIG_FACTORIES``, ``PREDICTOR_ONLY_VARIANTS``, ``REGION_*``) remain
-importable as *live* module attributes computed from those registries.
+Region sizes and cache bounds live on ``default_session().config``; the
+session's caches are ``default_session().result_cache`` and
+``.trace_cache``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro import session as _session
-from repro.config import current_config
 from repro.session import (  # noqa: F401  (re-exported API)
     Session,
     default_jobs,
@@ -42,39 +40,11 @@ from repro.sim.variants import (  # noqa: F401  (re-exported API)
     spec_variant,
     variant_kwargs,
     variant_names,
-    variants_view,
 )
-from repro.sim import variants as _variants
-
-
-def __getattr__(name: str):
-    # live compatibility views — each access reflects the current
-    # environment/registries instead of an import-time snapshot
-    if name == "REGION_INSTRUCTIONS":
-        return current_config().instructions
-    if name == "REGION_WARMUP":
-        return current_config().warmup
-    if name == "RESULT_CACHE_SIZE":
-        return current_config().result_cache_size
-    if name == "VARIANTS":
-        return variants_view()
-    if name == "PREDICTOR_FACTORIES":
-        from repro.predictors.registry import PREDICTORS
-        return PREDICTORS.as_dict()
-    if name == "CONFIG_FACTORIES":
-        from repro.core.config import UARCH_CONFIGS
-        return UARCH_CONFIGS.as_dict()
-    if name == "PREDICTOR_ONLY_VARIANTS":
-        return _variants.predictor_only_variants()
-    if name == "_cache":
-        return default_session().result_cache
-    if name == "_trace_cache":
-        return default_session().trace_cache
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def clear_caches() -> None:
-    """Drop the default session's caches (bench harness isolation)."""
+    """Drop the default session's caches."""
     default_session().clear_caches()
 
 
@@ -144,11 +114,6 @@ def replay_mpki(benchmark: str, predictor, **kwargs):
 def run_batch(benchmark: str, variants: Sequence[str], **kwargs):
     """Batched MPKI replay in the default session (:meth:`Session.run_batch`)."""
     return default_session().run_batch(benchmark, variants, **kwargs)
-
-
-def _run_cell(task: Tuple) -> dict:
-    """Legacy alias for the worker entry point (moved to repro.session)."""
-    return _session._run_cell(task)
 
 
 def hard_branch_accuracy(result: SimulationResult, count: int = 32

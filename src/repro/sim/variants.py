@@ -25,7 +25,7 @@ list`` — no second registration.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, List
 
 from repro.core.config import UARCH_CONFIGS
 from repro.predictors.registry import PREDICTORS
@@ -104,19 +104,9 @@ def variant_names() -> List[str]:
     """Every addressable named variant, predictor-only names first.
 
     Ordering is registration order within each group — the default
-    ``run_matrix`` column order the bench report and figures rely on.
+    ``run_matrix`` column order the figures rely on.
     """
     return PREDICTORS.names() + BR_VARIANTS.names()
-
-
-def variants_view() -> Dict[str, Callable[[], dict]]:
-    """``{name: kwargs-factory}`` over both groups (a live snapshot)."""
-    view: Dict[str, Callable[[], dict]] = {}
-    for name, factory in PREDICTORS.items():
-        view[name] = (lambda f=factory: dict(predictor=f()))
-    for name, factory in BR_VARIANTS.items():
-        view[name] = factory
-    return view
 
 
 def spec_variant(predictor: str, config: str = None) -> str:
@@ -152,8 +142,3 @@ def is_predictor_only(variant: str) -> bool:
         return variant.endswith("+none")
     return variant in PREDICTORS and variant not in BR_VARIANTS
 
-
-def predictor_only_variants() -> frozenset:
-    """The predictor-only named-variant set (compat view)."""
-    return frozenset(name for name in PREDICTORS
-                     if name not in BR_VARIANTS)

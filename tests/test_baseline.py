@@ -1,6 +1,7 @@
 """Regression observatory: baselines, tolerance bands, manifests."""
 
 import json
+import os
 
 import pytest
 
@@ -105,9 +106,18 @@ class TestManifest:
 
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory):
-    """One recorded baseline set shared by the check tests (read-only)."""
+    """One recorded baseline set shared by the check tests (read-only).
+
+    Module scope runs before conftest's per-test ``REPRO_*`` cleanup, so
+    the recording clears those variables itself; otherwise a shell that
+    exports them (CI's layered-config job) reshapes only this run.
+    """
     out_dir = tmp_path_factory.mktemp("baselines")
-    report = ob.record_baselines(out_dir=str(out_dir), **MATRIX)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name in [name for name in os.environ
+                     if name.startswith("REPRO_")]:
+            monkeypatch.delenv(name)
+        report = ob.record_baselines(out_dir=str(out_dir), **MATRIX)
     return str(out_dir), report
 
 
@@ -307,7 +317,6 @@ class TestCommittedBaselines:
     EXPECTED = ("mcf_17", "sjeng_06", "xz_17")
 
     def test_quick_matrix_benchmarks_are_all_recorded(self):
-        import os
         names = sorted(name[:-len(".json")]
                        for name in os.listdir(ob.BASELINE_DIR)
                        if name.endswith(".json"))

@@ -5,8 +5,9 @@ The contract (DESIGN.md §6a.4): for any set of predictor-only lanes,
 grouping built on it — must produce results **bit-identical** to scalar
 :func:`~repro.sim.predictor_replay.replay_mpki` calls of the same cells:
 same MPKI, same per-PC breakdowns, same warmup semantics, same payload
-digests.  The pure-``array`` backend is the reference the numpy kernels
-are pinned against; both are pinned against the scalar path here.
+digests.  The scalar lockstep loop (``_lockstep``) is the reference the
+numpy kernels are pinned against; both are pinned against the scalar
+path here.
 """
 
 import json
@@ -18,7 +19,6 @@ from repro.cli import main as cli_main
 from repro.isa.program import ProgramBuilder
 from repro.observe.journal import read_journal
 from repro.predictors.batched import (
-    BACKEND_ENV,
     MIN_PERCEPTRON_LANES,
     _lockstep,
     replay_lanes,
@@ -27,7 +27,7 @@ from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.perceptron import PerceptronPredictor
 from repro.predictors.registry import PREDICTORS, make_predictor
-from repro.session import BATCH_REPLAY_ENV, Session, batch_replay_enabled
+from repro.session import Session
 from repro.sim import experiments
 from repro.sim.bench import batch_replay_predictors, payload_digest
 from repro.sim.branch_events import (
@@ -44,18 +44,12 @@ from repro.sim.predictor_replay import (
 from repro.sim.trace_cache import TraceCache, program_fingerprint
 from repro.workloads import suite
 
-try:
-    import numpy  # noqa: F401
-    BACKENDS = ["pure", "numpy"]
-except ImportError:  # CI's no-numpy leg
-    BACKENDS = ["pure"]
-
 REGION = dict(instructions=1_200, warmup=600)
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, request.param)
+@pytest.fixture(params=["numpy"])
+def backend(request):
+    """The vectorized batch path, the only one (tests keep its id)."""
     return request.param
 
 
@@ -153,8 +147,6 @@ class TestReplayLanesDifferential:
         assert batch == reference
 
     def test_equivalent_lanes_share_result_object(self):
-        if "numpy" not in BACKENDS:
-            pytest.skip("numpy kernels not available")
         # two gshare geometries inducing the same event partition must be
         # deduped to one scan and hand back the same list object
         pcs = [0x400] * 600  # one static PC: partition is history-only
@@ -208,7 +200,7 @@ class TestBatchIdentity:
                                     min_lanes=1, **REGION)
         deduped = {result.to_dict()["stats"]["host"]["batch"]
                    ["lanes_deduped"] for result in results}
-        assert deduped == {1 if backend == "numpy" else 0}
+        assert deduped == {1}
         scalar = replay_mpki(program, make_predictor("tage64"),
                              trace_cache=TraceCache(), **REGION)
         for result in results:
@@ -384,16 +376,15 @@ class TestSessionBatching:
              ("sjeng_06", "spec:tage64+none"), ("mcf_17", "bimodal"),
              ("mcf_17", "gshare")]
 
-    def test_rows_identical_to_scalar_path(self, monkeypatch):
+    def test_rows_identical_to_scalar_path(self):
         batched = session().run_cells(self.CELLS, outputs="mpki")
-        monkeypatch.setenv(BATCH_REPLAY_ENV, "0")
-        assert not batch_replay_enabled()
-        scalar = session().run_cells(self.CELLS, outputs="mpki")
         assert [(row["benchmark"], row["variant"]) for row in batched] \
             == list(self.CELLS)
-        for batch_row, scalar_row in zip(batched, scalar):
-            assert payload_digest(batch_row["payload"]) \
-                == payload_digest(scalar_row["payload"])
+        # a fresh session per cell: no batch group, no shared result cache
+        for row, (benchmark, variant) in zip(batched, self.CELLS):
+            scalar = session().run(benchmark, variant, outputs="mpki")
+            assert payload_digest(row["payload"]) \
+                == payload_digest(scalar.to_dict())
 
     def test_batch_size_marker_and_shared_region(self):
         rows = session().run_cells(self.CELLS, outputs="mpki")

@@ -213,33 +213,6 @@ class TestCompareMpkiOnly:
         assert row["baseline"]["mpki"] > 0
 
 
-class TestBenchBaselineFlag:
-    def test_warn_only_against_committed_report(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_run.json"
-        code = cli_main(["bench", "--quick", "--benchmarks", "sjeng_06",
-                         "--instructions", "800", "--warmup", "400",
-                         "--jobs", "1", "--out", str(out)])
-        assert code == 0
-        capsys.readouterr()
-        second = tmp_path / "BENCH_second.json"
-        code = cli_main(["bench", "--quick", "--benchmarks", "sjeng_06",
-                         "--instructions", "800", "--warmup", "400",
-                         "--jobs", "1", "--out", str(second),
-                         "--baseline", str(out)])
-        assert code == 0  # warn-only: never fails the run
-        captured = capsys.readouterr()
-        assert "trace-cache hit rate" in captured.out
-
-    def test_unreadable_baseline_is_a_warning(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_run.json"
-        code = cli_main(["bench", "--quick", "--benchmarks", "sjeng_06",
-                         "--instructions", "800", "--warmup", "400",
-                         "--jobs", "1", "--out", str(out),
-                         "--baseline", str(tmp_path / "missing.json")])
-        assert code == 0
-        assert "cannot read baseline" in capsys.readouterr().err
-
-
 class TestJournaledSweeps:
     """`--journal` + `repro sweep report/watch` end to end."""
 
@@ -329,18 +302,19 @@ class TestJournaledSweeps:
         assert cli_main(["sweep", "report", str(path)]) == 2
         assert "not a repro-journal-v1" in capsys.readouterr().err
 
-    def test_bench_journal_and_progress(self, tmp_path, capsys):
+    def test_compare_journal_and_progress(self, tmp_path, capsys):
         from repro.observe.journal import read_journal
-        out = tmp_path / "BENCH_run.json"
-        path = tmp_path / "bench.jsonl"
-        code = cli_main(["bench", "--quick", "--benchmarks", "sjeng_06",
+        path = tmp_path / "sweep.jsonl"
+        code = cli_main(["compare", "sjeng_06",
                          "--instructions", "800", "--warmup", "400",
-                         "--jobs", "2", "--out", str(out),
-                         "--journal", str(path), "--progress"])
+                         "--jobs", "2", "--journal", str(path),
+                         "--progress"])
         assert code == 0
         captured = capsys.readouterr()
         assert "sweep" in captured.err  # forced progress on a pipe
+        assert "ΔMPKI" in captured.out
         journal = read_journal(str(path))
         assert journal["complete"]
-        report = json.loads(out.read_text())
-        assert report["journal"] == str(path)
+        finished = [event for event in journal["events"]
+                    if event["event"] == "cell_finished"]
+        assert len(finished) == 2  # baseline and BR cells

@@ -14,7 +14,7 @@ from repro.config import (
     resolve_config,
     resolve_jobs,
 )
-from repro.sim import experiments
+from repro.session import default_session
 
 
 class TestPrecedence:
@@ -162,19 +162,19 @@ class TestEnvReadAtResolutionTime:
     """Regression: REPRO_* must not be snapshotted at import time."""
 
     def test_instructions_env_set_after_import(self, monkeypatch):
-        before = experiments.REGION_INSTRUCTIONS
+        before = default_session().config.instructions
         monkeypatch.setenv("REPRO_INSTRUCTIONS", str(before + 777))
-        assert experiments.REGION_INSTRUCTIONS == before + 777
+        assert default_session().config.instructions == before + 777
         assert current_config().instructions == before + 777
 
     def test_warmup_and_cache_size_follow_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WARMUP", "41")
         monkeypatch.setenv("REPRO_CACHE_SIZE", "5")
-        assert experiments.REGION_WARMUP == 41
-        assert experiments.RESULT_CACHE_SIZE == 5
+        config = default_session().config
+        assert config.warmup == 41
+        assert config.result_cache_size == 5
 
     def test_default_session_adopts_env_changes(self, monkeypatch):
-        from repro.session import default_session
         first = default_session()
         monkeypatch.setenv("REPRO_INSTRUCTIONS", "2222")
         second = default_session()

@@ -1,9 +1,10 @@
-"""Tests for the parallel experiment runner and the bench harness."""
+"""Tests for the parallel experiment runner and the payload digest."""
 
 import json
 
 import pytest
 
+from repro.session import default_session
 from repro.sim import bench, experiments
 
 
@@ -91,7 +92,7 @@ class TestResultCacheLru:
         monkeypatch.setenv("REPRO_CACHE_SIZE", "2")
         for variant in ("tage64", "tage80", "mtage", "core_only"):
             experiments.run("sjeng_06", variant, **REGION)
-        assert len(experiments._cache) == 2
+        assert len(default_session().result_cache) == 2
 
     def test_eviction_is_lru_ordered(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_SIZE", "2")
@@ -100,13 +101,13 @@ class TestResultCacheLru:
         # touch tage64 so tage80 is now the least recently used
         assert experiments.run("sjeng_06", "tage64", **REGION) is first
         experiments.run("sjeng_06", "mtage", **REGION)
-        keys = [key[1] for key in experiments._cache]
+        keys = [key[1] for key in default_session().result_cache]
         assert "tage64" in keys and "tage80" not in keys
 
     def test_cache_false_bypasses_storage(self):
         result = experiments.run("sjeng_06", "tage64", cache=False,
                                  **REGION)
-        assert len(experiments._cache) == 0
+        assert len(default_session().result_cache) == 0
         again = experiments.run("sjeng_06", "tage64", cache=False,
                                 **REGION)
         assert again is not result
@@ -122,90 +123,3 @@ class TestBenchHarness:
                                  **REGION).to_dict()
         assert first["stats"]["host"] != second["stats"]["host"]
         assert bench.payload_digest(first) == bench.payload_digest(second)
-
-    def test_run_bench_report_schema_and_drift(self):
-        report = bench.run_bench(benchmarks=["sjeng_06"],
-                                 variants=["tage64", "mini"], jobs=1,
-                                 **REGION)
-        assert report["schema"] == bench.SCHEMA
-        assert report["cells"] == 2
-        assert report["drift"] == {"ok": True, "mismatched_cells": []}
-        assert report["optimized"]["trace_cache_hits"] == 1
-        assert set(report["digests"]) == \
-            {"sjeng_06/tage64", "sjeng_06/mini"}
-        assert report["baseline"]["wall_seconds"] > 0
-        assert report["optimized"]["uops_per_second"] > 0
-        assert "timing" in report["baseline"]["host_phase_seconds"]
-
-    def test_quick_matrix_defaults(self):
-        report = bench.run_bench(quick=True, instructions=800, warmup=400,
-                                 jobs=1)
-        assert report["quick"] is True
-        assert report["benchmarks"] == bench.QUICK_BENCHMARKS
-        assert report["variants"] == bench.QUICK_VARIANTS
-        assert report["drift"]["ok"]
-
-    def test_format_report_mentions_drift(self):
-        report = bench.run_bench(benchmarks=["sjeng_06"],
-                                 variants=["tage64"], jobs=1, **REGION)
-        text = bench.format_report(report)
-        assert "speedup" in text and "drift" in text
-        report["drift"] = {"ok": False, "mismatched_cells": ["x/y"]}
-        assert "MISMATCH" in bench.format_report(report)
-
-
-class TestBenchV2:
-    def test_mpki_replay_pass_reported(self):
-        report = bench.run_bench(benchmarks=["sjeng_06"],
-                                 variants=["tage64", "mini"], jobs=1,
-                                 **REGION)
-        replay = report["mpki_replay"]
-        assert replay["cells"] == 1  # only tage64 is predictor-only
-        assert replay["wall_seconds"] > 0
-        assert replay["speedup"] > 0
-        assert report["drift"]["ok"]  # includes the exact-MPKI gate
-        assert "mpki-only" in bench.format_report(report)
-
-    def test_no_predictor_only_cells_skips_replay_pass(self):
-        report = bench.run_bench(benchmarks=["sjeng_06"],
-                                 variants=["mini"], jobs=1, **REGION)
-        assert report["mpki_replay"] is None
-        assert "mpki-only" not in bench.format_report(report)
-
-    def test_hit_rate_on_summary_line(self):
-        report = bench.run_bench(benchmarks=["sjeng_06"],
-                                 variants=["tage64", "mini"], jobs=1,
-                                 **REGION)
-        assert report["optimized"]["trace_cache_hit_rate"] == 0.5
-        first_line = bench.format_report(report).splitlines()[0]
-        assert "trace-cache hit rate 50%" in first_line
-
-    def test_resolve_jobs_precedence(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        assert bench.resolve_jobs(None) == 4
-        assert bench.resolve_jobs(2) == 2  # explicit beats the env var
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        assert bench.resolve_jobs(None) == 1
-        monkeypatch.delenv("REPRO_JOBS")
-        assert bench.resolve_jobs(None) == 1
-
-    def test_quick_honours_repro_jobs_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        report = bench.run_bench(quick=True, benchmarks=["sjeng_06"],
-                                 instructions=800, warmup=400)
-        assert report["jobs"] == 1
-
-    def test_compare_to_baseline_warns_on_regression(self):
-        report = bench.run_bench(benchmarks=["sjeng_06"],
-                                 variants=["tage64"], jobs=1, **REGION)
-        assert bench.compare_to_baseline(report, report) == []
-        inflated = json.loads(json.dumps(report))
-        inflated["baseline"]["uops_per_second"] *= 10
-        warnings = bench.compare_to_baseline(report, inflated)
-        assert len(warnings) == 1
-        assert "below the committed baseline" in warnings[0]
-
-    def test_compare_to_baseline_tolerates_old_schema(self):
-        report = bench.run_bench(benchmarks=["sjeng_06"],
-                                 variants=["tage64"], jobs=1, **REGION)
-        assert bench.compare_to_baseline(report, {"schema": "v0"}) == []

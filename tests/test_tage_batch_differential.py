@@ -29,7 +29,7 @@ import random
 import pytest
 
 from repro.predictors import tage_batch
-from repro.predictors.batched import BACKEND_ENV, _lockstep, replay_lanes
+from repro.predictors.batched import _lockstep, replay_lanes
 from repro.predictors.loop_predictor import LoopPredictor
 from repro.predictors.reference import (
     ReferenceLoopPredictor,
@@ -41,23 +41,12 @@ from repro.predictors.statistical_corrector import StatisticalCorrector
 from repro.predictors.tage import TageConfig, TagePredictor
 from repro.predictors.tage_scl import TageSCL
 
-try:
-    import numpy  # noqa: F401
-    BACKENDS = ["pure", "numpy"]
-    HAVE_NUMPY = True
-except ImportError:  # CI's no-numpy leg
-    BACKENDS = ["pure"]
-    HAVE_NUMPY = False
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="columnar kernel needs numpy")
-
 SEEDS = [0, 1042]
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, request.param)
+@pytest.fixture(params=["numpy"])
+def backend(request):
+    """The vectorized batch path, the only one (tests keep its id)."""
     return request.param
 
 
@@ -156,10 +145,9 @@ class TestTageBatchDifferential:
         ]
         pcs, takens = loopy_stream(3_000, seed)
         batch = self.run_case(specs, pcs, takens, split=500)
-        if backend == "numpy":
-            # equivalent configurations replay once; the duplicate lane
-            # hands back the very same mispredict-list object
-            assert batch[-1] is batch[0]
+        # equivalent configurations replay once; the duplicate lane
+        # hands back the very same mispredict-list object
+        assert batch[-1] is batch[0]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_graceful_reset_boundaries(self, backend, seed):
@@ -221,7 +209,6 @@ class TestTageBatchDifferential:
                       pcs, takens, split=200)
 
 
-@needs_numpy
 class TestMinLanesCutover:
     """The batch_min_lanes knob: explicit param > config layers > default.
 
@@ -232,7 +219,6 @@ class TestMinLanesCutover:
     """
 
     def replay(self, monkeypatch, min_lanes, env=None):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
         if env is not None:
             monkeypatch.setenv("REPRO_BATCH_MIN_LANES", env)
         pcs, takens = loopy_stream(400, seed=11)
