@@ -44,7 +44,6 @@ from repro.observe import baseline as observe_baseline
 from repro.observe import journal as observe_journal
 from repro.observe import sweep_report as observe_sweep
 from repro.predictors.registry import PREDICTORS
-from repro.sched import executor_names
 from repro.sim import experiments
 from repro.sim.bench import payload_digest
 from repro.sim.results import ipc_improvement, mpki_improvement
@@ -54,8 +53,7 @@ from repro.sim.variants import variant_names
 from repro.telemetry import Tracer
 from repro.workloads import suite
 
-LIST_KINDS = ("benchmarks", "predictors", "configs", "variants",
-              "executors", "all")
+LIST_KINDS = ("benchmarks", "predictors", "configs", "variants", "all")
 
 
 def _config_choices() -> List[str]:
@@ -91,10 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="minimum same-geometry TAGE lanes before "
                             "batched replay uses the columnar kernel "
                             "(0 = auto-calibrate)")
-    config_cmd.add_argument("--executor", default=None,
-                            choices=executor_names(),
-                            help="sweep executor backend "
-                            "('auto' picks inline/pool by job count)")
     config_cmd.add_argument("--result-store-dir", default=None,
                             help="content-addressed result store "
                             "directory (enables sweep resume)")
@@ -150,14 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="flight-record the sweep as a "
                          "repro-journal-v1 JSONL file (see "
                          "`repro sweep report`)")
-    compare.add_argument("--order-from", default=None, metavar="PATH",
-                         help="schedule cells longest-first using "
-                         "wall_seconds from a prior journal of the same "
-                         "sweep (better parallel packing)")
-    compare.add_argument("--executor", default=None,
-                         choices=executor_names(),
-                         help="sweep executor backend (default: resolved "
-                         "config; 'auto' picks inline/pool by job count)")
     compare.add_argument("--progress", action="store_true",
                          help="force the live progress line on stderr "
                          "(auto-enabled on a tty)")
@@ -258,10 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_resume_cmd.add_argument("--jobs", type=int, default=None,
                                   help="parallel worker processes for the "
                                   "resumed run (default: resolved config)")
-    sweep_resume_cmd.add_argument("--executor", default=None,
-                                  choices=executor_names(),
-                                  help="executor backend for the resumed "
-                                  "run (default: resolved config)")
     sweep_resume_cmd.add_argument("--result-store-dir", default=None,
                                   metavar="DIR",
                                   help="result store directory (default: "
@@ -310,7 +292,7 @@ def _resolve_from_args(args) -> ResolvedConfig:
     """Layered resolution with every flag this command carries."""
     flag_fields = ("instructions", "warmup", "jobs", "result_cache_size",
                    "trace_cache_size", "trace_cache_dir", "variant",
-                   "batch_min_lanes", "executor", "result_store_dir")
+                   "batch_min_lanes", "result_store_dir")
     flags = {field: getattr(args, field, None) for field in flag_fields}
     return resolve_config(flags=flags,
                           config_file=getattr(args, "config_file", None))
@@ -371,16 +353,6 @@ def _cmd_list(args) -> int:
                 replay = "yes" if experiments.is_predictor_only(name) \
                     else "no"
                 print(f"{name:20s} {replay:>11s}")
-        elif kind == "executors":
-            from repro.sched import EXECUTORS
-            print(f"{'name':14s} {'in-process':>10s}  description")
-            print(f"{'auto':14s} {'':>10s}  pool when jobs > 1 and more "
-                  f"than one unit is pending, else inline")
-            for name in EXECUTORS.names(sort=True):
-                meta = EXECUTORS.meta(name)
-                in_process = "yes" if meta.get("in_process") else "no"
-                print(f"{name:14s} {in_process:>10s}  "
-                      f"{meta.get('description', '')}")
     return 0
 
 
@@ -467,12 +439,9 @@ def _compare_predictor_sweep(args, run_config, names) -> int:
                                      instructions=run_config.instructions,
                                      warmup=run_config.warmup,
                                      jobs=args.jobs,
-                                     chunksize=len(tokens),
                                      outputs="mpki",
                                      journal=args.journal,
-                                     progress=progress,
-                                     order_from=args.order_from,
-                                     executor=args.executor)
+                                     progress=progress)
     finally:
         if progress is not None:
             progress.finish()
@@ -523,12 +492,9 @@ def _cmd_compare(args) -> int:
         rows = experiments.run_cells(cells,
                                      instructions=run_config.instructions,
                                      warmup=run_config.warmup,
-                                     jobs=args.jobs,
-                                     chunksize=2, outputs=outputs,
+                                     jobs=args.jobs, outputs=outputs,
                                      journal=args.journal,
-                                     progress=progress,
-                                     order_from=args.order_from,
-                                     executor=args.executor)
+                                     progress=progress)
     finally:
         if progress is not None:
             progress.finish()
@@ -750,7 +716,6 @@ def _cmd_sweep_resume(args) -> int:
         rows = session.run_cells(cells, jobs=jobs,
                                  outputs=sweep.get("outputs") or "full",
                                  journal=resume_journal,
-                                 executor=args.executor,
                                  progress=progress)
     finally:
         if progress is not None:
@@ -771,7 +736,6 @@ def _cmd_sweep_resume(args) -> int:
         "cells_executed": len(cells) - resumed,
         "cells_failed": len(failed),
         "executor": stats.get("executor"),
-        "mode": stats.get("mode"),
         "digests": digests,
     }
     if args.json:

@@ -49,7 +49,6 @@ ENV_VARS: Dict[str, str] = {
     "trace_cache_dir": "REPRO_TRACE_CACHE_DIR",
     "variant": "REPRO_VARIANT",
     "batch_min_lanes": "REPRO_BATCH_MIN_LANES",
-    "executor": "REPRO_EXECUTOR",
     "result_store_dir": "REPRO_RESULT_STORE_DIR",
 }
 
@@ -85,9 +84,6 @@ class RunConfig:
     #: from lockstep to the columnar kernel (0 = auto: the value
     #: calibrated by ``warm_backend()``, else a static default).
     batch_min_lanes: int = 0
-    #: Sweep executor backend (``auto`` picks inline/pool by job count;
-    #: see :mod:`repro.sched.executors` for the registry).
-    executor: str = "auto"
     #: Directory for the content-addressed sweep result store (None =
     #: no store: sweeps are neither written through nor resumable).
     result_store_dir: Optional[str] = None
@@ -109,9 +105,6 @@ class RunConfig:
         if self.batch_min_lanes < 0:
             raise ValueError("batch_min_lanes must be >= 0 (0 = auto), "
                              f"got {self.batch_min_lanes}")
-        if not self.executor:
-            raise ValueError("executor must be a backend name or 'auto', "
-                             f"got {self.executor!r}")
         return self
 
     def replace(self, **changes: Any) -> "RunConfig":
@@ -254,20 +247,3 @@ def resolve_jobs(explicit: Optional[int] = None,
     if explicit is not None:
         return max(1, explicit)
     return current_config(environ=environ).jobs
-
-
-# -- shared env parsing helpers (single home for REPRO_* parsing) ---------
-
-def env_int(name: str, default: int,
-            environ: Optional[Mapping[str, str]] = None) -> int:
-    """Integer env knob with empty-string-means-unset semantics."""
-    env = os.environ if environ is None else environ
-    raw = env.get(name)
-    return int(raw) if raw else default
-
-
-def env_str(name: str, default: Optional[str] = None,
-            environ: Optional[Mapping[str, str]] = None) -> Optional[str]:
-    """String env knob; empty values collapse to the default."""
-    env = os.environ if environ is None else environ
-    return env.get(name) or default

@@ -202,8 +202,7 @@ def _run_matrix(benchmarks: Optional[List[str]],
     cells = [(benchmark, variant) for benchmark in benchmarks
              for variant in variants]
     rows = session.run_cells(cells, instructions=instructions,
-                             warmup=warmup, jobs=jobs, cache=False,
-                             chunksize=max(1, len(variants)))
+                             warmup=warmup, jobs=jobs, cache=False)
     per_benchmark: Dict[str, List[Tuple[str, dict]]] = {
         name: [] for name in benchmarks}
     for row in rows:

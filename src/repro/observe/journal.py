@@ -2,20 +2,23 @@
 
 A *journal* is the black-box record of one ``run_cells`` sweep.  The
 parent process is the single writer — every line is one JSON event,
-written and flushed atomically as rows land from the ordered ``imap``
-runner — but events preserve their origin as logical *streams*: the
-``sweep`` stream carries the parent's lifecycle events and every worker
-process owns a ``worker-<pid>`` stream whose events (timestamps, peak-RSS
-deltas, manifests) were measured inside that worker and shipped back on
-the result rows.  Because the runner yields rows in input order, the
-merged journal is deterministic for any job count: the same sweep
-produces the same event sequence (modulo timestamps and pids), and the
-per-cell ``payload_sha256`` values must match the rows the caller got
-back.
+written and flushed atomically as rows land from the scheduler — but
+events preserve their origin as logical *streams*: the ``sweep`` stream
+carries the parent's lifecycle events, the ``scheduler`` stream the
+dispatch plan, and every worker process owns a ``worker-<pid>`` stream
+whose events (timestamps, peak-RSS deltas, manifests) were measured
+inside that worker and shipped back on the result rows.  Because the
+scheduler records rows in plan order, the merged journal is
+deterministic for any job count: the same sweep produces the same event
+sequence (modulo timestamps and pids), and the per-cell
+``payload_sha256`` values must match the rows the caller got back.
 
 Event vocabulary::
 
-    sweep_started    manifest + fingerprint + cell plan + jobs/chunksize
+    sweep_started    manifest + fingerprint + cell plan + jobs, outputs,
+                     executor (inline/pool) and pool start method
+    units_built      dispatch units, executor, jobs, cells resumed from
+                     the result store
     worker_started   one per worker process, with *its own* run manifest
     cell_started     index/benchmark/variant, worker wall-clock start
     cell_finished    wall seconds, peak-RSS delta, cache-hit flags,
@@ -28,7 +31,7 @@ Event vocabulary::
 A journal whose process was killed mid-sweep simply stops early: the
 reader tolerates a truncated final line and a missing ``sweep_finished``
 and reports the sweep as *incomplete* rather than failing to parse —
-this is the resume substrate the DAG-scheduler roadmap item consumes.
+``repro sweep resume`` re-runs such a sweep from its result store.
 
 Setting ``REPRO_PROFILE=cprofile`` while journaling makes every worker
 dump per-cell ``pstats`` files under ``<journal>.profile/``;
@@ -71,24 +74,21 @@ class SweepRecorder:
                  config=None,
                  cells: Sequence[Tuple[str, str]] = (),
                  jobs: int = 1,
-                 chunksize: Optional[int] = None,
                  outputs: str = "full",
                  sweep_id: Optional[str] = None,
                  profile: Optional[str] = None,
-                 start_method: Optional[str] = None,
                  executor: Optional[str] = None,
                  progress: Optional[Callable[[dict], None]] = None):
         self.path = os.fspath(path) if path is not None else None
         self.config = config
         self.cells = [tuple(cell) for cell in cells]
         self.jobs = jobs
-        self.chunksize = chunksize
         self.outputs = outputs
         self.sweep_id = sweep_id
-        self.start_method = start_method
-        #: Resolved executor backend; the scheduler sets this just
-        #: before ``start()`` once the ``auto`` knob is resolved.
+        #: ``inline`` or ``pool``, and the pool's start method (None
+        #: inline); the scheduler sets both just before ``start()``.
         self.executor = executor
+        self.start_method: Optional[str] = None
         self.progress = progress
         self.profile = profile if (profile and self.path) else None
         self.profile_dir: Optional[str] = None
@@ -141,7 +141,6 @@ class SweepRecorder:
             cells=[list(cell) for cell in self.cells],
             total_cells=self.total,
             jobs=self.jobs,
-            chunksize=self.chunksize,
             outputs=self.outputs,
             profile=self.profile,
             start_method=self.start_method,
@@ -152,9 +151,8 @@ class SweepRecorder:
         """Journal one out-of-band event (scheduler lifecycle facts).
 
         The ``scheduler`` stream carries events that belong to the sweep
-        as a whole but are not cell rows — ``dag_built`` (dependency
-        edges, dispatch units, resumed cells) and ``plan_mismatch``
-        (a stale ``order_from`` journal).  Progress-only recorders
+        as a whole but are not cell rows — ``units_built`` (dispatch
+        units, executor, jobs, resumed cells).  Progress-only recorders
         simply drop them, like every other event.
         """
         return self._emit(event, stream, **fields)

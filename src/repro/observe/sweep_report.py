@@ -176,24 +176,14 @@ def build_sweep_report(journal, slowest: int = DEFAULT_SLOWEST,
     warnings: List[dict] = []
     finished = None
     scheduler = None
-    plan_mismatch = None
     for event in events:
         kind = event["event"]
-        if kind == "dag_built":
+        if kind == "units_built":
             scheduler = {
                 "executor": event.get("executor"),
-                "mode": event.get("mode"),
-                "nodes": event.get("nodes"),
-                "edges": len(event.get("edges") or []),
                 "units": event.get("units"),
                 "jobs": event.get("jobs"),
                 "resumed_cells": len(event.get("resumed_cells") or []),
-            }
-        elif kind == "plan_mismatch":
-            plan_mismatch = {
-                "journal": event.get("journal"),
-                "unmatched_requested": event.get("unmatched_requested"),
-                "unmatched_journal": event.get("unmatched_journal"),
             }
         elif kind == "worker_started":
             pid = event.get("pid")
@@ -295,7 +285,6 @@ def build_sweep_report(journal, slowest: int = DEFAULT_SLOWEST,
                                if resumable and journal_path else None),
         },
         "scheduler": scheduler,
-        "plan_mismatch": plan_mismatch,
         "workers": [workers[pid] for pid in sorted(
             workers, key=lambda value: (value is None, value))],
         "drift": {
@@ -342,21 +331,9 @@ def format_sweep_report(report: dict) -> str:
     if scheduler:
         lines.append(
             f"  sched   : executor={scheduler['executor']} "
-            f"mode={scheduler['mode']} "
-            f"{scheduler['nodes']} node(s), {scheduler['edges']} edge(s), "
             f"{scheduler['units']} unit(s)"
             + (f", {scheduler['resumed_cells']} cell(s) resumed from store"
                if scheduler["resumed_cells"] else ""))
-    mismatch = report.get("plan_mismatch")
-    if mismatch:
-        unmatched = ((mismatch.get("unmatched_requested") or [])
-                     + (mismatch.get("unmatched_journal") or []))
-        lines.append(
-            f"  NOTE    : order_from plan mismatch vs "
-            f"{mismatch.get('journal')}: "
-            f"{len(unmatched)} unmatched cell(s) "
-            f"({', '.join(unmatched[:6])}"
-            + (", ..." if len(unmatched) > 6 else "") + ")")
     for info in report["workers"]:
         lines.append(
             f"  worker {info['pid']}: {info['cells']} cell(s), "

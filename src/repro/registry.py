@@ -2,7 +2,7 @@
 
 The simulation stack is a cross-product of pluggable components —
 predictors, Branch Runahead configurations, named experiment variants,
-benchmarks, sweep executor backends.  Each family keeps a
+benchmarks.  Each family keeps a
 :class:`Registry` instance and exposes a ``register_*`` decorator,
 replacing the hand-maintained literal dicts the harness grew up with
 (``PREDICTOR_FACTORIES``, ``VARIANTS``, the ``BENCHMARKS`` list):

@@ -1,40 +1,19 @@
-"""Dependency-aware sweep scheduling (``repro.sched``).
+"""Sweep scheduling (``repro.sched``).
 
-The subsystem behind ``run_cells``: a record → replay dependency DAG
-(:mod:`~repro.sched.dag`), pluggable executor backends behind one
-registry (:mod:`~repro.sched.executors`), a content-addressed result
-store for crash-resumable sweeps (:mod:`~repro.sched.store`), and the
-dispatch loop tying them together (:mod:`~repro.sched.scheduler`).
+The subsystem behind ``run_cells``: a content-addressed result store for
+crash-resumable sweeps (:mod:`~repro.sched.store`) and the dispatch loop
+that probes it, groups the remaining tasks into benchmark-aligned units
+and runs them inline or on a worker pool (:mod:`~repro.sched.scheduler`).
 """
 
-from repro.sched.dag import (
-    DagNode,
-    SweepDag,
-    SweepPlanMismatchWarning,
-    build_dag,
+from repro.sched.scheduler import (
+    SweepScheduler,
     build_units,
-    describe_mismatch,
-    order_plan,
+    store_outputs_mode,
 )
-from repro.sched.executors import (
-    EXECUTORS,
-    Executor,
-    InlineExecutor,
-    PoolExecutor,
-    executor_names,
-    make_executor,
-    register_executor,
-    resolve_executor_name,
-)
-from repro.sched.scheduler import SweepScheduler, store_outputs_mode
 from repro.sched.store import RESULT_FORMAT_VERSION, ResultStore, result_key
 
 __all__ = [
-    "DagNode", "SweepDag", "SweepPlanMismatchWarning", "build_dag",
-    "build_units", "describe_mismatch", "order_plan",
-    "EXECUTORS", "Executor", "InlineExecutor", "PoolExecutor",
-    "executor_names", "make_executor", "register_executor",
-    "resolve_executor_name",
-    "SweepScheduler", "store_outputs_mode",
+    "SweepScheduler", "build_units", "store_outputs_mode",
     "RESULT_FORMAT_VERSION", "ResultStore", "result_key",
 ]

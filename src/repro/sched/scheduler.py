@@ -1,31 +1,31 @@
-"""Dependency-aware sweep dispatch (``repro.sched.scheduler``).
+"""Benchmark-aligned sweep dispatch (``repro.sched.scheduler``).
 
-:class:`SweepScheduler` replaces ``run_cells``'s flat ``pool.imap`` with
-an explicit plan → probe → dispatch pipeline:
+:class:`SweepScheduler` runs ``run_cells``'s compiled tasks (scalar
+cells and fused batch groups, in plan order) in three steps:
 
 1. **Store probe** — when the session has a content-addressed
    :class:`~repro.sched.store.ResultStore`, every task's cells are probed
    first; a task whose every member already landed (an earlier killed
    sweep of the same config) is *resumed*: its rows are synthesized from
    the store and never dispatched.
-2. **DAG build** — the remaining tasks become a record → replay
-   dependency graph (:func:`~repro.sched.dag.build_dag`), journaled as a
-   ``dag_built`` scheduler event so the trace-record → replay structure
-   of the sweep is observable after the fact.
-3. **Dispatch** — units (:func:`~repro.sched.dag.build_units`) are
-   submitted to a pluggable :class:`~repro.sched.executors.Executor`
-   backend; completions drain through one queue, so any idle worker
-   picks up whatever unit becomes ready next (work-stealing — a replay
-   released by ``mcf_17``'s record node goes to whichever worker is free,
-   not to a pre-assigned chunk).
+2. **Units** — the pending tasks are grouped into dispatch units,
+   journaled as a ``units_built`` scheduler event.  A serial sweep (one
+   job, or at most one pending task) runs one task per unit inline in the
+   calling session.  A pool sweep runs :func:`build_units`: each
+   benchmark's tasks, in plan order, ride one unit, so the unit's first
+   task records the region into that worker's in-memory trace cache and
+   the rest replay it, with no disk round trip and no dependency edges.
+3. **Dispatch** — pool units go to a ``multiprocessing`` pool (fork
+   preferred, spawn fallback) and complete through one queue; a finished
+   unit's rows are written through to the store as soon as it lands.
 
 Rows are **recorded in task order** regardless of completion order: a
-per-node buffer plus a cursor flush the contiguous prefix, which keeps
-journal event sequences — and therefore journal digests — identical to
-the old ordered-``imap`` runner for any job count.
+per-task buffer plus a cursor flush the contiguous prefix, which keeps
+journal event sequences — and therefore journal digests — identical for
+any job count.
 
-This module never imports :mod:`repro.session` (the worker entry point
-is injected), so the scheduler stays importable from workers and tools
+This module never imports :mod:`repro.session` (the task runners are
+injected), so the scheduler stays importable from workers and tools
 without dragging the session machinery in.
 """
 
@@ -34,17 +34,13 @@ from __future__ import annotations
 import os
 import queue
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.sched.dag import DagNode, SweepDag, build_dag, build_units
-from repro.sched.executors import make_executor, resolve_executor_name
 from repro.sched.store import ResultStore, result_key
 from repro.sim.variants import is_predictor_only
 
-#: Scheduler counters published under ``host.scheduler.*`` (satellite:
-#: StatRegistry visibility without touching any scalar payload digest).
-_STAT_FIELDS = ("cells_scheduled", "cells_resumed_from_store",
-                "dag_nodes", "dag_edges", "units", "steals")
+#: Scheduler counters published under ``host.scheduler.*``.
+_STAT_FIELDS = ("cells_scheduled", "cells_resumed_from_store", "units")
 
 
 def store_outputs_mode(outputs: str, variant: str) -> str:
@@ -60,52 +56,80 @@ def store_outputs_mode(outputs: str, variant: str) -> str:
     return "full"
 
 
+def _task_cells(task: Tuple) -> List[Tuple[int, str, str]]:
+    """The ``(cell_index, benchmark, variant)`` members of one task."""
+    benchmark = task[1]
+    if isinstance(task[2], tuple):  # fused batch group
+        return [(index, benchmark, variant) for variant, index in task[2]]
+    return [(task[7]["index"], benchmark, task[2])]
+
+
+def build_units(benchmarks: Sequence[str], pending: Sequence[int],
+                jobs: int) -> List[List[int]]:
+    """Group a pool sweep's pending task positions into dispatch units.
+
+    ``benchmarks[i]`` names task ``i``'s benchmark and ``pending`` lists
+    the positions still to run, in plan order (resumed tasks are left
+    out).  Each benchmark's pending tasks form one unit, split into
+    ``len(group) * jobs // len(pending)`` parts when that is at least
+    two — i.e. only a benchmark holding 2/``jobs`` of the pending tasks
+    splits, so its tail spreads over idle workers.  Units come back
+    ordered by their first position.
+    """
+    groups: Dict[str, List[int]] = {}
+    for position in pending:
+        groups.setdefault(benchmarks[position], []).append(position)
+    units: List[List[int]] = []
+    for group in groups.values():
+        parts = min(len(group), max(1, len(group) * jobs // len(pending)))
+        size = -(-len(group) // parts)
+        units.extend(group[start:start + size]
+                     for start in range(0, len(group), size))
+    units.sort(key=lambda unit: unit[0])
+    return units
+
+
+def _pool_context():
+    """The pool's multiprocessing context: fork where it exists, else spawn."""
+    import multiprocessing
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # platform without fork
+        return multiprocessing.get_context("spawn")
+
+
 class SweepScheduler:
-    """One sweep's plan, dependency graph, and dispatch loop.
+    """One sweep's store probe, dispatch units and dispatch loop.
 
     ``tasks`` is ``run_cells``'s compiled task list (scalar cells and
-    fused batch groups, already plan-ordered); ``worker_fn`` is the
-    picklable unit entry point (``repro.session._run_unit``) that maps a
-    list of tasks to a list of row lists.  ``store=None`` disables both
-    the resume probe and write-through (``cache=False`` sweeps, or no
+    fused batch groups, plan-ordered).  ``run_task`` runs one task in the
+    calling session (the serial path); ``worker_fn`` is the picklable
+    pool entry point (``repro.session._run_unit``) that maps a unit's
+    task list to one row list per task.  ``store=None`` disables both the
+    resume probe and write-through (``cache=False`` sweeps, or no
     ``result_store_dir`` configured).
     """
 
     def __init__(self, tasks: List[tuple], task_config,
                  worker_fn: Callable[[List[tuple]], List[List[dict]]],
-                 inline_fn: Optional[
-                     Callable[[List[tuple]], List[List[dict]]]] = None,
+                 run_task: Callable[[tuple], List[dict]],
                  jobs: int = 1,
-                 chunksize: Optional[int] = None,
-                 executor: Optional[str] = None,
-                 start_method: Optional[str] = None,
                  recorder=None,
                  store: Optional[ResultStore] = None,
-                 outputs: str = "full",
-                 mismatch: Optional[dict] = None):
+                 outputs: str = "full"):
         self.tasks = tasks
         self.task_config = task_config
         self.worker_fn = worker_fn
-        #: Unpicklable shortcut for the inline backend: runs units
-        #: directly against the calling session (the classic serial
-        #: path), instead of re-resolving a session from the config.
-        self.inline_fn = inline_fn
+        self.run_task = run_task
         self.jobs = max(1, jobs)
-        self.chunksize = chunksize
-        self.executor_knob = executor
-        self.start_method = start_method
         self.recorder = recorder
         self.store = store
         self.outputs = outputs
-        self.mismatch = mismatch
         self.fingerprint = task_config.fingerprint()
-        self.dag: Optional[SweepDag] = None
         self.executor_name: Optional[str] = None
-        self.mode: Optional[str] = None
         self.units = 0
         self.cells_scheduled = 0
         self.cells_resumed_from_store = 0
-        self.steals = 0
 
     # -- store integration -------------------------------------------------
 
@@ -115,11 +139,11 @@ class SweepScheduler:
                           self.task_config.warmup,
                           store_outputs_mode(self.outputs, variant))
 
-    def _probe_node(self, node: DagNode,
+    def _probe_task(self, task: Tuple,
                     carry_manifest: bool) -> Optional[List[dict]]:
-        """Synthesized rows for a fully-landed node, else None.
+        """Synthesized rows for a fully-landed task, else None.
 
-        A batch node resumes only when *every* member landed — the fused
+        A batch task resumes only when *every* member landed — the fused
         replay is all-or-nothing, and a partial group re-executes whole
         (its already-landed members are simply re-stored as no-op puts).
         The first synthesized row of a journaled sweep carries the
@@ -127,7 +151,7 @@ class SweepScheduler:
         vouch for the stream these rows land on.
         """
         records = []
-        for index, benchmark, variant in node.cells:
+        for index, benchmark, variant in _task_cells(task):
             record = self.store.get(self._cell_key(benchmark, variant))
             if record is None:
                 return None
@@ -179,47 +203,42 @@ class SweepScheduler:
 
     def run(self) -> List[dict]:
         """Execute the sweep; rows come back in task (plan) order."""
-        dag = self.dag = build_dag(self.tasks)
-        node_rows: Dict[int, List[dict]] = {}
+        tasks = self.tasks
+        task_rows: Dict[int, List[dict]] = {}
         resumed_cells: List[int] = []
         if self.store is not None:
-            for node in dag.nodes:
-                rows = self._probe_node(
-                    node, carry_manifest=not resumed_cells)
+            for position, task in enumerate(tasks):
+                rows = self._probe_task(
+                    task, carry_manifest=not resumed_cells)
                 if rows is not None:
-                    node_rows[node.id] = rows
+                    task_rows[position] = rows
                     resumed_cells.extend(
-                        index for index, _, _ in node.cells)
-        pending = [node for node in dag.nodes if node.id not in node_rows]
+                        index for index, _, _ in _task_cells(task))
+        pending = [position for position in range(len(tasks))
+                   if position not in task_rows]
         self.cells_resumed_from_store = len(resumed_cells)
-        self.cells_scheduled = sum(len(node.cells) for node in pending)
-        self.executor_name = resolve_executor_name(
-            self.executor_knob, self.jobs, len(pending))
-        if self.executor_name == "inline":
-            # dependency edges are trivially satisfied by plan order
-            self.mode = "serial"
-        elif self.task_config.trace_cache_dir is not None:
-            # a shared disk trace store makes record → replay edges
-            # enforceable across processes
-            self.mode = "dag"
+        self.cells_scheduled = sum(len(_task_cells(tasks[position]))
+                                   for position in pending)
+        serial = self.jobs == 1 or len(pending) <= 1
+        context = None
+        if serial:
+            self.executor_name = "inline"
+            units = [[position] for position in pending]
         else:
-            self.mode = "chunked"
-        units, unit_deps = build_units(dag, pending, self.mode,
-                                       self.jobs, self.chunksize)
+            self.executor_name = "pool"
+            units = build_units([task[1] for task in tasks], pending,
+                                self.jobs)
+            context = _pool_context()
         self.units = len(units)
 
         if self.recorder is not None:
             self.recorder.executor = self.executor_name
+            if context is not None:
+                self.recorder.start_method = context.get_start_method()
             self.recorder.start()
-            if self.mismatch is not None:
-                self.recorder.record_event("plan_mismatch",
-                                           **self.mismatch)
             self.recorder.record_event(
-                "dag_built",
-                nodes=len(dag.nodes),
-                edges=[list(edge) for edge in dag.edge_cells],
+                "units_built",
                 units=len(units),
-                mode=self.mode,
                 executor=self.executor_name,
                 jobs=self.jobs,
                 resumed_cells=sorted(resumed_cells))
@@ -228,99 +247,55 @@ class SweepScheduler:
         cursor = 0
 
         def flush() -> None:
-            # record/return strictly by node (= plan) position: identical
-            # journal sequences to the old ordered imap for any job count
+            # record/return strictly by plan position: identical journal
+            # sequences for any job count
             nonlocal cursor
-            while cursor < len(dag.nodes) and cursor in node_rows:
-                for row in node_rows[cursor]:
+            while cursor < len(tasks) and cursor in task_rows:
+                for row in task_rows[cursor]:
                     if self.recorder is not None:
                         self.recorder.record_row(row)
                     rows_out.append(row)
                 cursor += 1
 
-        flush()  # leading resumed nodes stream immediately
-        if not units:
+        def land(position: int, rows: List[dict]) -> None:
+            task_rows[position] = rows
+            self._store_rows(rows)
+            flush()
+
+        flush()  # leading resumed tasks stream immediately
+        if serial:
+            for (position,) in units:
+                land(position, self.run_task(tasks[position]))
             return rows_out
 
-        unit_tasks = [[dag.nodes[node_id].task for node_id in unit]
-                      for unit in units]
-        unit_fn = self.inline_fn \
-            if self.executor_name == "inline" and self.inline_fn \
-            else self.worker_fn
-        indegree = {unit_id: len(deps)
-                    for unit_id, deps in unit_deps.items()}
-        dependents: Dict[int, List[int]] = {}
-        for unit_id, deps in unit_deps.items():
-            for dep in deps:
-                dependents.setdefault(dep, []).append(unit_id)
-        ready = [unit_id for unit_id in range(len(units))
-                 if indegree.get(unit_id, 0) == 0]
-        done_queue: "queue.SimpleQueue" = queue.SimpleQueue()
-
-        def done(unit_id: int, outcome) -> None:
-            done_queue.put((unit_id, outcome))
-
-        executor = make_executor(self.executor_name,
-                                 min(self.jobs, len(units)),
-                                 self.start_method)
-        node_pid: Dict[int, Optional[int]] = {}
-        inflight = 0
-        completed = 0
+        done: "queue.SimpleQueue" = queue.SimpleQueue()
+        pool = context.Pool(processes=min(self.jobs, len(units)))
         try:
-            executor.start()
-            limit = executor.max_inflight
-            while completed < len(units):
-                while ready and (limit is None or inflight < limit):
-                    unit_id = ready.pop(0)
-                    inflight += 1
-                    executor.submit(unit_id, unit_fn,
-                                    unit_tasks[unit_id], done)
-                unit_id, outcome = done_queue.get()
-                inflight -= 1
-                completed += 1
+            for unit in units:
+                pool.apply_async(
+                    self.worker_fn, ([tasks[position] for position in unit],),
+                    callback=lambda rows, unit=unit: done.put((unit, rows)),
+                    error_callback=done.put)
+            for _ in units:
+                outcome = done.get()
                 if isinstance(outcome, BaseException):
                     # infrastructure failure (cell errors come back as
                     # structured rows, never exceptions): abort the sweep
                     raise outcome
-                for node_id, rows in zip(units[unit_id], outcome):
-                    node_rows[node_id] = rows
-                    pid = (rows[0].get("worker") or {}).get("pid") \
-                        if rows else None
-                    node_pid[node_id] = pid
-                    node = dag.nodes[node_id]
-                    if self.mode == "dag" and node.deps:
-                        root_pid = node_pid.get(node.deps[0])
-                        if None not in (pid, root_pid) \
-                                and pid != root_pid:
-                            # the replay was stolen by a worker other
-                            # than its benchmark's recorder — the trace
-                            # reached it through the disk spill
-                            self.steals += 1
-                    self._store_rows(rows)
-                flush()
-                for dependent in dependents.get(unit_id, ()):
-                    indegree[dependent] -= 1
-                    if indegree[dependent] == 0:
-                        ready.append(dependent)
-                ready.sort()
+                unit, unit_rows = outcome
+                for position, rows in zip(unit, unit_rows):
+                    land(position, rows)
         finally:
-            executor.close()
+            pool.terminate()
+            pool.join()
         return rows_out
 
     # -- stats -------------------------------------------------------------
 
     def stats(self) -> dict:
         """Scheduling facts for reports and ``Session.last_sweep``."""
-        info = {
-            "executor": self.executor_name,
-            "mode": self.mode,
-            "cells_scheduled": self.cells_scheduled,
-            "cells_resumed_from_store": self.cells_resumed_from_store,
-            "dag_nodes": len(self.dag.nodes) if self.dag else 0,
-            "dag_edges": len(self.dag.edges) if self.dag else 0,
-            "units": self.units,
-            "steals": self.steals,
-        }
+        info = {name: getattr(self, name) for name in _STAT_FIELDS}
+        info["executor"] = self.executor_name
         if self.store is not None:
             info["store"] = self.store.stats()
         return info
@@ -333,11 +308,9 @@ class SweepScheduler:
         """
         if self.executor_name is None:
             return  # run() never happened; nothing to report
-        stats = self.stats()
         scope = registry.scope("host").scope("scheduler")
         for name in _STAT_FIELDS:
-            scope.counter(name).set(stats[name])
+            scope.counter(name).set(getattr(self, name))
         scope.scope("executor").counter(self.executor_name).set(1)
-        scope.scope("mode").counter(self.mode).set(1)
         if self.store is not None:
             self.store.register_into(scope.scope("store"))

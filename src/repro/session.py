@@ -30,19 +30,12 @@ import os
 import time
 import traceback as _traceback
 import uuid
-import warnings as _warnings
 from collections import OrderedDict
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
     Tuple
 
 from repro.config import RunConfig, current_config, resolve_jobs
-from repro.sched import (
-    ResultStore,
-    SweepPlanMismatchWarning,
-    SweepScheduler,
-    describe_mismatch,
-    order_plan,
-)
+from repro.sched import ResultStore, SweepScheduler
 from repro.sim.predictor_replay import replay_mpki, replay_mpki_batch
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import simulate
@@ -86,7 +79,7 @@ class Session:
             ResultStore(config.result_store_dir) \
             if config.result_store_dir else None
         #: Scheduling facts of the most recent ``run_cells`` sweep
-        #: (executor, mode, resumed/scheduled cell counts, steals).
+        #: (executor, units, resumed/scheduled cell counts).
         self.last_sweep: Optional[dict] = None
         self._last_scheduler: Optional[SweepScheduler] = None
 
@@ -342,23 +335,18 @@ class Session:
                   warmup: Optional[int] = None,
                   jobs: Optional[int] = None,
                   cache: bool = True,
-                  chunksize: Optional[int] = None,
                   outputs: str = "full",
                   merge: bool = False,
                   journal: Optional[str] = None,
-                  progress: Optional[Callable[[dict], None]] = None,
-                  start_method: Optional[str] = None,
-                  order_from: Optional[str] = None,
-                  executor: Optional[str] = None) -> List[dict]:
+                  progress: Optional[Callable[[dict], None]] = None
+                  ) -> List[dict]:
         """Run many ``(benchmark, variant)`` cells, optionally in parallel.
 
         Returns one dict per cell — ``{"benchmark", "variant", "payload",
         "registry_state", "trace_cache_hit", ...}`` with ``payload =
         SimulationResult.to_dict()`` — in the *input* order regardless of
         worker scheduling, so output is deterministic for any job count.
-        ``jobs`` defaults to the session config (explicit argument wins);
-        pass cells benchmark-major and ``chunksize`` equal to the variant
-        count so each worker keeps per-benchmark trace-cache locality.
+        ``jobs`` defaults to the session config (explicit argument wins).
         ``merge=True`` additionally folds every cell's registry into
         :attr:`registry`.
 
@@ -367,26 +355,17 @@ class Session:
         message, traceback) with ``payload=None``, and the remaining
         cells still run.  ``journal=PATH`` records the sweep as an
         append-only ``repro-journal-v1`` event stream (see
-        :mod:`repro.observe.journal`) — rows are consumed through an
-        ordered ``imap`` so events land as cells finish, not at the
-        barrier; ``progress`` is called with a live snapshot dict after
-        every row.  ``start_method`` (or ``REPRO_MP_START``) forces the
-        multiprocessing start method; the default prefers ``fork`` and
-        falls back to ``spawn``.
+        :mod:`repro.observe.journal`) — rows are journaled in plan order
+        as cells finish, not at the barrier; ``progress`` is called with
+        a live snapshot dict after every row.
 
-        ``order_from=PATH`` names a prior sweep's journal: cells are
-        *executed* longest-wall-first (cells the journal has no timing
-        for go first), which trims the parallel tail when cell costs
-        are skewed — returned rows stay in input order regardless.  An
-        unreadable or non-journal file silently falls back to plan
-        order; a journal whose recorded plan names *different cells*
-        raises a :class:`~repro.sched.SweepPlanMismatchWarning` (and
-        journals a ``plan_mismatch`` event) listing the unmatched cells.
-
-        Execution is compiled through :class:`~repro.sched.SweepScheduler`:
-        a record → replay dependency DAG dispatched over the executor
-        backend named by ``executor`` (argument > config ``executor``
-        knob; ``auto`` keeps the classic inline/pool split).  When the
+        Execution goes through :class:`~repro.sched.SweepScheduler`.
+        With one job, or at most one task to run, tasks run inline in
+        this session one at a time.  Otherwise each benchmark's tasks
+        ride one dispatch unit on a worker pool (fork preferred, spawn
+        fallback), so a worker emulates the region once and replays it
+        for the benchmark's other cells; only a benchmark holding a
+        large share of the matrix splits over several workers.  When the
         session has a :attr:`result_store` and ``cache=True``, every
         landed cell is written through to the store and cells that
         already landed there — e.g. from a sweep killed partway — are
@@ -405,12 +384,8 @@ class Session:
         instructions = instructions or self.config.instructions
         warmup = warmup if warmup is not None else self.config.warmup
         jobs = max(1, jobs) if jobs is not None else self.config.jobs
-        executor = executor if executor is not None \
-            else self.config.executor
         task_config = self.config.replace(
             instructions=instructions, warmup=warmup)
-        if start_method is None:
-            start_method = os.environ.get("REPRO_MP_START") or None
 
         recorder = None
         profile_mode = None
@@ -421,9 +396,9 @@ class Session:
             jobs_effective = min(jobs, len(cells)) if cells else jobs
             recorder = SweepRecorder(
                 journal, config=task_config, cells=cells,
-                jobs=jobs_effective, chunksize=chunksize, outputs=outputs,
+                jobs=jobs_effective, outputs=outputs,
                 sweep_id=uuid.uuid4().hex, profile=profile_mode,
-                start_method=start_method, progress=progress)
+                progress=progress)
         meta = {
             "sweep_id": recorder.sweep_id if recorder else None,
             # worker manifests are only worth a git subprocess when a
@@ -432,19 +407,11 @@ class Session:
             "profile": recorder.profile if recorder else None,
             "profile_dir": recorder.profile_dir if recorder else None,
         }
-        plan = list(enumerate(cells))
-        mismatch = None
-        if order_from is not None:
-            plan, mismatch = order_plan(plan, order_from)
-            if mismatch is not None:
-                _warnings.warn(
-                    SweepPlanMismatchWarning(describe_mismatch(mismatch)),
-                    stacklevel=2)
         batching = (outputs == "mpki" and len(cells) > 1
                     and profile_mode is None)
         groups: Dict[str, List[Tuple[str, int]]] = {}
         if batching:
-            for index, (benchmark, variant) in plan:
+            for index, (benchmark, variant) in enumerate(cells):
                 if is_predictor_only(variant):
                     groups.setdefault(benchmark, []).append(
                         (variant, index))
@@ -453,7 +420,7 @@ class Session:
                       if len(members) >= 2}
         tasks: List[Tuple] = []
         emitted: set = set()
-        for index, (benchmark, variant) in plan:
+        for index, (benchmark, variant) in enumerate(cells):
             members = groups.get(benchmark)
             if members is None or not is_predictor_only(variant):
                 tasks.append((task_config, benchmark, variant,
@@ -468,12 +435,10 @@ class Session:
                               {**meta, "index": members[0][1]}))
         scheduler = SweepScheduler(
             tasks, task_config, _run_unit,
-            inline_fn=lambda unit: [_run_task_in(self, task)
-                                    for task in unit],
-            jobs=jobs, chunksize=chunksize, executor=executor,
-            start_method=start_method, recorder=recorder,
+            lambda task: _run_task_in(self, task),
+            jobs=jobs, recorder=recorder,
             store=self.result_store if cache else None,
-            outputs=outputs, mismatch=mismatch)
+            outputs=outputs)
         try:
             # publish this session so fork workers find it warm (and
             # spawn workers rebuild an equivalent one from the pickled
@@ -496,8 +461,8 @@ class Session:
                 recorder.finish()
         self.last_sweep = scheduler.stats()
         self._last_scheduler = scheduler
-        # reordering (order_from) and batch grouping both run cells out
-        # of plan sequence; the return contract is input order
+        # batch grouping runs cells out of plan sequence; the return
+        # contract is input order
         rows.sort(key=lambda row: row["index"])
         if merge:
             merged = merged_registry(rows)
@@ -514,9 +479,7 @@ class Session:
                    outputs: str = "full",
                    merged: bool = False,
                    journal: Optional[str] = None,
-                   progress: Optional[Callable[[dict], None]] = None,
-                   order_from: Optional[str] = None,
-                   executor: Optional[str] = None):
+                   progress: Optional[Callable[[dict], None]] = None):
         """Run a variant × benchmark matrix; returns nested payload dicts.
 
         ``result[benchmark][variant]`` is the cell's
@@ -524,9 +487,10 @@ class Session:
         ``{"error": {...}}`` for a cell whose worker raised; error rows
         are skipped when merging registries, so one bad cell degrades
         exactly one matrix entry instead of aborting the sweep.  Cells
-        are laid out benchmark-major and chunked one benchmark per
-        worker dispatch.  ``merged=True`` additionally returns the
-        cross-cell :func:`merged_registry` as ``(matrix, registry)``.
+        are laid out benchmark-major; a pool sweep runs each benchmark's
+        cells in one worker dispatch unit.  ``merged=True`` additionally
+        returns the cross-cell :func:`merged_registry` as
+        ``(matrix, registry)``.
         """
         variant_list = (list(variants) if variants is not None
                         else variant_names())
@@ -537,10 +501,8 @@ class Session:
                  for variant in variant_list]
         rows = self.run_cells(cells, instructions=instructions,
                               warmup=warmup, jobs=jobs, cache=cache,
-                              chunksize=max(1, len(variant_list)),
                               outputs=outputs, journal=journal,
-                              progress=progress, order_from=order_from,
-                              executor=executor)
+                              progress=progress)
         matrix: Dict[str, Dict[str, dict]] = {name: {}
                                               for name in benchmark_list}
         for row in rows:
@@ -810,9 +772,10 @@ def _run_unit(unit: List[Tuple]) -> List[List[dict]]:
     :func:`_session_for_config` gives spawn-start workers the exact
     parent configuration and fork-start workers their inherited warm
     session.  Returns one row list per task so the scheduler can map
-    results back to DAG nodes.  All tasks of a unit share one resolved
-    session — units are built benchmark-aligned exactly so this keeps
-    trace-cache locality inside a worker dispatch.
+    results back to plan positions.  All tasks of a unit share one
+    resolved session, and a unit holds one benchmark's tasks, so its
+    first task records the region into this worker's trace cache and the
+    rest replay it.
     """
     session = _session_for_config(unit[0][0])
     return [_run_task_in(session, task) for task in unit]

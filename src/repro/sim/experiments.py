@@ -64,19 +64,13 @@ def run_cells(cells: Sequence[Tuple[str, str]],
               warmup: Optional[int] = None,
               jobs: Optional[int] = None,
               cache: bool = True,
-              chunksize: Optional[int] = None,
               outputs: str = "full",
               journal: Optional[str] = None,
-              progress=None,
-              start_method: Optional[str] = None,
-              order_from: Optional[str] = None,
-              executor: Optional[str] = None) -> List[dict]:
+              progress=None) -> List[dict]:
     """Run cells in the default session (see :meth:`Session.run_cells`)."""
     return default_session().run_cells(
         cells, instructions=instructions, warmup=warmup, jobs=jobs,
-        cache=cache, chunksize=chunksize, outputs=outputs,
-        journal=journal, progress=progress, start_method=start_method,
-        order_from=order_from, executor=executor)
+        cache=cache, outputs=outputs, journal=journal, progress=progress)
 
 
 def run_matrix(variants: Optional[Iterable[str]] = None,
@@ -86,14 +80,12 @@ def run_matrix(variants: Optional[Iterable[str]] = None,
                jobs: Optional[int] = None,
                cache: bool = True,
                outputs: str = "full",
-               merged: bool = False,
-               order_from: Optional[str] = None,
-               executor: Optional[str] = None):
+               merged: bool = False):
     """Run a matrix in the default session (see :meth:`Session.run_matrix`)."""
     return default_session().run_matrix(
         variants=variants, benchmarks=benchmarks, instructions=instructions,
         warmup=warmup, jobs=jobs, cache=cache, outputs=outputs,
-        merged=merged, order_from=order_from, executor=executor)
+        merged=merged)
 
 
 def simulate(benchmark, **kwargs) -> SimulationResult:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.config import env_int
 from repro.session import Session, default_session
 from repro.sim.results import arithmetic_mean, mpki_improvement
 
@@ -32,11 +31,8 @@ SWEEPS: Dict[str, List] = {
 }
 
 #: Shorter regions for the many sweep simulations (paper footnote 16).
-#: The environment variables below override them, read on every call.
 SWEEP_INSTRUCTIONS = 6000
 SWEEP_WARMUP = 4000
-SWEEP_INSTRUCTIONS_ENV = "REPRO_SWEEP_INSTRUCTIONS"
-SWEEP_WARMUP_ENV = "REPRO_SWEEP_WARMUP"
 
 
 def sweep_parameter(parameter: str, benchmarks: Sequence[str],
@@ -59,8 +55,6 @@ def sweep_parameter(parameter: str, benchmarks: Sequence[str],
     """
     session = session if session is not None else default_session()
     values = values if values is not None else SWEEPS[parameter]
-    instructions = env_int(SWEEP_INSTRUCTIONS_ENV, SWEEP_INSTRUCTIONS)
-    warmup = env_int(SWEEP_WARMUP_ENV, SWEEP_WARMUP)
     recorder = None
     if journal is not None or progress is not None:
         from repro.observe.journal import SweepRecorder
@@ -70,7 +64,7 @@ def sweep_parameter(parameter: str, benchmarks: Sequence[str],
         recorder = SweepRecorder(
             journal,
             config=session.config.replace(
-                instructions=instructions, warmup=warmup),
+                instructions=SWEEP_INSTRUCTIONS, warmup=SWEEP_WARMUP),
             cells=plan, jobs=1, outputs="full", executor="inline",
             progress=progress)
         recorder.start()
@@ -82,8 +76,8 @@ def sweep_parameter(parameter: str, benchmarks: Sequence[str],
             reference[name] = run_recorded(
                 recorder, index, name, "mini",
                 lambda name=name: session.run(
-                    name, "mini", instructions=instructions,
-                    warmup=warmup, merge=True))
+                    name, "mini", instructions=SWEEP_INSTRUCTIONS,
+                    warmup=SWEEP_WARMUP, merge=True))
             index += 1
         series: Dict[object, float] = {}
         for value in values:
@@ -99,8 +93,8 @@ def sweep_parameter(parameter: str, benchmarks: Sequence[str],
                     recorder, index, name,
                     f"mini[{parameter}={value}]",
                     lambda name=name, overrides=overrides: session.run(
-                        name, "mini", instructions=instructions,
-                        warmup=warmup, br_overrides=overrides,
+                        name, "mini", instructions=SWEEP_INSTRUCTIONS,
+                        warmup=SWEEP_WARMUP, br_overrides=overrides,
                         merge=True))
                 index += 1
                 improvements.append(

@@ -20,14 +20,18 @@ its own replica as it yields, so any consumer reading
 replayed runs.  ``tests/test_trace_cache.py`` pins this invariant by
 comparing full ``SimulationResult.to_dict()`` payloads.
 
-The cache is LRU-bounded (``REPRO_TRACE_CACHE`` entries, default 32) and
-keyed by program *identity*: entries hold a strong reference to their
+The cache is LRU-bounded (``capacity`` regions, default 32) and keyed by
+program *identity*: entries hold a strong reference to their
 program, which both keeps ``id(program)`` valid and means a rebuilt Program
 object (whose uops were re-placed) can never alias a stale entry.
 
-**Disk persistence.**  With ``REPRO_TRACE_CACHE_DIR`` set (or ``disk_dir``
-passed), entries additionally spill to disk so spawn-start multiprocessing
-workers and repeat CLI invocations start warm.  Identity keys do not
+**Disk persistence.**  With a ``disk_dir``, entries additionally spill to
+disk so spawn-start multiprocessing workers and repeat CLI invocations
+start warm.  The cache itself reads no environment: a session passes its
+``RunConfig.trace_cache_size``/``trace_cache_dir``, which
+:func:`~repro.config.resolve_config` layers from ``REPRO_TRACE_CACHE``/
+``REPRO_TRACE_CACHE_DIR``, so only sessions built from the resolved config
+(``default_session()``, the CLI) follow those variables.  Identity keys do not
 survive a process boundary, so on-disk entries are keyed by a *content*
 fingerprint: the sha256 over the program's name, every static uop's
 architectural fields, and the initial memory image (memoized per Program
@@ -63,7 +67,6 @@ import pickle
 from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.config import env_int, env_str
 from repro.emulator.machine import Machine
 from repro.emulator.memory import Memory
 from repro.emulator.shadow import WalkPrefix
@@ -81,8 +84,9 @@ from repro.sim.branch_events import (
     write_columns,
 )
 
-#: Default LRU capacity (regions, not uops) when ``REPRO_TRACE_CACHE`` is
-#: unset.  A full benchmark suite sweep touches one region per benchmark.
+#: Default LRU capacity (regions, not uops), matching
+#: ``RunConfig.trace_cache_size``.  A full benchmark suite sweep touches
+#: one region per benchmark.
 DEFAULT_CAPACITY = 32
 
 #: On-disk format version; bumped whenever the payload layout changes.
@@ -274,17 +278,15 @@ class TraceCache:
 
     Thread-compatible but not thread-safe; in the parallel experiment
     runner each worker process owns its own instance (a fork inherits the
-    parent's warm entries for free).
+    parent's warm entries for free).  ``capacity`` and ``disk_dir`` are
+    taken as given — ``disk_dir=None`` means memory only, whatever the
+    environment says.
     """
 
-    def __init__(self, capacity: Optional[int] = None,
+    def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  disk_dir: Optional[str] = None):
-        if capacity is None:
-            capacity = env_int("REPRO_TRACE_CACHE", DEFAULT_CAPACITY)
         if capacity < 1:
             raise ValueError("trace cache capacity must be positive")
-        if disk_dir is None:
-            disk_dir = env_str("REPRO_TRACE_CACHE_DIR", None)
         self.capacity = capacity
         self.disk_dir = disk_dir
         self._entries: "OrderedDict[Tuple[int, int, int], TraceEntry]" = \

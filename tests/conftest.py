@@ -12,11 +12,9 @@ through ``monkeypatch.setenv`` on top of it.
 import pytest
 
 from repro.config import CONFIG_FILE_ENV, ENV_VARS
-from repro.sim.sweeps import SWEEP_INSTRUCTIONS_ENV, SWEEP_WARMUP_ENV
 
 
 @pytest.fixture(autouse=True)
 def _clean_repro_env(monkeypatch):
-    for var in (*ENV_VARS.values(), CONFIG_FILE_ENV,
-                SWEEP_INSTRUCTIONS_ENV, SWEEP_WARMUP_ENV):
+    for var in (*ENV_VARS.values(), CONFIG_FILE_ENV):
         monkeypatch.delenv(var, raising=False)

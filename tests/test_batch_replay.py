@@ -436,30 +436,6 @@ class TestSessionBatching:
         assert journal["complete"]
 
 
-class TestOrderFrom:
-    CELLS = [("sjeng_06", "bimodal"), ("mcf_17", "bimodal"),
-             ("sjeng_06", "gshare")]
-
-    def test_rows_stay_in_input_order(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        baseline = session().run_cells(self.CELLS, outputs="mpki",
-                                       journal=path)
-        reordered = session().run_cells(self.CELLS, outputs="mpki",
-                                        order_from=path)
-        assert [(row["benchmark"], row["variant"]) for row in reordered] \
-            == [(row["benchmark"], row["variant"]) for row in baseline] \
-            == list(self.CELLS)
-
-    def test_unreadable_journal_falls_back_to_plan_order(self, tmp_path):
-        garbage = tmp_path / "garbage.jsonl"
-        garbage.write_text("not a journal\n")
-        for path in (str(garbage), str(tmp_path / "missing.jsonl")):
-            rows = session().run_cells(self.CELLS, outputs="mpki",
-                                       order_from=path)
-            assert [(row["benchmark"], row["variant"]) for row in rows] \
-                == list(self.CELLS)
-
-
 class TestComparePredictorsCli:
     def test_sweep_table_and_json(self, capsys):
         args = ["compare", "sjeng_06", "--predictors", "bimodal", "gshare",

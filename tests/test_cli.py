@@ -31,8 +31,7 @@ class TestConfigCommand:
             "instructions": "env", "warmup": "file", "jobs": "flag",
             "result_cache_size": "default", "trace_cache_size": "default",
             "trace_cache_dir": "default", "variant": "default",
-            "batch_min_lanes": "default", "executor": "default",
-            "result_store_dir": "default"}
+            "batch_min_lanes": "default", "result_store_dir": "default"}
         assert document["config_file"] == str(path)
 
     def test_config_file_env_var(self, tmp_path, monkeypatch, capsys):
@@ -51,7 +50,6 @@ class TestListCommand:
         ("predictors", "tage64"),
         ("configs", "mini"),
         ("variants", "mtage+big"),
-        ("executors", "pool"),
     ])
     def test_kinds(self, kind, expected, capsys):
         assert cli_main(["list", "--kind", kind]) == 0
@@ -72,7 +70,7 @@ class TestListCommand:
         assert cli_main(["list", "--kind", "all"]) == 0
         out = capsys.readouterr().out
         for section in ("[benchmarks]", "[predictors]", "[configs]",
-                        "[variants]", "[executors]"):
+                        "[variants]"):
             assert section in out
 
 

@@ -9,8 +9,6 @@ from repro.config import (
     ENV_VARS,
     RunConfig,
     current_config,
-    env_int,
-    env_str,
     resolve_config,
     resolve_jobs,
 )
@@ -181,15 +179,3 @@ class TestEnvReadAtResolutionTime:
         # same session object (caches survive), new config
         assert second is first
         assert second.config.instructions == 2222
-
-
-class TestEnvHelpers:
-    def test_env_int(self):
-        assert env_int("X", 9, environ={}) == 9
-        assert env_int("X", 9, environ={"X": ""}) == 9
-        assert env_int("X", 9, environ={"X": "4"}) == 4
-
-    def test_env_str(self):
-        assert env_str("X", environ={}) is None
-        assert env_str("X", "d", environ={"X": ""}) == "d"
-        assert env_str("X", environ={"X": "/p"}) == "/p"

@@ -41,8 +41,7 @@ class TestRunCells:
     def test_parallel_equals_serial(self):
         serial = experiments.run_cells(self.CELLS, jobs=1, **REGION)
         experiments.clear_caches()
-        parallel = experiments.run_cells(self.CELLS, jobs=2, chunksize=2,
-                                         **REGION)
+        parallel = experiments.run_cells(self.CELLS, jobs=2, **REGION)
         assert [(r["benchmark"], r["variant"]) for r in parallel] == \
             self.CELLS
         for left, right in zip(serial, parallel):

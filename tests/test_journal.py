@@ -73,10 +73,8 @@ class TestJournalRoundtrip:
     def test_parallel_journal_is_deterministically_merged(self, tmp_path):
         serial_path = tmp_path / "serial.jsonl"
         parallel_path = tmp_path / "parallel.jsonl"
-        quick_session().run_cells(CELLS, jobs=1, chunksize=2,
-                                  journal=str(serial_path))
-        quick_session().run_cells(CELLS, jobs=2, chunksize=2,
-                                  journal=str(parallel_path))
+        quick_session().run_cells(CELLS, jobs=1, journal=str(serial_path))
+        quick_session().run_cells(CELLS, jobs=2, journal=str(parallel_path))
 
         def cell_facts(path):
             return [(e["index"], e["benchmark"], e["variant"],
@@ -94,8 +92,7 @@ class TestJournalRoundtrip:
 
     def test_worker_streams_have_contiguous_seq(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
-        quick_session().run_cells(CELLS, jobs=2, chunksize=2,
-                                  journal=str(path))
+        quick_session().run_cells(CELLS, jobs=2, journal=str(path))
         streams = {}
         for event in events_of(path):
             streams.setdefault(event["stream"], []).append(event["seq"])
@@ -104,8 +101,7 @@ class TestJournalRoundtrip:
 
     def test_worker_manifests_recorded_per_worker(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
-        quick_session().run_cells(CELLS, jobs=2, chunksize=2,
-                                  journal=str(path))
+        quick_session().run_cells(CELLS, jobs=2, journal=str(path))
         started = [event for event in events_of(path)
                    if event["event"] == "worker_started"]
         assert len(started) == 2
@@ -113,18 +109,22 @@ class TestJournalRoundtrip:
             assert event["manifest"]["config"]["instructions"] == 800
             assert event["manifest_fingerprint"]
 
-    @pytest.mark.parametrize("how", ["argument", "environment"])
-    def test_spawn_context_journal(self, tmp_path, monkeypatch, how):
+    def test_spawn_fallback_journal(self, tmp_path, monkeypatch):
+        import multiprocessing
+        get_context = multiprocessing.get_context
+
+        def without_fork(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", without_fork)
         path = tmp_path / "sweep.jsonl"
         cells = CELLS[:2]
-        kwargs = {}
-        if how == "argument":
-            kwargs["start_method"] = "spawn"
-        else:
-            monkeypatch.setenv("REPRO_MP_START", "spawn")
-        rows = quick_session().run_cells(cells, jobs=2, journal=str(path),
-                                         **kwargs)
-        assert all(row["ok"] for row in rows)
+        rows = quick_session().run_cells(cells, jobs=2, journal=str(path))
+        serial = quick_session().run_cells(cells, jobs=1)
+        assert [payload_digest(row["payload"]) for row in rows] == \
+            [payload_digest(row["payload"]) for row in serial]
         journal = read_journal(str(path))
         assert journal["complete"]
         assert journal["events"][0]["start_method"] == "spawn"

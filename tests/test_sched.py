@@ -1,11 +1,11 @@
-"""Tests for the dependency-aware sweep scheduler (``repro.sched``).
+"""Tests for the sweep scheduler (``repro.sched``).
 
-Covers the DAG build (record → replay edges), dispatch-unit construction
-per executor mode, the pluggable executor registry, store-backed sweep
+Covers benchmark-aligned dispatch units, pool sweeps matching serial ones
+(with replays on their benchmark's recording worker), store-backed sweep
 resume (only cells with no landed result execute; merged rows and
 registries stay bit-identical to an uninterrupted run), the
-``host.scheduler.*`` stat surface, the ``order_from`` plan-mismatch
-warning, and the ``repro sweep report`` / ``resume`` exit-code contract.
+``host.scheduler.*`` stat surface, and the ``repro sweep report`` /
+``resume`` exit-code contract.
 """
 
 import json
@@ -21,18 +21,9 @@ from repro import config as repro_config
 from repro.cli import main as cli_main
 from repro.config import RunConfig
 from repro.observe.journal import read_journal
-from repro.observe.sweep_report import (
-    build_sweep_report,
-    format_sweep_report,
-)
-from repro.registry import UnknownComponentError
 from repro.sched import (
     ResultStore,
-    SweepPlanMismatchWarning,
-    build_dag,
     build_units,
-    executor_names,
-    resolve_executor_name,
     result_key,
     store_outputs_mode,
 )
@@ -51,179 +42,74 @@ def session(**overrides):
         **overrides))
 
 
-def scalar_task(index, benchmark, variant):
-    """A task tuple in the shape ``run_cells`` compiles (scalar cell)."""
-    return (None, benchmark, variant, 800, 400, True, "full",
-            {"index": index})
-
-
-def batch_task(index_map, benchmark):
-    """A fused batch-group task: ``(variant, index)`` member tuples."""
-    members = tuple(index_map)
-    return (None, benchmark, members, 800, 400, True, "mpki",
-            {"index": members[0][1]})
-
-
 def host_stripped(registry):
     return {name: value
             for name, value in registry.to_flat_dict().items()
             if not name.startswith("host.")}
 
 
-class TestExecutorRegistry:
-    def test_builtin_backends_registered(self):
-        assert executor_names()[:1] == ["auto"]
-        assert {"inline", "pool"} <= set(executor_names())
-
-    def test_auto_keeps_classic_split(self):
-        assert resolve_executor_name("auto", 1, 10) == "inline"
-        assert resolve_executor_name("auto", 4, 1) == "inline"
-        assert resolve_executor_name(None, 4, 10) == "pool"
-        assert resolve_executor_name("", 4, 10) == "pool"
-
-    def test_explicit_name_wins_over_auto_rules(self):
-        assert resolve_executor_name("inline", 8, 100) == "inline"
-        assert resolve_executor_name("pool", 1, 1) == "pool"
-
-    def test_unknown_backend_raises_with_suggestions(self):
-        with pytest.raises(UnknownComponentError, match="pool"):
-            resolve_executor_name("pol", 2, 10)
-
-
-class TestBuildDag:
-    def test_first_task_per_benchmark_is_record_root(self):
-        tasks = [scalar_task(0, "sjeng_06", "bimodal"),
-                 scalar_task(1, "sjeng_06", "gshare"),
-                 scalar_task(2, "mcf_06", "bimodal"),
-                 scalar_task(3, "mcf_06", "gshare")]
-        dag = build_dag(tasks)
-        assert [node.kind for node in dag.nodes] == \
-            ["record", "replay", "record", "replay"]
-        assert dag.edges == [(0, 1), (2, 3)]
-        assert dag.edge_cells == [(0, 1), (2, 3)]
-
-    def test_edges_follow_plan_order_not_input_order(self):
-        # after an order_from reorder the *first scheduled* task records
-        tasks = [scalar_task(3, "mcf_06", "gshare"),
-                 scalar_task(2, "mcf_06", "bimodal")]
-        dag = build_dag(tasks)
-        assert dag.nodes[0].kind == "record"
-        assert dag.edge_cells == [(3, 2)]
-
-    def test_batch_group_is_single_node(self):
-        tasks = [batch_task([("bimodal", 0), ("gshare", 1)], "sjeng_06"),
-                 scalar_task(2, "sjeng_06", "mini")]
-        dag = build_dag(tasks)
-        assert dag.nodes[0].kind == "record"
-        assert dag.nodes[0].cells == [(0, "sjeng_06", "bimodal"),
-                                      (1, "sjeng_06", "gshare")]
-        assert dag.nodes[1].kind == "replay"
-        assert dag.edge_cells == [(0, 2)]
-
-    def test_batch_dependent_kind(self):
-        tasks = [scalar_task(0, "sjeng_06", "mini"),
-                 batch_task([("bimodal", 1), ("gshare", 2)], "sjeng_06")]
-        dag = build_dag(tasks)
-        assert dag.nodes[1].kind == "batch"
-
-
 class TestBuildUnits:
-    def _dag(self, benchmarks=2, variants=3):
-        tasks = [scalar_task(b * variants + v, f"bench_{b}", f"var_{v}")
-                 for b in range(benchmarks) for v in range(variants)]
-        return build_dag(tasks)
+    def test_one_unit_per_benchmark_in_plan_order(self):
+        benchmarks = ["a", "a", "a", "b", "b", "b"]
+        assert build_units(benchmarks, range(6), 2) == \
+            [[0, 1, 2], [3, 4, 5]]
 
-    def test_serial_mode_one_node_per_unit_no_deps(self):
-        dag = self._dag()
-        units, deps = build_units(dag, dag.nodes, "serial", 1, None)
-        assert units == [[n.id] for n in dag.nodes]
-        assert deps == {}
+    def test_interleaved_plan_groups_by_benchmark(self):
+        # plan [(a,x),(b,x),(a,y),(b,y)]: each worker records its
+        # benchmark's region once and replays it for the second cell
+        assert build_units(["a", "b", "a", "b"], range(4), 2) == \
+            [[0, 2], [1, 3]]
 
-    def test_dag_mode_enforces_record_edges(self):
-        dag = self._dag(benchmarks=2, variants=2)
-        units, deps = build_units(dag, dag.nodes, "dag", 2, None)
-        assert units == [[0], [1], [2], [3]]
-        assert deps == {1: [0], 3: [2]}
+    def test_large_benchmark_splits_jobs_scaled(self):
+        units = build_units(["a"] * 10, range(10), 4)
+        assert units == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
 
-    def test_dag_mode_groups_dependents_per_benchmark(self):
-        # quick-matrix shape: records dispatch alone, each benchmark's
-        # replays ride in one grouped unit gated on its record — extra
-        # per-replay dispatches would cost a disk trace load each for no
-        # added parallelism at this matrix/jobs ratio
-        dag = self._dag(benchmarks=2, variants=3)
-        units, deps = build_units(dag, dag.nodes, "dag", 4, None)
-        assert units == [[0], [1, 2], [3], [4, 5]]
-        assert deps == {1: [0], 3: [2]}
-
-    def test_dag_mode_splits_large_dependent_groups(self):
-        # a benchmark holding most of the matrix gets its replays split
-        # jobs-scaled so the tail spreads over idle workers
-        dag = self._dag(benchmarks=1, variants=10)
-        units, deps = build_units(dag, dag.nodes, "dag", 4, None)
-        assert units[0] == [0]
-        assert len(units) == 4
-        assert sorted(i for unit in units for i in unit) == list(range(10))
-        assert deps == {1: [0], 2: [0], 3: [0]}
-
-    def test_dag_mode_drops_edges_to_resumed_roots(self):
-        dag = self._dag(benchmarks=1, variants=2)
-        pending = [dag.nodes[1]]  # the record node already resumed
-        units, deps = build_units(dag, pending, "dag", 2, None)
-        assert units == [[1]]
-        assert deps == {}
-
-    def test_chunked_explicit_chunksize_is_flat_runner_chunks(self):
-        dag = self._dag(benchmarks=2, variants=3)
-        units, deps = build_units(dag, dag.nodes, "chunked", 4, 3)
-        assert units == [[0, 1, 2], [3, 4, 5]]
-        assert deps == {}
-
-    def test_chunked_default_splits_benchmark_aligned(self):
-        dag = self._dag(benchmarks=2, variants=4)
-        units, deps = build_units(dag, dag.nodes, "chunked", 4, None)
-        assert deps == {}
-        # every unit stays within one benchmark and covers all nodes
-        for unit in units:
-            assert len({dag.nodes[i].benchmark for i in unit}) == 1
-        assert sorted(i for unit in units for i in unit) == list(range(8))
-        assert len(units) >= 4  # ~jobs-scaled concurrency
+    def test_resumed_positions_are_left_out(self):
+        # position 0 resumed from the store: never dispatched
+        assert build_units(["a", "a", "b", "b"], [1, 2, 3], 2) == \
+            [[1], [2, 3]]
 
 
 class TestSchedulerJournal:
-    def test_dag_built_event_records_structure(self, tmp_path):
+    def test_units_built_event_records_structure(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")
         session().run_cells(CELLS, journal=path)
         events = read_journal(path)["events"]
         assert events[0]["executor"] == "inline"
-        (dag_built,) = [e for e in events if e["event"] == "dag_built"]
-        assert dag_built["mode"] == "serial"
-        assert dag_built["executor"] == "inline"
-        assert dag_built["nodes"] == 4
-        # record → replay edges observable: one per benchmark
-        assert dag_built["edges"] == [[0, 1], [2, 3]]
-        assert dag_built["stream"] == "scheduler"
+        assert events[0]["start_method"] is None
+        (built,) = [e for e in events if e["event"] == "units_built"]
+        # serial: one task per unit, in plan order
+        assert built["units"] == 4
+        assert built["executor"] == "inline"
+        assert built["jobs"] == 1
+        assert built["resumed_cells"] == []
+        assert built["stream"] == "scheduler"
 
-    def test_parallel_dag_mode_with_shared_trace_dir(self, tmp_path):
-        trace_dir = tmp_path / "traces"
+    @pytest.mark.parametrize("trace_dir", [False, True],
+                             ids=["memory", "trace-dir"])
+    def test_pool_matches_serial(self, tmp_path, trace_dir):
+        overrides = {"trace_cache_dir": str(tmp_path / "traces")} \
+            if trace_dir else {}
         path = str(tmp_path / "sweep.jsonl")
-        sess = session(jobs=2, trace_cache_dir=str(trace_dir))
+        sess = session(jobs=2, **overrides)
         rows = sess.run_cells(CELLS, jobs=2, journal=path)
-        (dag_built,) = [e for e in read_journal(path)["events"]
-                        if e["event"] == "dag_built"]
-        assert dag_built["mode"] == "dag"
-        assert dag_built["executor"] == "pool"
-        assert dag_built["edges"] == [[0, 1], [2, 3]]
-        assert sess.last_sweep["steals"] >= 0
-        # dependency-aware execution must not change any result
+        events = read_journal(path)["events"]
+        assert events[0]["start_method"] is not None
+        (built,) = [e for e in events if e["event"] == "units_built"]
+        assert built["executor"] == "pool"
+        assert built["units"] == 2
+        assert sess.last_sweep["units"] == 2
+        # each benchmark's first cell records the region; the rest
+        # replay it from memory on the same worker
+        first = {}
+        for row in rows:
+            recorder = first.setdefault(row["benchmark"], row)
+            if recorder is not row:
+                assert row["trace_cache_hit"]
+                assert row["worker"]["pid"] == recorder["worker"]["pid"]
         reference = session().run_cells(CELLS)
         assert [payload_digest(row["payload"]) for row in rows] == \
             [payload_digest(row["payload"]) for row in reference]
-
-    def test_parallel_chunked_matches_serial(self):
-        serial = session().run_cells(CELLS)
-        parallel = session(jobs=2).run_cells(CELLS, jobs=2)
-        assert [payload_digest(row["payload"]) for row in parallel] == \
-            [payload_digest(row["payload"]) for row in serial]
 
 
 class TestHostSchedulerStats:
@@ -233,12 +119,8 @@ class TestHostSchedulerStats:
         flat = sess.registry.to_flat_dict()
         assert flat["host.scheduler.cells_scheduled"] == len(CELLS)
         assert flat["host.scheduler.cells_resumed_from_store"] == 0
-        assert flat["host.scheduler.dag_nodes"] == 4
-        assert flat["host.scheduler.dag_edges"] == 2
         assert flat["host.scheduler.units"] == 4
-        assert flat["host.scheduler.steals"] == 0
         assert flat["host.scheduler.executor.inline"] == 1
-        assert flat["host.scheduler.mode.serial"] == 1
         # host-scoped on purpose: payload digests strip stats.host, so
         # the new counters never perturb a scalar-identical payload
         reference = session().run_cells(CELLS)
@@ -315,9 +197,10 @@ class TestStoreResume:
                     if e["event"] == "cell_finished"]
         assert len(finished) == len(CELLS)
         assert all(e.get("result_store_hit") for e in finished)
-        (dag_built,) = [e for e in journal["events"]
-                        if e["event"] == "dag_built"]
-        assert dag_built["resumed_cells"] == [0, 1, 2, 3]
+        (built,) = [e for e in journal["events"]
+                    if e["event"] == "units_built"]
+        assert built["resumed_cells"] == [0, 1, 2, 3]
+        assert built["units"] == 0
         assert journal["complete"]
 
     def test_store_hit_flag_absent_without_store(self, tmp_path):
@@ -343,33 +226,6 @@ class TestStoreResume:
         assert resumed.last_sweep["cells_resumed_from_store"] == len(CELLS)
         assert [payload_digest(row["payload"]) for row in again] == \
             [payload_digest(row["payload"]) for row in rows]
-
-
-class TestPlanMismatch:
-    def test_mismatched_order_from_warns_and_journals(self, tmp_path):
-        prior = str(tmp_path / "prior.jsonl")
-        session().run_cells(CELLS[:3], journal=prior)
-        requested = CELLS[:2] + [("mcf_17", "bimodal")]
-        path = str(tmp_path / "sweep.jsonl")
-        with pytest.warns(SweepPlanMismatchWarning,
-                          match="mcf_17/bimodal"):
-            session().run_cells(requested, order_from=prior, journal=path)
-        (event,) = [e for e in read_journal(path)["events"]
-                    if e["event"] == "plan_mismatch"]
-        assert event["unmatched_requested"] == ["mcf_17/bimodal"]
-        assert event["unmatched_journal"] == ["mcf_06/bimodal"]
-        report = build_sweep_report(path)
-        assert report["plan_mismatch"]["unmatched_requested"] == \
-            ["mcf_17/bimodal"]
-        assert "plan mismatch" in format_sweep_report(report)
-
-    def test_matching_plan_stays_silent(self, tmp_path):
-        import warnings
-        prior = str(tmp_path / "prior.jsonl")
-        session().run_cells(CELLS, journal=prior)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", SweepPlanMismatchWarning)
-            session().run_cells(CELLS, order_from=prior)
 
 
 def _truncate_journal(path):

@@ -109,8 +109,8 @@ class TestRunCells:
                  ("mcf_06", "tage64"), ("mcf_06", "mini")]
         serial = Session(RunConfig(instructions=800, warmup=400))
         parallel = Session(RunConfig(instructions=800, warmup=400))
-        serial_rows = serial.run_cells(cells, jobs=1, chunksize=2)
-        parallel_rows = parallel.run_cells(cells, jobs=2, chunksize=2)
+        serial_rows = serial.run_cells(cells, jobs=1)
+        parallel_rows = parallel.run_cells(cells, jobs=2)
         assert [r["benchmark"] for r in parallel_rows] == \
             [c[0] for c in cells]
         for left, right in zip(serial_rows, parallel_rows):
@@ -228,17 +228,6 @@ class TestSweepSessionThreading:
         assert len(session.trace_cache) == 1
         instructions = session.registry.get("core.instructions").value
         assert instructions == 3 * sweeps.SWEEP_INSTRUCTIONS
-
-    def test_sweep_reads_region_env_per_call(self, monkeypatch):
-        from repro.sim import sweeps  # imported before the env is set
-        monkeypatch.setenv(sweeps.SWEEP_INSTRUCTIONS_ENV, "700")
-        monkeypatch.setenv(sweeps.SWEEP_WARMUP_ENV, "300")
-        session = Session(RunConfig(instructions=800, warmup=400))
-        sweeps.sweep_parameter("chain_cache_entries", ["sjeng_06"],
-                               values=[8], session=session)
-        assert {key[2:4] for key in session.result_cache} == {(700, 300)}
-        instructions = session.registry.get("core.instructions").value
-        assert instructions == 2 * 700
 
     def test_sweep_defaults_to_the_default_session(self):
         replacement = Session(RunConfig(instructions=800, warmup=400))

@@ -22,8 +22,7 @@ CELLS = [("sjeng_06", "tage64"), ("sjeng_06", "mini"),
 def record_journal(tmp_path, cells=CELLS, jobs=2, name="sweep.jsonl"):
     path = tmp_path / name
     session = Session(RunConfig(instructions=800, warmup=400))
-    rows = session.run_cells(cells, jobs=jobs, chunksize=2,
-                             journal=str(path))
+    rows = session.run_cells(cells, jobs=jobs, journal=str(path))
     return str(path), rows
 
 

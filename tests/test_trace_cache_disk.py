@@ -9,8 +9,10 @@ import json
 
 import pytest
 
+from repro.config import RunConfig, current_config
 from repro.emulator.machine import Machine
 from repro.isa.program import ProgramBuilder
+from repro.session import Session
 from repro.sim.simulator import simulate
 from repro.sim.trace_cache import (
     FORMAT_VERSION,
@@ -105,10 +107,19 @@ class TestDiskRoundTrip:
 
     def test_env_var_activates_disk(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path))
-        cache = TraceCache()
+        cache = Session(current_config()).trace_cache
         assert cache.disk_dir == str(tmp_path)
         record(cache, store_loop_program(), 20)
         assert cache.spills == 1
+
+    def test_explicit_session_ignores_env_dir(self, tmp_path, monkeypatch):
+        # an explicit session's config is all it reads: the exported
+        # variable must not turn on spills behind its back
+        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path))
+        session = Session(RunConfig(instructions=500, warmup=200))
+        session.run("sjeng_06", "tage64")
+        assert session.trace_cache.disk_dir is None
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_dir_means_no_files(self, tmp_path):
         cache = TraceCache()
