@@ -30,8 +30,8 @@ def test_ablation_affector_guard_detection(benchmark):
         for name in GUARD_BENCHMARKS:
             base = experiments.run(name, "tage64")
             full = experiments.run(name, "mini")
-            ablated = experiments.run(
-                name, "mini", br_overrides={"enable_affector_guard": False})
+            ablated = experiments.run(name, experiments.override_variant(
+                "mini", enable_affector_guard=False))
             rows.append((name, {
                 "with AG": mpki_improvement(base.mpki, full.mpki),
                 "without AG": mpki_improvement(base.mpki, ablated.mpki),
@@ -53,8 +53,8 @@ def test_ablation_in_order_dce_scheduling(benchmark):
         for name in MLP_BENCHMARKS:
             base = experiments.run(name, "tage64")
             out_of_order = experiments.run(name, "mini")
-            in_order = experiments.run(
-                name, "mini", br_overrides={"dce_in_order": True})
+            in_order = experiments.run(name, experiments.override_variant(
+                "mini", dce_in_order=True))
             rows.append((name, {
                 "OoO DCE": mpki_improvement(base.mpki, out_of_order.mpki),
                 "in-order DCE": mpki_improvement(base.mpki, in_order.mpki),

@@ -22,8 +22,8 @@ def test_related_work_single_load_chains(benchmark):
         for name in MULTI_LOAD_BENCHMARKS:
             base = experiments.run(name, "tage64")
             general = experiments.run(name, "mini")
-            single = experiments.run(
-                name, "mini", br_overrides={"max_chain_loads": 1})
+            single = experiments.run(name, experiments.override_variant(
+                "mini", max_chain_loads=1))
             rows.append((name, {
                 "general": mpki_improvement(base.mpki, general.mpki),
                 "single-load": mpki_improvement(base.mpki, single.mpki),

@@ -420,9 +420,9 @@ def _progress_callback(force: bool = False):
 def _compare_predictor_sweep(args, run_config, names) -> int:
     """``compare --predictors``: benchmarks x predictors MPKI sweep.
 
-    Every cell is predictor-only, so each benchmark's group collapses
-    into one batched replay over a single branch-stream pass (see
-    ``Session.run_batch``); the table prints one MPKI column per
+    Every cell is predictor-only, so ``run_cells(outputs="mpki")``
+    collapses each benchmark's group into one batched replay over a
+    single branch-stream pass; the table prints one MPKI column per
     predictor instead of the base/BR pair.
     """
     predictors = list(dict.fromkeys(args.predictors))
@@ -655,15 +655,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_sweep_resume(args) -> int:
     """``repro sweep resume JOURNAL``: finish an interrupted sweep.
 
-    The journal's ``sweep_started`` manifest rebuilds the exact
-    :class:`~repro.config.RunConfig` of the interrupted run, so every
-    result-store key resolves identically; cells whose results already
-    landed replay from the store, only the remainder executes.  The
-    resumed run is itself journaled to ``JOURNAL.resume``.
+    The journal's ``sweep_started`` manifest rebuilds the
+    :class:`~repro.config.RunConfig` of the interrupted run and its cell
+    plan, so every cell key resolves identically; cells whose results
+    already landed replay from the store, only the remainder executes.
+    The resumed run is itself journaled to ``JOURNAL.resume``.
     """
     import os
 
-    from repro.sched import ResultStore
     from repro.session import Session
 
     try:
@@ -700,13 +699,7 @@ def _cmd_sweep_resume(args) -> int:
               "--result-store-dir nor REPRO_RESULT_STORE_DIR is set)",
               file=sys.stderr)
         return 2
-    if config.result_store_dir is None:
-        config = config.replace(result_store_dir=store_dir)
-    session = Session(config)
-    if store_dir != config.result_store_dir:
-        # store moved since the sweep ran: keys keep the recorded
-        # config's fingerprint, reads/writes go to the new directory
-        session.result_store = ResultStore(store_dir)
+    session = Session(config.replace(result_store_dir=store_dir))
     landed_before = sum(1 for event in journal["events"]
                         if event["event"] == "cell_finished")
     jobs = args.jobs if args.jobs is not None else config.jobs

@@ -240,8 +240,8 @@ def resolve_jobs(explicit: Optional[int] = None,
                  environ: Optional[Mapping[str, str]] = None) -> int:
     """Single worker-count resolver: explicit flag > env/file > serial.
 
-    ``repro baseline record/check --jobs`` and ``default_jobs`` resolve
-    through here; ``Session.run_cells`` applies the same rule to its own
+    ``repro baseline record/check --jobs`` resolves through here;
+    ``Session.run_cells`` applies the same rule to its own
     frozen config (an explicit ``jobs`` argument, else ``config.jobs``).
     """
     if explicit is not None:

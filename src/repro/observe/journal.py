@@ -77,7 +77,6 @@ class SweepRecorder:
                  outputs: str = "full",
                  sweep_id: Optional[str] = None,
                  profile: Optional[str] = None,
-                 executor: Optional[str] = None,
                  progress: Optional[Callable[[dict], None]] = None):
         self.path = os.fspath(path) if path is not None else None
         self.config = config
@@ -87,7 +86,7 @@ class SweepRecorder:
         self.sweep_id = sweep_id
         #: ``inline`` or ``pool``, and the pool's start method (None
         #: inline); the scheduler sets both just before ``start()``.
-        self.executor = executor
+        self.executor: Optional[str] = None
         self.start_method: Optional[str] = None
         self.progress = progress
         self.profile = profile if (profile and self.path) else None
@@ -281,48 +280,6 @@ def format_progress(snapshot: dict) -> str:
     elif snapshot.get("last_cell"):
         parts.append(f"last {snapshot['last_cell']}")
     return " | ".join(parts)
-
-
-def run_recorded(recorder: Optional[SweepRecorder], index: int,
-                 benchmark: str, variant: str, fn: Callable[[], object]):
-    """Run ``fn`` as one journaled cell (serial producers, e.g. sweeps).
-
-    Builds the same row shape the parallel runner produces, records it,
-    and returns the result.  Exceptions are journaled as ``cell_failed``
-    and re-raised — a serial sweep's math needs every cell, so the
-    journal records the failure but the caller decides whether to
-    continue.
-    """
-    if recorder is None:
-        return fn()
-    started_at = time.time()
-    tick = time.perf_counter()
-    row = {"benchmark": benchmark, "variant": variant, "index": index,
-           "worker": {"pid": os.getpid(), "manifest": None},
-           "trace_cache_hit": False, "result_cache_hit": False}
-    if index == 0:
-        row["worker"]["manifest"] = run_manifest(recorder.config) \
-            if recorder.config is not None else None
-    try:
-        result = fn()
-    except Exception as error:
-        import traceback
-        row["error"] = {"type": type(error).__name__,
-                        "message": str(error),
-                        "traceback": traceback.format_exc()}
-        row["payload"] = None
-        row["cell"] = {"started_at": started_at,
-                       "wall_seconds": time.perf_counter() - tick,
-                       "peak_rss_kb_delta": None}
-        recorder.record_row(row)
-        raise
-    row["error"] = None
-    row["payload"] = result.to_dict()
-    row["cell"] = {"started_at": started_at,
-                   "wall_seconds": time.perf_counter() - tick,
-                   "peak_rss_kb_delta": None}
-    recorder.record_row(row)
-    return result
 
 
 # -- reading ---------------------------------------------------------------

@@ -5,8 +5,9 @@ cells and fused batch groups, in plan order) in three steps:
 
 1. **Store probe** — when the session has a content-addressed
    :class:`~repro.sched.store.ResultStore`, every task's cells are probed
-   first; a task whose every member already landed (an earlier killed
-   sweep of the same config) is *resumed*: its rows are synthesized from
+   first under its :func:`~repro.sched.store.cell_key`; a task whose
+   every member already landed (an earlier run of the same cells, killed
+   or not, at any job count) is *resumed*: its rows are synthesized from
    the store and never dispatched.
 2. **Units** — the pending tasks are grouped into dispatch units,
    journaled as a ``units_built`` scheduler event.  A serial sweep (one
@@ -22,7 +23,7 @@ cells and fused batch groups, in plan order) in three steps:
 Rows are **recorded in task order** regardless of completion order: a
 per-task buffer plus a cursor flush the contiguous prefix, which keeps
 journal event sequences — and therefore journal digests — identical for
-any job count.
+any job count.  Every row, run or resumed, is built by :func:`cell_row`.
 
 This module never imports :mod:`repro.session` (the task runners are
 injected), so the scheduler stays importable from workers and tools
@@ -36,24 +37,46 @@ import queue
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.sched.store import ResultStore, result_key
-from repro.sim.variants import is_predictor_only
+from repro.sched.store import ResultStore, cell_key
 
 #: Scheduler counters published under ``host.scheduler.*``.
 _STAT_FIELDS = ("cells_scheduled", "cells_resumed_from_store", "units")
 
 
-def store_outputs_mode(outputs: str, variant: str) -> str:
-    """The outputs mode a cell's stored payload was produced under.
+def cell_row(benchmark: str, variant: str, index: Optional[int], *,
+             started_at: float, wall_seconds: float, payload=None,
+             registry_state=None, error=None, peak_rss_kb_delta=None,
+             trace_cache_hit=False, result_cache_hit=False, manifest=None,
+             batch_size=None, result_store_hit=False) -> dict:
+    """One sweep row, for a cell run alone, in a fused batch
+    (``batch_size``) or resumed from the store (``result_store_hit``,
+    absent otherwise so store-less journals keep their shape).
 
-    Mirrors the in-memory result-cache key: only predictor-only variants
-    actually take the MPKI fast path under ``outputs="mpki"`` — a BR
-    variant falls back to the full simulator and its payload is the
-    ``"full"`` shape.
+    ``error`` is a raising cell's ``{type, message, traceback}``;
+    ``manifest`` is the worker's run manifest on its first journaled row.
     """
-    if outputs == "mpki" and is_predictor_only(variant):
-        return "mpki"
-    return "full"
+    row = {
+        "benchmark": benchmark,
+        "variant": variant,
+        "index": index,
+        "ok": error is None,
+        "error": error,
+        "payload": payload,
+        "registry_state": registry_state,
+        "trace_cache_hit": trace_cache_hit,
+        "result_cache_hit": result_cache_hit,
+        "cell": {
+            "started_at": round(started_at, 6),
+            "wall_seconds": round(wall_seconds, 6),
+            "peak_rss_kb_delta": peak_rss_kb_delta,
+        },
+        "worker": {"pid": os.getpid(), "manifest": manifest},
+    }
+    if batch_size is not None:
+        row["cell"]["batch_size"] = batch_size
+    if result_store_hit:
+        row["result_store_hit"] = True
+    return row
 
 
 def _task_cells(task: Tuple) -> List[Tuple[int, str, str]]:
@@ -125,7 +148,6 @@ class SweepScheduler:
         self.recorder = recorder
         self.store = store
         self.outputs = outputs
-        self.fingerprint = task_config.fingerprint()
         self.executor_name: Optional[str] = None
         self.units = 0
         self.cells_scheduled = 0
@@ -133,11 +155,9 @@ class SweepScheduler:
 
     # -- store integration -------------------------------------------------
 
-    def _cell_key(self, benchmark: str, variant: str) -> str:
-        return result_key(self.fingerprint, benchmark, variant,
-                          self.task_config.instructions,
-                          self.task_config.warmup,
-                          store_outputs_mode(self.outputs, variant))
+    def _cell_key(self, benchmark: str, variant: str) -> Tuple:
+        return cell_key(benchmark, variant, self.task_config.instructions,
+                        self.task_config.warmup, self.outputs)
 
     def _probe_task(self, task: Tuple,
                     carry_manifest: bool) -> Optional[List[dict]]:
@@ -156,34 +176,19 @@ class SweepScheduler:
             if record is None:
                 return None
             records.append((index, benchmark, variant, record))
-        rows: List[dict] = []
-        for position, (index, benchmark, variant, record) in \
-                enumerate(records):
-            manifest = None
-            if carry_manifest and position == 0 \
-                    and self.recorder is not None \
-                    and self.recorder.path is not None:
-                from repro.observe.manifest import run_manifest
-                manifest = run_manifest(self.task_config)
-            rows.append({
-                "benchmark": benchmark,
-                "variant": variant,
-                "index": index,
-                "ok": True,
-                "error": None,
-                "payload": record["payload"],
-                "registry_state": record["registry_state"],
-                "trace_cache_hit": False,
-                "result_cache_hit": False,
-                "result_store_hit": True,
-                "cell": {
-                    "started_at": round(time.time(), 6),
-                    "wall_seconds": 0.0,
-                    "peak_rss_kb_delta": None,
-                },
-                "worker": {"pid": os.getpid(), "manifest": manifest},
-            })
-        return rows
+        manifest = None
+        if carry_manifest and self.recorder is not None \
+                and self.recorder.path is not None:
+            from repro.observe.manifest import run_manifest
+            manifest = run_manifest(self.task_config)
+        return [cell_row(benchmark, variant, index,
+                         payload=record["payload"],
+                         registry_state=record["registry_state"],
+                         started_at=time.time(), wall_seconds=0.0,
+                         manifest=None if position else manifest,
+                         result_store_hit=True)
+                for position, (index, benchmark, variant, record)
+                in enumerate(records)]
 
     def _store_rows(self, rows: List[dict]) -> None:
         """Write-through: land each ok row's result under its cell key."""

@@ -1,23 +1,23 @@
 """Content-addressed sweep result store (``repro.sched.store``).
 
 The trace cache made *emulation* resumable across processes; this module
-does the same for finished *cells*.  A :class:`ResultStore` maps a
-content-addressed key — sha256 over ``(RunConfig.fingerprint(),
-benchmark, variant, region bounds, outputs mode)`` — to a framed,
-digest-checked record holding the cell's payload dict and stat-registry
-state, using exactly the trace cache's on-disk scheme
-(:func:`~repro.sim.trace_cache.write_framed` /
-:func:`~repro.sim.trace_cache.read_framed`): magic + u16 version + payload
-sha256 header, same-directory temp file + ``os.replace`` so concurrent
-workers racing on one key never expose a half-written entry.
+does the same for finished *cells*.  :func:`cell_key` is a cell result's
+one identity, which the session's result LRU keys on directly and a
+:class:`ResultStore` through a sha256 of it.  Records are framed,
+digest-checked payload dicts plus stat-registry state, using exactly the
+trace cache's on-disk scheme (:func:`~repro.sim.trace_cache.write_framed`
+/ :func:`~repro.sim.trace_cache.read_framed`): magic + u16 version +
+payload sha256 header, same-directory temp file + ``os.replace`` so
+concurrent workers racing on one key never expose a half-written entry.
 
-A killed sweep's landed cells are therefore on disk under keys a resumed
-run recomputes from its own config — the scheduler probes the store at
-plan time and only executes cells with no landed result.  Any damaged
-entry (truncation, bit rot, version skew, key collision) reads back as a
-counted clean miss and the offender is deleted best-effort, mirroring the
-trace cache's corruption contract (``tests/test_result_store.py`` pins
-it the same way ``tests/test_trace_cache_disk.py`` does).
+A killed sweep's landed cells are on disk under keys any rerun of the
+same cells recomputes, at any job count or cache setting, so the
+scheduler probes the store at plan time and only executes cells with no
+landed result.  Any damaged entry (truncation, bit rot, version skew,
+key collision) reads back as a counted clean miss and the offender is
+deleted best-effort, mirroring the trace cache's corruption contract
+(``tests/test_result_store.py`` pins it the same way
+``tests/test_trace_cache_disk.py`` does).
 """
 
 from __future__ import annotations
@@ -26,30 +26,32 @@ import hashlib
 import json
 import os
 import pickle
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.sim.trace_cache import read_framed, write_framed
+from repro.sim.variants import is_predictor_only
 
-#: On-disk record version; participates in the key suffix and the frame
-#: header, so a layout change simply never finds old files.
+#: On-disk record version; hashed into every file name and written in
+#: the frame header, so a layout change simply never finds old files.
 RESULT_FORMAT_VERSION = 1
 
 _MAGIC = b"RPRS"
 
 
-def result_key(config_fingerprint: str, benchmark: str, variant: str,
-               instructions: int, warmup: int, mode: str) -> str:
-    """Content address of one cell result.
+def cell_key(benchmark: str, variant: str, instructions: int, warmup: int,
+             outputs: str) -> Tuple[str, str, int, int, str]:
+    """The identity of one cell result.
 
-    ``mode`` is the outputs mode the payload was produced under
-    (``"full"`` or ``"mpki"``) — the same cell yields different payloads
-    per mode, exactly as the in-memory result cache keys them.
+    ``mode`` is ``"mpki"`` only for a predictor-only variant under
+    ``outputs="mpki"`` (the replay fast path); any other cell runs the
+    full simulator.  Nothing else in a ``RunConfig`` changes a payload,
+    so job counts, cache bounds and directories never split a key.
     """
-    canonical = json.dumps(
-        [config_fingerprint, benchmark, variant, instructions, warmup,
-         mode, RESULT_FORMAT_VERSION],
-        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    if outputs not in ("full", "mpki"):
+        raise ValueError(f"unknown outputs mode {outputs!r}")
+    mode = "mpki" if outputs == "mpki" and is_predictor_only(variant) \
+        else "full"
+    return (benchmark, variant, instructions, warmup, mode)
 
 
 class ResultStore:
@@ -69,10 +71,14 @@ class ResultStore:
         self.store_errors = 0
         self.corrupt_entries = 0
 
-    def path_for(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.result")
+    def path_for(self, key: Tuple) -> str:
+        """The record file of a :func:`cell_key`: a sha256 of the key."""
+        canonical = json.dumps([*key, RESULT_FORMAT_VERSION],
+                               separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode()).hexdigest()
+        return os.path.join(self.directory, f"{digest}.result")
 
-    def get(self, key: str) -> Optional[dict]:
+    def get(self, key: Tuple) -> Optional[dict]:
         """The stored record for ``key``, or None on a (counted) miss.
 
         Records are ``{"benchmark", "variant", "payload",
@@ -105,7 +111,7 @@ class ResultStore:
         self.hits += 1
         return record
 
-    def put(self, key: str, record: dict) -> bool:
+    def put(self, key: Tuple, record: dict) -> bool:
         """Store a record under ``key``; failures only count.
 
         Returns True when this call wrote the entry.  An existing entry

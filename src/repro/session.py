@@ -16,6 +16,13 @@ workers) takes effect on the next call instead of being frozen at import.
 Explicit sessions never re-resolve — their config is exactly what they
 were constructed with.
 
+A cell is a benchmark plus a variant token (override tokens such as
+``"mini[hbt_entries=8]"`` included) and :func:`~repro.sched.store.cell_key`
+is its one identity, which both result tiers key on: the in-memory LRU
+of live results (whose runahead oracle and chain cache the figure
+benches read) and the on-disk :class:`~repro.sched.store.ResultStore` of
+payload records, which cannot rebuild them.
+
 Worker processes: each parallel task pickles the parent's ``RunConfig``;
 the worker resolves it to a session via :func:`_session_for_config`, so a
 spawn-start worker reconstructs the *exact* parent configuration instead
@@ -34,8 +41,8 @@ from collections import OrderedDict
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
     Tuple
 
-from repro.config import RunConfig, current_config, resolve_jobs
-from repro.sched import ResultStore, SweepScheduler
+from repro.config import RunConfig, current_config
+from repro.sched import ResultStore, SweepScheduler, cell_key, cell_row
 from repro.sim.predictor_replay import replay_mpki, replay_mpki_batch
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import simulate
@@ -51,18 +58,17 @@ from repro.workloads import suite
 class Session:
     """One experiment context: a config plus the caches it governs."""
 
-    def __init__(self, config: Optional[RunConfig] = None,
-                 trace_cache: Optional[TraceCache] = None):
+    def __init__(self, config: Optional[RunConfig] = None):
         if config is None:
             config = current_config()
         self.config = config.validate()
         #: Shared committed-trace cache: one functional emulation per
         #: benchmark region, replayed by every variant of this session.
-        self.trace_cache = trace_cache if trace_cache is not None else \
-            TraceCache(capacity=config.trace_cache_size,
-                       disk_dir=config.trace_cache_dir)
-        #: Bounded result-cache LRU, keyed by (benchmark, variant,
-        #: region, overrides, outputs-mode).
+        self.trace_cache = TraceCache(capacity=config.trace_cache_size,
+                                      disk_dir=config.trace_cache_dir)
+        #: Bounded result-cache LRU of live results, keyed by
+        #: :func:`~repro.sched.store.cell_key` (``simulate`` adds its own
+        #: kwargs-keyed entries).
         self._results: "OrderedDict[Tuple, SimulationResult]" = \
             OrderedDict()
         #: Cross-cell merged stats (counters add, gauges newest); fed by
@@ -141,20 +147,15 @@ class Session:
     def run(self, benchmark: str, variant: str,
             instructions: Optional[int] = None,
             warmup: Optional[int] = None,
-            br_overrides: Optional[dict] = None,
             cache: bool = True,
-            trace_cache: Optional[TraceCache] = None,
-            outputs: str = "full",
-            merge: bool = False) -> SimulationResult:
+            outputs: str = "full") -> SimulationResult:
         """Run (or fetch from cache) one benchmark under one variant.
 
-        ``br_overrides`` tweaks the variant's BranchRunaheadConfig (used
-        by the Figure 13 sweeps); overridden runs are cached under their
-        own key.  ``cache=False`` bypasses the result cache entirely — no
-        lookup, no store.  ``trace_cache`` defaults to the session's
-        shared instance.  ``merge=True`` folds a freshly computed cell's
-        registry into the session-wide :attr:`registry` (cache hits were
-        already folded when first computed, so they are not re-merged).
+        ``variant`` is any variant token; ``"mini[hbt_entries=8]"`` (see
+        :func:`~repro.sim.variants.override_variant`) runs Mini with that
+        field changed.  Results are cached under their
+        :func:`~repro.sched.store.cell_key`; ``cache=False`` bypasses the
+        result cache entirely — no lookup, no store.
 
         ``outputs="mpki"`` declares that only branch-outcome statistics
         are wanted: predictor-only cells then take the
@@ -164,53 +165,26 @@ class Session:
         Cells whose variant attaches Branch Runahead fall back to the
         full simulator — their mispredict counts depend on DCE timing.
         """
-        if outputs not in ("full", "mpki"):
-            raise ValueError(f"unknown outputs mode {outputs!r}")
         instructions = instructions or self.config.instructions
         warmup = warmup if warmup is not None else self.config.warmup
-        mpki_only = outputs == "mpki" and is_predictor_only(variant) \
-            and not br_overrides
-        override_key = tuple(sorted(br_overrides.items())) if br_overrides \
-            else ()
-        key = (benchmark, variant, instructions, warmup, override_key,
-               "mpki" if mpki_only else "full")
+        key = cell_key(benchmark, variant, instructions, warmup, outputs)
         if cache:
             cached = self._cache_get(key)
             if cached is not None:
                 return cached
-
         kwargs = variant_kwargs(variant)
-        if br_overrides:
-            config = kwargs.get("br_config")
-            if config is None:
-                raise ValueError(f"variant {variant!r} has no BR config "
-                                 f"to override")
-            for attr, value in br_overrides.items():
-                if not hasattr(config, attr):
-                    raise AttributeError(
-                        f"unknown BR config field {attr!r}")
-                setattr(config, attr, value)
         program = suite.load(benchmark)
-        region_cache = trace_cache if trace_cache is not None \
-            else self.trace_cache
-        if mpki_only:
+        if key[-1] == "mpki":
             result = replay_mpki(program, kwargs["predictor"],
                                  instructions=instructions, warmup=warmup,
-                                 trace_cache=region_cache)
+                                 trace_cache=self.trace_cache)
         else:
             result = simulate(program, instructions=instructions,
-                              warmup=warmup, trace_cache=region_cache,
+                              warmup=warmup, trace_cache=self.trace_cache,
                               **kwargs)
-        if merge:
-            self.registry.merge(result.build_registry())
         if cache:
             self._cache_put(key, result)
         return result
-
-    def run_all(self, variant: str, benchmarks=None, **kwargs):
-        """Run a variant over the benchmark list; returns {name: result}."""
-        names = benchmarks or suite.BENCHMARK_NAMES
-        return {name: self.run(name, variant, **kwargs) for name in names}
 
     # -- direct entry points (notebook / service callers) ------------------
 
@@ -250,84 +224,6 @@ class Session:
             self._cache_put(key, result)
         return result
 
-    def replay_mpki(self, benchmark: str, predictor,
-                    instructions: Optional[int] = None,
-                    warmup: Optional[int] = None,
-                    cache: bool = True):
-        """MPKI-only replay through this session's trace cache.
-
-        With a registered predictor *name* this is exactly
-        ``run(benchmark, name, outputs="mpki")`` — same fast path, same
-        result cache, bit-identical MPKI.  A predictor *instance* (whose
-        state the caller owns) replays uncached against the shared trace
-        cache.
-        """
-        if isinstance(predictor, str):
-            return self.run(benchmark, predictor,
-                            instructions=instructions, warmup=warmup,
-                            cache=cache, outputs="mpki")
-        program = suite.load(benchmark)
-        return replay_mpki(
-            program, predictor,
-            instructions=instructions or self.config.instructions,
-            warmup=warmup if warmup is not None else self.config.warmup,
-            trace_cache=self.trace_cache)
-
-    def run_batch(self, benchmark: str, variants: Sequence[str],
-                  instructions: Optional[int] = None,
-                  warmup: Optional[int] = None,
-                  cache: bool = True) -> List[Tuple[object, bool]]:
-        """Run K predictor-only MPKI cells of one benchmark in one pass.
-
-        Returns ``[(result, result_cache_hit), ...]`` in ``variants``
-        order.  Cached cells are served from the result cache under the
-        *same* keys the scalar path uses; the misses replay together via
-        :func:`~repro.sim.predictor_replay.replay_mpki_batch` and are
-        cached individually, so a later scalar ``run(...,
-        outputs="mpki")`` of any member hits.  Raises ``ValueError`` for
-        a variant that is not predictor-only — batched replay cannot
-        model Branch Runahead timing.
-        """
-        instructions = instructions or self.config.instructions
-        warmup = warmup if warmup is not None else self.config.warmup
-        for variant in variants:
-            if not is_predictor_only(variant):
-                raise ValueError(
-                    f"variant {variant!r} is not predictor-only; "
-                    f"batched MPKI replay cannot model it")
-        keys = [(benchmark, variant, instructions, warmup, (), "mpki")
-                for variant in variants]
-        out: List[Optional[Tuple[object, bool]]] = [None] * len(variants)
-        misses: List[int] = []
-        for position, key in enumerate(keys):
-            cached = self._cache_get(key) if cache else None
-            if cached is not None:
-                out[position] = (cached, True)
-            else:
-                misses.append(position)
-        if misses:
-            program = suite.load(benchmark)
-            lanes = [variant_kwargs(variants[position])["predictor"]
-                     for position in misses]
-            results = replay_mpki_batch(program, lanes,
-                                        instructions=instructions,
-                                        warmup=warmup,
-                                        trace_cache=self.trace_cache,
-                                        min_lanes=self.config.batch_min_lanes)
-            for position, result in zip(misses, results):
-                if cache:
-                    self._cache_put(keys[position], result)
-                out[position] = (result, False)
-        return out  # type: ignore[return-value]
-
-    def manifest(self, phase_seconds=None) -> dict:
-        """This session's run manifest (see :mod:`repro.observe.manifest`).
-
-        The config fingerprint inside is the comparability key.
-        """
-        from repro.observe.manifest import run_manifest
-        return run_manifest(self.config, phase_seconds=phase_seconds)
-
     # -- parallel matrix ---------------------------------------------------
 
     def run_cells(self, cells: Sequence[Tuple[str, str]],
@@ -347,8 +243,9 @@ class Session:
         SimulationResult.to_dict()`` — in the *input* order regardless of
         worker scheduling, so output is deterministic for any job count.
         ``jobs`` defaults to the session config (explicit argument wins).
-        ``merge=True`` additionally folds every cell's registry into
-        :attr:`registry`.
+        ``merge=True`` additionally folds every row's registry into
+        :attr:`registry`, cells served from a cache included.  Variants
+        are any tokens; the Figure 13 override sweeps run through here.
 
         A *raising* cell never aborts the sweep: its row carries
         ``ok=False`` and a structured ``error`` (exception class,
@@ -557,11 +454,35 @@ def _peak_rss_kb() -> Optional[int]:
     return int(peak)
 
 
+def _rss_delta(before: Optional[int]) -> Optional[int]:
+    after = _peak_rss_kb()
+    return after - before if after is not None and before is not None \
+        else None
+
+
+def _error_info(exc: Exception) -> dict:
+    """A raising cell's structured error (call inside its ``except``)."""
+    return {"type": type(exc).__name__, "message": str(exc),
+            "traceback": _traceback.format_exc()}
+
+
 #: Sweep ids this *process* has already announced a worker manifest for.
 #: Fork workers inherit the parent's copy, which never contains their
 #: sweep's id (the parent records rows, it never computes them), so each
 #: worker announces exactly once per sweep.
 _announced_sweeps: set = set()
+
+
+def _announce(meta: dict, config: RunConfig) -> Optional[dict]:
+    """This worker's manifest of the *task* config (an adopted parent
+    session keeps its own region lengths), once per journaled sweep."""
+    sweep_id = meta.get("sweep_id")
+    if not meta.get("announce") or sweep_id is None \
+            or sweep_id in _announced_sweeps:
+        return None
+    _announced_sweeps.add(sweep_id)
+    from repro.observe.manifest import run_manifest
+    return run_manifest(config)
 
 
 def _run_cell_in(session: Session, task: Tuple) -> dict:
@@ -582,7 +503,7 @@ def _run_cell_in(session: Session, task: Tuple) -> dict:
     :func:`~repro.observe.manifest.run_manifest` back on the row, and
     ``REPRO_PROFILE=cprofile`` dumps per-cell pstats beside the journal.
     """
-    (_, benchmark, variant, instructions, warmup, use_result_cache,
+    (config, benchmark, variant, instructions, warmup, use_result_cache,
      outputs) = task[:7]
     meta = task[7] if len(task) > 7 else {}
     trace_cache = session.trace_cache
@@ -610,8 +531,7 @@ def _run_cell_in(session: Session, task: Tuple) -> dict:
         payload = result.to_dict()
         registry_state = result.build_registry().to_state()
     except Exception as exc:
-        error = {"type": type(exc).__name__, "message": str(exc),
-                 "traceback": _traceback.format_exc()}
+        error = _error_info(exc)
     wall = time.perf_counter() - tick
     if profiler is not None:
         try:
@@ -620,37 +540,14 @@ def _run_cell_in(session: Session, task: Tuple) -> dict:
                 f"cell-{meta.get('index', 0):04d}.pstats"))
         except OSError:  # profiling is best-effort forensics
             pass
-    rss_after = _peak_rss_kb()
-    worker: dict = {"pid": os.getpid(), "manifest": None}
-    sweep_id = meta.get("sweep_id")
-    if meta.get("announce") and sweep_id is not None \
-            and sweep_id not in _announced_sweeps:
-        _announced_sweeps.add(sweep_id)
-        from repro.observe.manifest import run_manifest
-        # manifest the *task* config, not session.config: an adopted
-        # parent session keeps its own base region lengths, but the
-        # sweep runs (and must be audited) under the task's config
-        worker["manifest"] = run_manifest(task[0])
-    return {
-        "benchmark": benchmark,
-        "variant": variant,
-        "index": meta.get("index"),
-        "ok": error is None,
-        "error": error,
-        "payload": payload,
-        "registry_state": registry_state,
-        "trace_cache_hit": trace_cache.hits > hits_before,
-        "result_cache_hit":
-            session.result_cache_hits > result_hits_before,
-        "cell": {
-            "started_at": round(started_at, 6),
-            "wall_seconds": round(wall, 6),
-            "peak_rss_kb_delta": (rss_after - rss_before
-                                  if rss_after is not None
-                                  and rss_before is not None else None),
-        },
-        "worker": worker,
-    }
+    return cell_row(
+        benchmark, variant, meta.get("index"), payload=payload,
+        registry_state=registry_state, error=error,
+        started_at=started_at, wall_seconds=wall,
+        peak_rss_kb_delta=_rss_delta(rss_before),  # before the manifest
+        trace_cache_hit=trace_cache.hits > hits_before,
+        result_cache_hit=session.result_cache_hits > result_hits_before,
+        manifest=_announce(meta, config))
 
 
 def _run_batch_in(session: Session, task: Tuple) -> List[dict]:
@@ -658,16 +555,17 @@ def _run_batch_in(session: Session, task: Tuple) -> List[dict]:
 
     The task's variant slot holds ``((variant, index), ...)`` instead of
     a single variant string.  Cached members are served under their
-    scalar result-cache keys; the misses replay together through
+    :func:`~repro.sched.store.cell_key`; the misses replay together via
     :func:`~repro.sim.predictor_replay.replay_mpki_batch` and are cached
-    individually.  Row shape mirrors :func:`_run_cell_in` member for
+    individually, so a later scalar ``run(..., outputs="mpki")`` of any
+    member hits.  Row shape mirrors :func:`_run_cell_in` member for
     member — the batch's wall time is attributed evenly across members
     (``cell.batch_size`` marks the fusion), the peak-RSS delta lands on
     the first row only (it is a process-wide measurement), and a member
     whose variant fails to resolve errors alone while a failure of the
     shared replay errors every non-cached member.
     """
-    (_, benchmark, members, instructions, warmup, use_result_cache,
+    (config, benchmark, members, instructions, warmup, use_result_cache,
      outputs) = task[:7]
     meta = task[7] if len(task) > 7 else {}
     trace_cache = session.trace_cache
@@ -675,17 +573,12 @@ def _run_batch_in(session: Session, task: Tuple) -> List[dict]:
     rss_before = _peak_rss_kb()
     started_at = time.time()
     tick = time.perf_counter()
-
-    def structured(exc: Exception) -> dict:
-        return {"type": type(exc).__name__, "message": str(exc),
-                "traceback": _traceback.format_exc()}
-
     cached: Dict[int, object] = {}
     computed: Dict[int, object] = {}
     errors: Dict[int, dict] = {}
     lanes: List[Tuple[int, Tuple, object]] = []
     for variant, index in members:
-        key = (benchmark, variant, instructions, warmup, (), "mpki")
+        key = cell_key(benchmark, variant, instructions, warmup, outputs)
         if use_result_cache:
             hit = session._cache_get(key)
             if hit is not None:
@@ -694,7 +587,7 @@ def _run_batch_in(session: Session, task: Tuple) -> List[dict]:
         try:
             lanes.append((index, key, variant_kwargs(variant)["predictor"]))
         except Exception as exc:
-            errors[index] = structured(exc)
+            errors[index] = _error_info(exc)
     if lanes:
         try:
             program = suite.load(benchmark)
@@ -704,7 +597,7 @@ def _run_batch_in(session: Session, task: Tuple) -> List[dict]:
                 trace_cache=trace_cache,
                 min_lanes=session.config.batch_min_lanes)
         except Exception as exc:
-            error = structured(exc)
+            error = _error_info(exc)
             for index, _, _ in lanes:
                 errors[index] = error
         else:
@@ -713,47 +606,26 @@ def _run_batch_in(session: Session, task: Tuple) -> List[dict]:
                 if use_result_cache:
                     session._cache_put(key, result)
     wall = time.perf_counter() - tick
-    rss_after = _peak_rss_kb()
-    rss_delta = (rss_after - rss_before if rss_after is not None
-                 and rss_before is not None else None)
-    share = round(wall / max(1, len(members)), 6)
+    rss_delta = _rss_delta(rss_before)
     group_hit = trace_cache.hits > hits_before
-    sweep_id = meta.get("sweep_id")
-    announce = (meta.get("announce") and sweep_id is not None
-                and sweep_id not in _announced_sweeps)
-    if announce:
-        _announced_sweeps.add(sweep_id)
+    manifest = _announce(meta, config)
     rows: List[dict] = []
     for position, (variant, index) in enumerate(members):
         error = errors.get(index)
-        result = cached.get(index) if index in cached \
-            else computed.get(index)
+        result = cached.get(index, computed.get(index))
         payload = registry_state = None
         if error is None and result is not None:
             payload = result.to_dict()
             registry_state = result.build_registry().to_state()
-        worker: dict = {"pid": os.getpid(), "manifest": None}
-        if announce and position == 0:
-            from repro.observe.manifest import run_manifest
-            worker["manifest"] = run_manifest(task[0])
-        rows.append({
-            "benchmark": benchmark,
-            "variant": variant,
-            "index": index,
-            "ok": error is None,
-            "error": error,
-            "payload": payload,
-            "registry_state": registry_state,
-            "trace_cache_hit": group_hit and index not in cached,
-            "result_cache_hit": index in cached,
-            "cell": {
-                "started_at": round(started_at, 6),
-                "wall_seconds": share,
-                "peak_rss_kb_delta": rss_delta if position == 0 else None,
-                "batch_size": len(members),
-            },
-            "worker": worker,
-        })
+        rows.append(cell_row(
+            benchmark, variant, index, payload=payload,
+            registry_state=registry_state, error=error,
+            started_at=started_at, wall_seconds=wall / len(members),
+            peak_rss_kb_delta=rss_delta if position == 0 else None,
+            trace_cache_hit=group_hit and index not in cached,
+            result_cache_hit=index in cached,
+            manifest=manifest if position == 0 else None,
+            batch_size=len(members)))
     return rows
 
 
@@ -836,7 +708,3 @@ def set_default_session(session: Optional[Session]) -> Optional[Session]:
     _default_session = session
     return previous
 
-
-def default_jobs() -> int:
-    """Worker count for implicit-jobs call sites (explicit args win)."""
-    return resolve_jobs(None)

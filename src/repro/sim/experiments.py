@@ -1,7 +1,7 @@
 """Experiment runner facade.
 
-The classic module-level API (``run``/``run_cells``/``run_matrix``/…) now
-delegates to the process-wide *default session* (see
+The classic module-level API (``run``/``run_cells``/``run_matrix``/
+``simulate``) delegates to the process-wide *default session* (see
 :mod:`repro.session`), which owns the result-cache LRU and the shared
 committed-trace cache and whose :class:`~repro.config.RunConfig` is
 re-resolved from the environment on every call — ``REPRO_INSTRUCTIONS``,
@@ -20,7 +20,9 @@ Variant and component catalogues moved to decorator-based registries:
 
 Region sizes and cache bounds live on ``default_session().config``; the
 session's caches are ``default_session().result_cache`` and
-``.trace_cache``.
+``.trace_cache``.  A cell with Branch Runahead fields changed is named by
+an override token (:func:`~repro.sim.variants.override_variant`), e.g.
+``run("mcf_17", override_variant("mini", dce_in_order=True))``.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.session import (  # noqa: F401  (re-exported API)
     Session,
-    default_jobs,
     default_session,
     merged_registry,
 )
 from repro.sim.results import SimulationResult
 from repro.sim.variants import (  # noqa: F401  (re-exported API)
     is_predictor_only,
+    override_variant,
     register_variant,
     spec_variant,
     variant_kwargs,
@@ -51,12 +53,6 @@ def clear_caches() -> None:
 def run(benchmark: str, variant: str, **kwargs) -> SimulationResult:
     """Run one cell in the default session (see :meth:`Session.run`)."""
     return default_session().run(benchmark, variant, **kwargs)
-
-
-def run_all(variant: str, benchmarks=None, **kwargs):
-    """Run a variant over the benchmark list; returns {name: result}."""
-    return default_session().run_all(variant, benchmarks=benchmarks,
-                                     **kwargs)
 
 
 def run_cells(cells: Sequence[Tuple[str, str]],
@@ -96,16 +92,6 @@ def simulate(benchmark, **kwargs) -> SimulationResult:
     variant tokens.
     """
     return default_session().simulate(benchmark, **kwargs)
-
-
-def replay_mpki(benchmark: str, predictor, **kwargs):
-    """MPKI-only replay in the default session (:meth:`Session.replay_mpki`)."""
-    return default_session().replay_mpki(benchmark, predictor, **kwargs)
-
-
-def run_batch(benchmark: str, variants: Sequence[str], **kwargs):
-    """Batched MPKI replay in the default session (:meth:`Session.run_batch`)."""
-    return default_session().run_batch(benchmark, variants, **kwargs)
 
 
 def hard_branch_accuracy(result: SimulationResult, count: int = 32

@@ -15,7 +15,11 @@ predictor, optionally a Branch Runahead configuration, optionally extra
 * **``spec:`` tokens** — :func:`spec_variant` composes any registered
   predictor × BR-config pair into a plain string
   (``"spec:tage80+mini"``), so ad-hoc combinations cache and pickle
-  exactly like named variants.
+  exactly like named variants;
+* **override tokens** — :func:`override_variant` sets Branch Runahead
+  config fields on any token with a BR config (``"mini[hbt_entries=8]"``,
+  the Figure 13 sweeps' "Mini with one field changed"), so such cells
+  cache, resume and run on a pool like any other.
 
 Because predictor-only variants fall through to the predictor registry, a
 single ``@register_predictor`` definition is enough to make a new
@@ -25,7 +29,8 @@ list`` — no second registration.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List
+import ast
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core.config import UARCH_CONFIGS
 from repro.predictors.registry import PREDICTORS
@@ -121,8 +126,61 @@ def spec_variant(predictor: str, config: str = None) -> str:
     return f"spec:{predictor}+{config or 'none'}"
 
 
+def override_variant(base: str, **fields: Any) -> str:
+    """``base`` with BR config ``fields`` set: ``"mini[hbt_entries=8]"``.
+
+    Fields are sorted and values written as their ``repr``, so one
+    configuration has one token, and one cell key.
+    """
+    if not fields:
+        return base
+    body = ",".join(f"{name}={fields[name]!r}" for name in sorted(fields))
+    return f"{base}[{body}]"
+
+
+def _split_overrides(variant: str) -> Tuple[str, Dict[str, Any]]:
+    """``(base, fields)`` of a token; a malformed or non-canonical
+    override token raises ``ValueError`` naming it."""
+    base, bracket, body = variant.partition("[")
+    if not bracket:
+        return variant, {}
+    try:
+        if not body.endswith("]"):
+            raise ValueError("missing closing ']'")
+        call = ast.parse(f"f({body[:-1]})", mode="eval").body
+        if not isinstance(call, ast.Call) or call.args or not call.keywords \
+                or any(keyword.arg is None for keyword in call.keywords):
+            raise ValueError("expected field=value pairs")
+        fields = {keyword.arg: ast.literal_eval(keyword.value)
+                  for keyword in call.keywords}
+    except (SyntaxError, ValueError) as error:
+        raise ValueError(
+            f"malformed override token {variant!r}: {error}") from None
+    canonical = override_variant(base, **fields)
+    if canonical != variant:
+        raise ValueError(f"override token {variant!r} is not canonical; "
+                         f"write it as {canonical!r}")
+    return base, fields
+
+
 def variant_kwargs(variant: str) -> dict:
     """Materialize ``simulate()`` kwargs for any variant token."""
+    base, fields = _split_overrides(variant)
+    kwargs = _base_kwargs(base)
+    if fields:
+        config = kwargs.get("br_config")
+        if config is None:
+            raise ValueError(f"variant {variant!r}: {base!r} has no BR "
+                             f"config to override")
+        for name, value in fields.items():
+            if name not in vars(config):
+                raise AttributeError(f"variant {variant!r}: unknown BR "
+                                     f"config field {name!r}")
+            setattr(config, name, value)
+    return kwargs
+
+
+def _base_kwargs(variant: str) -> dict:
     if variant.startswith("spec:"):
         predictor, _, config = variant[5:].partition("+")
         kwargs = dict(predictor=PREDICTORS.get(predictor)())

@@ -415,17 +415,6 @@ class TestSessionBatching:
             assert payload_digest(left["payload"]) \
                 == payload_digest(right["payload"])
 
-    def test_run_batch_cache_interop_and_rejection(self):
-        sess = session()
-        first = sess.run_batch("sjeng_06", ["bimodal", "gshare"])
-        assert [hit for _, hit in first] == [False, False]
-        again = sess.run_batch("sjeng_06", ["bimodal", "gshare"])
-        assert [hit for _, hit in again] == [True, True]
-        assert [result for result, _ in again] \
-            == [result for result, _ in first]
-        with pytest.raises(ValueError):
-            sess.run_batch("sjeng_06", ["mini"])
-
     def test_journal_records_one_row_per_cell(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")
         session().run_cells(self.CELLS, outputs="mpki", journal=path)

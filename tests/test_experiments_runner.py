@@ -1,6 +1,7 @@
 """Tests for the parallel experiment runner and the payload digest."""
 
 import json
+import re
 
 import pytest
 
@@ -83,6 +84,45 @@ class TestSpecVariants:
                                experiments.spec_variant("tage64", "mini"),
                                **REGION)
         assert strip(named.to_dict()) == strip(spec.to_dict())
+
+
+class TestOverrideVariants:
+    def test_fields_are_sorted(self):
+        token = experiments.override_variant("mini", window_slots=16,
+                                             hbt_entries=8)
+        assert token == "mini[hbt_entries=8,window_slots=16]"
+        assert experiments.override_variant("mini") == "mini"
+
+    def test_int_and_bool_values_round_trip(self):
+        token = experiments.override_variant("mini", hbt_entries=8,
+                                             dce_in_order=True)
+        config = experiments.variant_kwargs(token)["br_config"]
+        assert type(config.hbt_entries) is int and config.hbt_entries == 8
+        assert config.dce_in_order is True
+        # the rest of the token's config is Mini's
+        assert config.chain_cache_entries == experiments.variant_kwargs(
+            "mini")["br_config"].chain_cache_entries
+
+    def test_overrides_compose_with_spec_tokens(self):
+        token = experiments.override_variant(
+            experiments.spec_variant("tage80", "big"), hbt_entries=16)
+        kwargs = experiments.variant_kwargs(token)
+        assert kwargs["br_config"].name == "big"
+        assert kwargs["br_config"].hbt_entries == 16
+
+    @pytest.mark.parametrize("token", [
+        "mini[hbt_entries]", "mini[hbt_entries=8", "mini[]",
+        "mini[hbt_entries=eight]",
+    ])
+    def test_malformed_token_raises_naming_it(self, token):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            experiments.variant_kwargs(token)
+
+    def test_non_canonical_spelling_rejected(self):
+        # one configuration, one token: the error names the canonical one
+        with pytest.raises(ValueError, match=re.escape(
+                "'mini[hbt_entries=8,window_slots=16]'")):
+            experiments.variant_kwargs("mini[window_slots=16,hbt_entries=8]")
 
 
 class TestResultCacheLru:

@@ -1,7 +1,8 @@
 """Tests for the content-addressed sweep result store (``repro.sched.store``).
 
-Mirrors ``tests/test_trace_cache_disk.py``: entries are keyed by content
-(config fingerprint + cell identity), survive process boundaries, and any
+Mirrors ``tests/test_trace_cache_disk.py``: entries are named by a hash
+of the cell's identity (:func:`~repro.sched.store.cell_key`: benchmark,
+variant, region and outputs mode), survive process boundaries, and any
 form of file damage — truncation, garbage, version skew, digest mismatch,
 key collision — must read back as a clean counted miss, never a crash.
 """
@@ -11,15 +12,16 @@ import pickle
 
 import pytest
 
-from repro.config import RunConfig
-from repro.sched import RESULT_FORMAT_VERSION, ResultStore, result_key
+from repro.sched import RESULT_FORMAT_VERSION, ResultStore, cell_key
 
 
 def make_key(variant="spec:tage64+none", benchmark="sjeng_06",
-             mode="full"):
-    config = RunConfig(instructions=800, warmup=400)
-    return result_key(config.fingerprint(), benchmark, variant,
-                      config.instructions, config.warmup, mode)
+             outputs="full", instructions=800, warmup=400):
+    return cell_key(benchmark, variant, instructions, warmup, outputs)
+
+
+def path_of(**key_fields):
+    return ResultStore("store").path_for(make_key(**key_fields))
 
 
 def sample_record(benchmark="sjeng_06", variant="spec:tage64+none"):
@@ -30,21 +32,25 @@ def sample_record(benchmark="sjeng_06", variant="spec:tage64+none"):
 
 class TestKeying:
     def test_key_is_deterministic(self):
-        assert make_key() == make_key()
+        assert path_of() == path_of()
 
     def test_key_varies_by_every_component(self):
-        base = make_key()
-        assert make_key(benchmark="mcf_06") != base
-        assert make_key(variant="spec:gshare+none") != base
-        assert make_key(mode="mpki") != base
+        base = path_of()
+        assert path_of(benchmark="mcf_06") != base
+        assert path_of(variant="spec:gshare+none") != base
+        assert path_of(outputs="mpki") != base
 
-    def test_key_varies_by_config_fingerprint(self):
-        a = RunConfig(instructions=800, warmup=400)
-        b = RunConfig(instructions=900, warmup=400)
-        assert result_key(a.fingerprint(), "sjeng_06", "mini", 800, 400,
-                          "full") != \
-            result_key(b.fingerprint(), "sjeng_06", "mini", 900, 400,
-                       "full")
+    def test_key_varies_by_region(self):
+        assert path_of(variant="mini", instructions=800) != \
+            path_of(variant="mini", instructions=900)
+        assert path_of(warmup=400) != path_of(warmup=500)
+
+    def test_outputs_mode_only_splits_predictor_only_cells(self):
+        # a BR cell runs the full simulator under outputs="mpki" too
+        assert make_key(variant="mini", outputs="mpki") == \
+            make_key(variant="mini", outputs="full")
+        with pytest.raises(ValueError):
+            make_key(outputs="bogus")
 
 
 class TestRoundTrip:

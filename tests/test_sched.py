@@ -21,12 +21,7 @@ from repro import config as repro_config
 from repro.cli import main as cli_main
 from repro.config import RunConfig
 from repro.observe.journal import read_journal
-from repro.sched import (
-    ResultStore,
-    build_units,
-    result_key,
-    store_outputs_mode,
-)
+from repro.sched import ResultStore, build_units, cell_key
 from repro.session import Session, merged_registry
 from repro.sim.bench import payload_digest
 
@@ -165,9 +160,8 @@ class TestStoreResume:
         Session(config).run_cells(CELLS)
         # damage exactly one landed cell: blow its store entry away
         store = ResultStore(store_dir)
-        key = result_key(config.fingerprint(), "mcf_06", "gshare",
-                         REGION["instructions"], REGION["warmup"],
-                         store_outputs_mode("full", "gshare"))
+        key = cell_key("mcf_06", "gshare", REGION["instructions"],
+                       REGION["warmup"], "full")
         os.remove(store.path_for(key))
 
         resumed = Session(config)
@@ -178,6 +172,21 @@ class TestStoreResume:
                     if not row.get("result_store_hit")]
         assert [(r["benchmark"], r["variant"]) for r in executed] == \
             [("mcf_06", "gshare")]
+
+    def test_host_only_config_fields_still_resume(self, tmp_path):
+        # job count, cache bounds and the trace-cache directory never
+        # change a payload, so a rerun that changes them resumes every
+        # landed cell
+        store_dir = str(tmp_path / "store")
+        rows = session(result_store_dir=store_dir).run_cells(CELLS)
+        rerun = session(result_store_dir=store_dir, jobs=2,
+                        result_cache_size=64,
+                        trace_cache_dir=str(tmp_path / "traces"))
+        again = rerun.run_cells(CELLS)
+        assert rerun.last_sweep["cells_resumed_from_store"] == len(CELLS)
+        assert rerun.last_sweep["cells_scheduled"] == 0
+        assert [payload_digest(row["payload"]) for row in again] == \
+            [payload_digest(row["payload"]) for row in rows]
 
     def test_resumed_registry_matches_uninterrupted_run(self, tmp_path):
         store_dir = str(tmp_path / "store")
@@ -272,8 +281,8 @@ class TestSweepCliExitCodes:
         _truncate_journal(path)
         # lose one landed result too: resume must execute exactly it
         store = ResultStore(store_dir)
-        key = result_key(config.fingerprint(), "sjeng_06", "gshare",
-                         REGION["instructions"], REGION["warmup"], "full")
+        key = cell_key("sjeng_06", "gshare", REGION["instructions"],
+                       REGION["warmup"], "full")
         os.remove(store.path_for(key))
 
         assert cli_main(["sweep", "resume", path, "--json"]) == 0
@@ -288,6 +297,34 @@ class TestSweepCliExitCodes:
             payload_digest(row["payload"]) for row in reference}
         resumed = read_journal(f"{path}.resume")
         assert resumed["complete"]
+
+    def test_resume_cli_completes_override_token_sweep(self, tmp_path,
+                                                       capsys):
+        # override-token cells journal, land in the store, run on a pool
+        # and resume like any other cell
+        cells = [(benchmark, variant)
+                 for benchmark in ("sjeng_06", "mcf_06")
+                 for variant in ("mini[hbt_entries=8]",
+                                 "mini[dce_in_order=True]")]
+        store_dir = str(tmp_path / "store")
+        config = repro_config.current_config().replace(
+            result_store_dir=store_dir, jobs=2, **REGION)
+        path = str(tmp_path / "sweep.jsonl")
+        rows = Session(config).run_cells(cells, journal=path)
+        assert all(row["ok"] for row in rows)
+        _truncate_journal(path)
+        key = cell_key("mcf_06", "mini[dce_in_order=True]",
+                       REGION["instructions"], REGION["warmup"], "full")
+        os.remove(ResultStore(store_dir).path_for(key))
+
+        assert cli_main(["sweep", "resume", path, "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["cells_resumed_from_store"] == 3
+        assert summary["cells_executed"] == 1
+        assert summary["cells_failed"] == 0
+        assert summary["digests"] == {
+            f"{row['benchmark']}/{row['variant']}":
+            payload_digest(row["payload"]) for row in rows}
 
     def test_resume_without_store_is_hard_error(self, tmp_path, capsys):
         path = str(tmp_path / "sweep.jsonl")

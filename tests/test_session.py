@@ -143,7 +143,7 @@ class TestRunCells:
 
 
 class TestDirectEntryPoints:
-    """Session.simulate() / Session.replay_mpki() for notebook callers."""
+    """Session.simulate() for notebook callers."""
 
     def test_simulate_uses_session_region_and_trace_cache(self):
         session = Session(RunConfig(instructions=800, warmup=400))
@@ -178,36 +178,14 @@ class TestDirectEntryPoints:
         via_variant = lone.run("sjeng_06", "mini")
         assert strip(direct.to_dict()) == strip(via_variant.to_dict())
 
-    def test_replay_mpki_name_is_the_cached_fast_path(self):
-        session = Session(RunConfig(instructions=800, warmup=400))
-        replayed = session.replay_mpki("sjeng_06", "tage64")
-        assert replayed.to_dict()["ipc"] is None  # no timing model ran
-        # same key as run(outputs="mpki"): the result is shared
-        assert session.run("sjeng_06", "tage64", outputs="mpki") \
-            is replayed
-
-    def test_replay_mpki_matches_full_timing_mpki(self):
-        session = Session(RunConfig(instructions=800, warmup=400))
-        replayed = session.replay_mpki("sjeng_06", "tage64")
-        full = session.run("sjeng_06", "tage64")
-        assert replayed.mpki == full.mpki
-
-    def test_replay_mpki_accepts_a_predictor_instance(self):
-        from repro.predictors.registry import PREDICTORS
-        session = Session(RunConfig(instructions=800, warmup=400))
-        replayed = session.replay_mpki("sjeng_06",
-                                       PREDICTORS.get("tage64")())
-        assert replayed.mpki == session.run("sjeng_06", "tage64").mpki
-        # instance replays are uncached; only the run() result is stored
-        assert len(session.result_cache) == 1
-
     def test_module_level_facade_delegates_to_default_session(self):
         replacement = Session(RunConfig(instructions=800, warmup=400))
         previous = set_default_session(replacement)
         try:
             result = experiments.simulate("sjeng_06", predictor="tage64")
             assert result.core.instructions == 800
-            replayed = experiments.replay_mpki("sjeng_06", "tage64")
+            replayed = experiments.run("sjeng_06", "tage64",
+                                       outputs="mpki")
             assert replayed.mpki == result.mpki
             assert len(replacement.trace_cache) == 1
         finally:
@@ -239,3 +217,50 @@ class TestSweepSessionThreading:
             assert len(replacement.result_cache) >= 1
         finally:
             set_default_session(previous)
+
+
+class TestSweepCells:
+    """Figure 13 sweeps are override-token cells run through run_cells."""
+
+    BENCHMARKS = ["sjeng_06", "cc"]
+    VALUES = [2, 64]
+
+    def sweep(self, session):
+        from repro.sim import sweeps
+        return sweeps.sweep_parameter("prediction_queue_entries",
+                                      self.BENCHMARKS, values=self.VALUES,
+                                      session=session)
+
+    def test_series_matches_direct_simulate_calls(self):
+        from repro.core.config import mini
+        from repro.predictors.registry import PREDICTORS
+        from repro.sim import sweeps
+        from repro.sim.results import arithmetic_mean, mpki_improvement
+        from repro.sim.simulator import simulate
+        from repro.workloads import suite
+
+        def mpki(name, **overrides):
+            return simulate(suite.load(name),
+                            predictor=PREDICTORS.get("tage64")(),
+                            br_config=mini(**overrides),
+                            instructions=sweeps.SWEEP_INSTRUCTIONS,
+                            warmup=sweeps.SWEEP_WARMUP).mpki
+
+        reference = {name: mpki(name) for name in self.BENCHMARKS}
+        # the queue sweep also scales the paired runahead_limit override
+        expected = {value: arithmetic_mean(
+            mpki_improvement(reference[name], mpki(
+                name, prediction_queue_entries=value,
+                runahead_limit=min(value, 32)))
+            for name in self.BENCHMARKS) for value in self.VALUES}
+        assert self.sweep(Session(RunConfig())) == expected
+
+    def test_pool_sweep_matches_serial(self):
+        serial = self.sweep(Session(RunConfig()))
+        assert self.sweep(Session(RunConfig(jobs=2))) == serial
+
+    def test_failed_cell_raises(self):
+        from repro.sim import sweeps
+        with pytest.raises(RuntimeError, match="bogus_field"):
+            sweeps.sweep_parameter("bogus_field", ["sjeng_06"], values=[1],
+                                   session=Session(RunConfig()))

@@ -13,7 +13,7 @@ from repro.sim.results import (
     ComparisonRow,
 )
 from repro.sim.simulator import simulate
-from repro.sim.variants import variant_names
+from repro.sim.variants import override_variant, variant_names
 from repro.workloads import suite
 
 
@@ -106,20 +106,22 @@ class TestExperimentRunner:
             assert variant in variant_names()
 
     def test_br_override(self):
-        result = experiments.run("sjeng_06", "mini", instructions=2_000,
-                                 warmup=1_000,
-                                 br_overrides={"chain_cache_entries": 4})
+        result = experiments.run(
+            "sjeng_06", override_variant("mini", chain_cache_entries=4),
+            instructions=2_000, warmup=1_000)
         assert result.runahead.config.chain_cache_entries == 4
 
     def test_unknown_override_rejected(self):
         with pytest.raises(AttributeError):
-            experiments.run("sjeng_06", "mini", instructions=2_000,
-                            warmup=1_000, br_overrides={"bogus_field": 1})
+            experiments.run("sjeng_06",
+                            override_variant("mini", bogus_field=1),
+                            instructions=2_000, warmup=1_000)
 
     def test_override_requires_br_variant(self):
         with pytest.raises(ValueError):
-            experiments.run("sjeng_06", "tage64", instructions=2_000,
-                            warmup=1_000, br_overrides={"hbt_entries": 4})
+            experiments.run("sjeng_06",
+                            override_variant("tage64", hbt_entries=4),
+                            instructions=2_000, warmup=1_000)
 
     def test_hard_branch_accuracy(self):
         baseline = experiments.run("sjeng_06", "tage64", instructions=4_000,
