@@ -185,16 +185,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_matrix_args(check_cmd)
     check_cmd.add_argument("--dir", default=observe_baseline.BASELINE_DIR,
                            help="baseline directory (default: baselines/)")
-    check_cmd.add_argument("--timing-tolerance", type=float,
-                           default=observe_baseline.
-                           DEFAULT_TIMING_TOLERANCE,
-                           help="relative host-timing slowdown band, "
-                           "warn-only (default: 1.0 = 100%%)")
     check_cmd.add_argument("--json", action="store_true",
                            help="emit the full check report as JSON")
     check_cmd.add_argument("--github", action="store_true",
-                           help="emit GitHub ::error/::warning workflow "
-                           "annotations")
+                           help="emit GitHub ::error workflow annotations")
     check_cmd.add_argument("--report", default=None, metavar="PATH",
                            help="also write the JSON report to PATH")
 
@@ -564,8 +558,7 @@ def _cmd_baseline(args) -> int:
         return 0
 
     report = observe_baseline.check_baselines(
-        baseline_dir=args.dir, timing_tolerance=args.timing_tolerance,
-        **_matrix_kwargs(args))
+        baseline_dir=args.dir, **_matrix_kwargs(args))
     if args.report:
         try:
             with open(args.report, "w") as handle:

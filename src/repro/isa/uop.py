@@ -98,9 +98,10 @@ _UNARY = frozenset({MOV, NOT, SEXT32})
 
 # --- Pipeline kind tags ---------------------------------------------------
 #
-# The core timing model dispatches each dynamic uop to a specialized
-# sub-handler; the tag is computed once per static uop so the per-uop hot
-# path pays one tuple index instead of a chain of ``is_*`` tests.
+# The core timing model's one per-uop handler branches on this tag at the
+# points where the kinds differ; the tag is computed once per static uop
+# so the hot path compares one small int instead of a chain of ``is_*``
+# flags.
 
 KIND_ALU = 0          # everything that is just "issue + latency"
 KIND_LOAD = 1

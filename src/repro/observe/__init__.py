@@ -8,15 +8,13 @@ rewritten.  This package is the per-benchmark regression observatory
 
 * :mod:`repro.observe.manifest` — run manifests: resolved
   :class:`~repro.config.RunConfig` fingerprint + provenance, git sha,
-  interpreter/platform, per-phase wall clock, peak RSS.  Every baseline
-  and sweep journal is stamped with one, so a number can always be traced
-  back to the exact configuration and host that produced it.
+  interpreter/platform, peak RSS.  Every baseline and sweep journal is
+  stamped with one, so a number can always be traced back to the exact
+  configuration and host that produced it.
 * :mod:`repro.observe.baseline` — ``repro baseline record`` writes one
   committed JSON baseline per benchmark (MPKI, IPC, chain coverage, key
   ``StatRegistry`` counters, payload digest per variant);
-  ``repro baseline check`` re-runs and diffs against them under
-  per-metric tolerance bands (exact for digests/MPKI/IPC/counters,
-  percentage bands for host timings).
+  ``repro baseline check`` re-runs and diffs every one of them exactly.
 * :mod:`repro.observe.journal` — the sweep flight recorder: an
   append-only ``repro-journal-v1`` JSONL event stream written live as a
   parallel ``run_cells`` sweep lands rows (per-worker manifests, per-cell

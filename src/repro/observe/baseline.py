@@ -3,21 +3,16 @@
 ``record`` runs the benchmark x variant matrix once and writes **one JSON
 baseline file per benchmark** under ``baselines/`` — MPKI, IPC, chain
 coverage, a whitelist of key ``StatRegistry`` counters, and the
-deterministic payload digest per variant, plus aggregated per-phase host
-seconds and a run manifest (:mod:`repro.observe.manifest`).  The files
-are committed, so every future PR diffs against an explicit, reviewable
-per-benchmark contract instead of a single whole-suite sha256.
+deterministic payload digest per variant, plus a run manifest
+(:mod:`repro.observe.manifest`).  The files are committed, so every
+future PR diffs against an explicit, reviewable per-benchmark contract
+instead of a single whole-suite sha256.
 
-``check`` re-runs the same matrix and compares under **per-metric
-tolerance bands**:
-
-* *deterministic metrics* — payload digest, MPKI, IPC, chain coverage,
-  counters — are compared **exactly**; the simulator is a pure function
-  of the program and configuration, so any drift is a behaviour change
-  and fails the check;
-* *host timings* — per-phase wall seconds — get a one-sided **relative
-  band** (default: a slowdown beyond 100% of the recorded time) and only
-  ever *warn*; shared CI runners are too noisy for wall-clock gating.
+``check`` re-runs the same matrix and compares every metric **exactly**:
+the simulator is a pure function of the program and configuration, so
+any drift is a behaviour change and fails the check.  Host wall-clock is
+not a baseline metric; the perfbench benchmark measures it over repeated
+runs.
 
 A baseline recorded under different region parameters is not comparable;
 ``check`` fails such a benchmark with a single ``region`` violation
@@ -67,34 +62,25 @@ KEY_COUNTERS = (
     "dce.chain_cache.covered_branches",
 )
 
-#: One-sided relative slowdown band for host timings (1.0 = 100%).
-DEFAULT_TIMING_TOLERANCE = 1.0
-
-
 @dataclass(frozen=True)
 class Tolerance:
     """How one metric is allowed to move before it is reported.
 
-    ``mode`` is ``"exact"`` (any difference violates) or ``"relative"``
-    (one-sided: ``current > baseline * (1 + bound)`` violates — faster
-    never does).  ``severity`` decides whether a violation fails the
-    check (``"fail"``) or is informational (``"warn"``).
+    ``mode`` is ``"exact"``: any difference violates.  ``severity``
+    decides whether a violation fails a check (``"fail"``) or is
+    informational (``"warn"``, used by the sweep drift audit).
     """
 
     mode: str
-    bound: float = 0.0
     severity: str = "fail"
 
     def violates(self, baseline: float, current: float) -> bool:
         if self.mode == "exact":
             return baseline != current
-        if self.mode == "relative":
-            return current > baseline * (1.0 + self.bound)
         raise ValueError(f"unknown tolerance mode {self.mode!r}")
 
 
-def tolerance_policy(timing_tolerance: float = DEFAULT_TIMING_TOLERANCE
-                     ) -> Dict[str, Tolerance]:
+def tolerance_policy() -> Dict[str, Tolerance]:
     """The per-metric-category tolerance table ``check`` applies."""
     return {
         "digest": Tolerance("exact", severity="fail"),
@@ -102,8 +88,6 @@ def tolerance_policy(timing_tolerance: float = DEFAULT_TIMING_TOLERANCE
         "ipc": Tolerance("exact", severity="fail"),
         "chain_coverage": Tolerance("exact", severity="fail"),
         "counter": Tolerance("exact", severity="fail"),
-        "timing": Tolerance("relative", bound=timing_tolerance,
-                            severity="warn"),
     }
 
 
@@ -155,19 +139,6 @@ def _variant_entry(payload: dict) -> dict:
     }
 
 
-def _timing_totals(payloads: List[dict]) -> Dict[str, float]:
-    """Aggregate ``host.phase.*_seconds`` across one benchmark's cells."""
-    totals: Dict[str, float] = {}
-    for payload in payloads:
-        phases = payload.get("stats", {}).get("host", {}).get("phase", {})
-        for name, seconds in phases.items():
-            if name.endswith("_seconds"):
-                key = name[:-len("_seconds")]
-                totals[key] = totals.get(key, 0.0) + float(seconds)
-    return {name: round(seconds, 6)
-            for name, seconds in sorted(totals.items())}
-
-
 # -- matrix execution ------------------------------------------------------
 
 def _run_matrix(benchmarks: Optional[List[str]],
@@ -216,7 +187,6 @@ def benchmark_document(benchmark: str, instructions: int, warmup: int,
                        variant_payloads: List[Tuple[str, dict]],
                        manifest: dict) -> dict:
     """The committed per-benchmark baseline document."""
-    payloads = [payload for _, payload in variant_payloads]
     return {
         "schema": BASELINE_SCHEMA,
         "benchmark": benchmark,
@@ -224,7 +194,6 @@ def benchmark_document(benchmark: str, instructions: int, warmup: int,
         "warmup": warmup,
         "variants": {variant: _variant_entry(payload)
                      for variant, payload in variant_payloads},
-        "host_phase_seconds": _timing_totals(payloads),
         "manifest": manifest,
     }
 
@@ -253,10 +222,8 @@ def record_baselines(benchmarks: Optional[List[str]] = None,
                             jobs, quick, session)
     os.makedirs(out_dir, exist_ok=True)
     written: List[str] = []
+    manifest = run_manifest(session.config)
     for benchmark in benchmarks:
-        payloads = [payload for _, payload in per_benchmark[benchmark]]
-        manifest = run_manifest(session.config,
-                                phase_seconds=_timing_totals(payloads))
         document = benchmark_document(benchmark, instructions, warmup,
                                       per_benchmark[benchmark], manifest)
         path = baseline_path(out_dir, benchmark)
@@ -271,7 +238,7 @@ def record_baselines(benchmarks: Optional[List[str]] = None,
         "variants": variants,
         "instructions": instructions,
         "warmup": warmup,
-        "manifest": run_manifest(session.config),
+        "manifest": manifest,
     }
 
 
@@ -287,7 +254,7 @@ def _violation(benchmark: str, variant: Optional[str], metric: str,
         "category": category,
         "baseline": baseline_value,
         "current": current_value,
-        "tolerance": {"mode": tolerance.mode, "bound": tolerance.bound},
+        "tolerance": {"mode": tolerance.mode},
         "severity": tolerance.severity,
     }
 
@@ -335,19 +302,6 @@ def _check_benchmark(benchmark: str, document: dict,
                 findings.append(_violation(
                     benchmark, variant, f"counters.{name}", "counter",
                     recorded_value, current_value, tolerance))
-
-    tolerance = policy["timing"]
-    payloads = [payload for _, payload in variant_payloads]
-    current_timings = _timing_totals(payloads)
-    for phase, recorded_seconds in sorted(
-            document.get("host_phase_seconds", {}).items()):
-        current_seconds = current_timings.get(phase)
-        if current_seconds is None:
-            continue
-        if tolerance.violates(recorded_seconds, current_seconds):
-            findings.append(_violation(
-                benchmark, None, f"host_phase_seconds.{phase}", "timing",
-                recorded_seconds, current_seconds, tolerance))
     return findings
 
 
@@ -358,20 +312,17 @@ def check_baselines(benchmarks: Optional[List[str]] = None,
                     jobs: Optional[int] = None,
                     quick: bool = False,
                     baseline_dir: str = BASELINE_DIR,
-                    timing_tolerance: float = DEFAULT_TIMING_TOLERANCE,
                     session: Optional[Session] = None) -> dict:
     """Re-run the matrix and diff against the committed baselines.
 
-    The report's ``ok`` is False iff a fail-severity violation (or a
-    missing baseline file) was found; timing-band violations are
-    surfaced under ``warnings`` and never gate.
+    The report's ``ok`` is False iff a violation (or a missing baseline
+    file) was found.
     """
-    policy = tolerance_policy(timing_tolerance)
+    policy = tolerance_policy()
     (benchmarks, variants, instructions, warmup, per_benchmark,
      session) = _run_matrix(benchmarks, variants, instructions, warmup,
                             jobs, quick, session)
     violations: List[dict] = []
-    warnings: List[dict] = []
     missing: List[str] = []
     checked: List[str] = []
     for benchmark in benchmarks:
@@ -383,13 +334,9 @@ def check_baselines(benchmarks: Optional[List[str]] = None,
             missing.append(benchmark)
             continue
         checked.append(benchmark)
-        for finding in _check_benchmark(benchmark, document,
-                                        per_benchmark[benchmark],
-                                        instructions, warmup, policy):
-            if finding["severity"] == "fail":
-                violations.append(finding)
-            else:
-                warnings.append(finding)
+        violations.extend(_check_benchmark(benchmark, document,
+                                           per_benchmark[benchmark],
+                                           instructions, warmup, policy))
     return {
         "schema": CHECK_SCHEMA,
         "ok": not violations and not missing,
@@ -401,7 +348,6 @@ def check_baselines(benchmarks: Optional[List[str]] = None,
         "checked": checked,
         "missing_baselines": missing,
         "violations": violations,
-        "warnings": warnings,
         "manifest": run_manifest(session.config),
     }
 
@@ -430,12 +376,8 @@ def format_check_report(report: dict) -> str:
                      f"(run `repro baseline record`)")
     for finding in report["violations"]:
         lines.append(f"  FAIL     {_describe(finding)}")
-    for finding in report["warnings"]:
-        lines.append(f"  warn     {_describe(finding)}")
     if report["ok"]:
-        suffix = f" ({len(report['warnings'])} timing warning(s))" \
-            if report["warnings"] else ""
-        lines.append(f"  ok: all metrics within tolerance{suffix}")
+        lines.append("  ok: all metrics within tolerance")
     else:
         lines.append(
             f"  FAILED: {len(report['violations'])} violation(s), "
@@ -444,7 +386,7 @@ def format_check_report(report: dict) -> str:
 
 
 def github_annotations(report: dict) -> List[str]:
-    """``::error``/``::warning`` workflow-command lines for CI logs."""
+    """``::error`` workflow-command lines for CI logs."""
     annotations: List[str] = []
     for benchmark in report["missing_baselines"]:
         annotations.append(
@@ -455,11 +397,5 @@ def github_annotations(report: dict) -> List[str]:
                              finding["benchmark"])
         annotations.append(f"::error file={path},"
                            f"title=Baseline regression::"
-                           f"{_describe(finding)}")
-    for finding in report["warnings"]:
-        path = baseline_path(report["baseline_dir"],
-                             finding["benchmark"])
-        annotations.append(f"::warning file={path},"
-                           f"title=Baseline timing drift::"
                            f"{_describe(finding)}")
     return annotations

@@ -10,10 +10,10 @@ contracts:
   yields the identical deterministic subset, and
   :func:`manifest_fingerprint` hashes exactly that subset so comparability
   is a string equality;
-* the **host part** — git sha, interpreter, platform, per-phase wall
-  clock, peak RSS — varies run to run and exists for forensics, never for
-  gating.  Tolerance policy in :mod:`repro.observe.baseline` treats
-  everything under ``host`` as informational.
+* the **host part** — git sha, interpreter, platform, peak RSS — varies
+  run to run and exists for forensics, never for gating.  Tolerance
+  policy in :mod:`repro.observe.baseline` treats everything under
+  ``host`` as informational.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ def peak_rss_kb() -> Optional[int]:
     return int(peak)
 
 
-def run_manifest(resolved: Union[ResolvedConfig, RunConfig, None] = None,
-                 phase_seconds: Optional[Mapping[str, float]] = None,
+def run_manifest(resolved: Union[ResolvedConfig, RunConfig, None] = None
                  ) -> dict:
     """Build the manifest for a run under ``resolved``.
 
@@ -71,9 +70,7 @@ def run_manifest(resolved: Union[ResolvedConfig, RunConfig, None] = None,
     (provenance included), a bare :class:`~repro.config.RunConfig`
     (an explicit :class:`~repro.session.Session` config — provenance is
     reported as ``explicit`` for every field), or None to resolve the
-    current environment.  ``phase_seconds`` carries the producer's
-    per-phase wall clock (aggregated simulator phases) into
-    ``host.phase_seconds``.
+    current environment.
     """
     if resolved is None:
         resolved = resolve_config()
@@ -95,9 +92,6 @@ def run_manifest(resolved: Union[ResolvedConfig, RunConfig, None] = None,
             "implementation": platform.python_implementation(),
             "platform": platform.platform(),
             "peak_rss_kb": peak_rss_kb(),
-            "phase_seconds": {name: round(float(seconds), 6)
-                              for name, seconds in
-                              sorted((phase_seconds or {}).items())},
         },
     }
     return manifest

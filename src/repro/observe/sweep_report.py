@@ -83,7 +83,7 @@ def _drift_violation(pid, metric: str, sweep_value, worker_value,
         "metric": metric,
         "sweep": sweep_value,
         "worker_value": worker_value,
-        "tolerance": {"mode": tolerance.mode, "bound": tolerance.bound},
+        "tolerance": {"mode": tolerance.mode},
         "severity": tolerance.severity,
     }
 

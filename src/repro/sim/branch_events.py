@@ -18,20 +18,20 @@ tuple list lazily and memoizes it, so scalar consumers keep their exact
 shape while batch consumers never pay for it.
 
 On disk the columns live in ``.events`` sidecar files next to the trace
-cache's ``.trace`` entries, under the same content-sha256 filename +
-atomic-rename discipline: a little-endian ``RPBE`` magic, a u16 format
-version, the sha256 of the payload, then the payload (program
-fingerprint, record/event counts, and the three raw columns).  Any
-truncation, digest mismatch, or version skew raises ``ValueError`` so
-the cache layer can treat it as a clean counted miss — never a crash.
-A sidecar is ~9 bytes per branch versus ~100+ per record in the pickle,
-and reading it never touches ``pickle`` at all.
+cache's ``.trace`` entries.  This module packs and unpacks the payload
+(program fingerprint, record/event counts, and the three raw columns);
+the trace cache frames it exactly like a ``.trace`` entry
+(:func:`~repro.sim.trace_cache.write_framed`: an ``RPBE`` magic, a u16
+format version, the sha256 of the payload) under the same
+content-sha256 filename + atomic-rename discipline.  Any truncation,
+digest, length or fingerprint mismatch, or version skew raises
+``ValueError``, which the cache turns into a clean counted miss — never a
+crash.  A sidecar is ~9 bytes per branch versus ~100+ per record in the
+pickle, and reading it never touches ``pickle`` at all.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 import struct
 import sys
 from array import array
@@ -48,8 +48,9 @@ BranchEvent = Tuple[int, int, bool]
 #: so old files are never found and would be rejected if renamed.
 EVENT_FORMAT_VERSION = 1
 
-_MAGIC = b"RPBE"
-_HEADER_LEN = len(_MAGIC) + 2 + 32  # magic + u16 version + payload sha256
+#: Sidecar frame magic (see :func:`~repro.sim.trace_cache.write_framed`).
+EVENT_MAGIC = b"RPBE"
+
 _COUNTS = struct.Struct("<QQ")  # record_count, event_count
 
 # 'I' is guaranteed >= 2 bytes only; every supported platform makes it 4,
@@ -104,9 +105,10 @@ def extract_columns(records: Iterable[DynamicUop],
     return BranchColumns(indices, pcs, takens, record_count)
 
 
-# -- disk sidecar ------------------------------------------------------------
+# -- disk sidecar payload -----------------------------------------------------
 
-def _pack(columns: BranchColumns, fingerprint: str) -> bytes:
+def pack_columns(columns: BranchColumns, fingerprint: str) -> bytes:
+    """The sidecar payload: fingerprint, counts, then the raw columns."""
     indices, pcs = columns.indices, columns.pcs
     if sys.byteorder == "big":  # pragma: no cover - little-endian hosts
         indices, pcs = array(_U32, indices), array(_U32, pcs)
@@ -119,40 +121,12 @@ def _pack(columns: BranchColumns, fingerprint: str) -> bytes:
     ))
 
 
-def write_columns(path: str, columns: BranchColumns,
-                  fingerprint: str) -> bool:
-    """Atomically write a sidecar; returns False (never raises) on OSError.
-
-    Same-directory temp file + ``os.replace``, exactly the ``.trace``
-    discipline: concurrent workers spilling the same region can never
-    expose a half-written file.
-    """
-    try:
-        payload = _pack(columns, fingerprint)
-        header = (_MAGIC + EVENT_FORMAT_VERSION.to_bytes(2, "little")
-                  + hashlib.sha256(payload).digest())
-        temp_path = f"{path}.tmp.{os.getpid()}"
-        with open(temp_path, "wb") as handle:
-            handle.write(header)
-            handle.write(payload)
-        os.replace(temp_path, path)
-        return True
-    except OSError:
-        return False
-
-
-def read_columns(blob: bytes, fingerprint: str) -> BranchColumns:
-    """Decode a sidecar blob; raises ValueError on any damage or mismatch."""
-    if len(blob) < _HEADER_LEN or not blob.startswith(_MAGIC):
-        raise ValueError("bad magic or truncated header")
-    version = int.from_bytes(blob[4:6], "little")
-    if version != EVENT_FORMAT_VERSION:
-        raise ValueError(f"event format version {version}")
-    payload = blob[_HEADER_LEN:]
-    if hashlib.sha256(payload).digest() != blob[6:_HEADER_LEN]:
-        raise ValueError("payload digest mismatch")
+def unpack_columns(payload: bytes, fingerprint: str) -> BranchColumns:
+    """Decode a sidecar payload; raises ValueError on any mismatch."""
     if payload[:32] != bytes.fromhex(fingerprint):
         raise ValueError("program fingerprint mismatch")
+    if len(payload) < 32 + _COUNTS.size:
+        raise ValueError("truncated payload")
     record_count, event_count = _COUNTS.unpack_from(payload, 32)
     offset = 32 + _COUNTS.size
     column_bytes = event_count * 4

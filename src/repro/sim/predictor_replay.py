@@ -30,14 +30,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, deque
 from contextlib import ExitStack
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.emulator.machine import Machine
 from repro.isa.program import Program
 from repro.predictors.base import BranchPredictor
 from repro.predictors.batched import replay_lanes
-from repro.sim.branch_events import BranchColumns, BranchEvent, \
-    extract_columns
+from repro.sim.branch_events import BranchColumns, extract_columns
 from repro.sim.trace_cache import TraceCache
 from repro.telemetry import StatRegistry, Telemetry
 from repro.uarch.stats import CoreStats
@@ -70,19 +69,6 @@ def load_branch_columns(program: Program, start: int, total: int,
         columns = trace_cache.branch_columns(program, start, total,
                                              count=False)
     return columns
-
-
-def branch_events(program: Program, start: int, total: int,
-                  trace_cache: Optional[TraceCache] = None
-                  ) -> Tuple[List[BranchEvent], int]:
-    """The region's branch stream as tuples, plus its record count.
-
-    Classic tuple view over :func:`load_branch_columns`; the list is
-    memoized on the columns (and hence on the cache entry), so repeated
-    calls on a warm region return the same object.
-    """
-    columns = load_branch_columns(program, start, total, trace_cache)
-    return columns.events(), columns.record_count
 
 
 class PredictorReplayResult:

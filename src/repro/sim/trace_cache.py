@@ -78,10 +78,11 @@ from repro.predictors.base import BranchPredictor
 from repro.predictors.tage_batch import stream_signature
 from repro.sim.branch_events import (
     EVENT_FORMAT_VERSION,
+    EVENT_MAGIC,
     BranchColumns,
     extract_columns,
-    read_columns,
-    write_columns,
+    pack_columns,
+    unpack_columns,
 )
 
 #: Default LRU capacity (regions, not uops), matching
@@ -102,8 +103,9 @@ def write_framed(path: str, payload: bytes, magic: bytes,
                  version: int) -> None:
     """Atomically write one framed blob: magic + u16 version + sha256 + body.
 
-    The frame is the shared on-disk contract between the trace cache and
-    the sweep :class:`~repro.sched.store.ResultStore` — a reader can
+    The frame is the shared on-disk contract of the trace cache's
+    ``.trace`` entries and ``.events`` sidecars and the sweep
+    :class:`~repro.sched.store.ResultStore` — a reader can
     always tell truncation, version skew, and bit rot apart from a valid
     entry before touching the pickle inside.  Writes go through a
     same-directory temp file and ``os.replace`` so concurrent writers of
@@ -195,18 +197,6 @@ class TraceEntry:
         #: :meth:`TraceCache.bind_wrong_paths`).  Memory only: never
         #: spilled.
         self.wrong_paths: Dict[int, WalkPrefix] = {}
-
-    @property
-    def branch_events(self):
-        """Classic ``(region_index, pc, taken)`` tuple view of the columns.
-
-        Memoized on the columns object, so repeated reads return the same
-        list — and, unlike the pre-columnar attribute this replaces, the
-        columns survive a disk spill/reload round-trip via the ``.events``
-        sidecar instead of being re-extracted per process.
-        """
-        columns = self.branch_columns
-        return columns.events() if columns is not None else None
 
 
 class ReplayMachine:
@@ -537,11 +527,10 @@ class TraceCache:
 
     def _spill_to_disk(self, entry: TraceEntry) -> None:
         """Serialize an entry; failures only count, never propagate."""
-        try:
-            path = self._disk_path(entry.program, entry.start, entry.total)
-            if os.path.exists(path):
-                return  # another worker (or a prior run) already spilled it
-            payload = pickle.dumps({
+        path = self._disk_path(entry.program, entry.start, entry.total)
+
+        def encode() -> bytes:
+            return pickle.dumps({
                 "fingerprint": program_fingerprint(entry.program),
                 "start": entry.start,
                 "total": entry.total,
@@ -555,11 +544,9 @@ class TraceCache:
                 "final_seq": entry.final_seq,
                 "halted": entry.halted,
             }, protocol=pickle.HIGHEST_PROTOCOL)
-            os.makedirs(self.disk_dir, exist_ok=True)
-            write_framed(path, payload, _MAGIC, FORMAT_VERSION)
+
+        if self._write_file(path, encode, _MAGIC, FORMAT_VERSION):
             self.spills += 1
-        except OSError:
-            self.spill_errors += 1
 
     def _events_path(self, program: Program, start: int, total: int) -> str:
         key = (f"{program_fingerprint(program)}:{start}:{total}"
@@ -572,49 +559,45 @@ class TraceCache:
         """Write the ``.events`` sidecar; failures count, never propagate."""
         if self.disk_dir is None:
             return
+        path = self._events_path(program, start, total)
+        if self._write_file(
+                path, lambda: pack_columns(columns,
+                                           program_fingerprint(program)),
+                EVENT_MAGIC, EVENT_FORMAT_VERSION):
+            self.event_spills += 1
+
+    def _write_file(self, path: str, encode: Callable[[], bytes],
+                    magic: bytes, version: int) -> bool:
+        """Frame and write ``encode()`` unless ``path`` exists already.
+
+        True when this call wrote the file; an ``OSError`` counts a spill
+        error and is never raised.
+        """
         try:
-            path = self._events_path(program, start, total)
             if os.path.exists(path):
-                return
+                return False  # another worker (or a prior run) spilled it
             os.makedirs(self.disk_dir, exist_ok=True)
+            write_framed(path, encode(), magic, version)
+            return True
         except OSError:
             self.spill_errors += 1
-            return
-        if write_columns(path, columns, program_fingerprint(program)):
-            self.event_spills += 1
-        else:
-            self.spill_errors += 1
+            return False
 
     def _load_events(self, program: Program, start: int,
                      total: int) -> Optional[BranchColumns]:
         """Read a sidecar; any damage is a clean miss, not a crash."""
-        path = self._events_path(program, start, total)
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except OSError:
-            return None
-        try:
-            return read_columns(blob, program_fingerprint(program))
-        except Exception:
-            self.corrupt_entries += 1
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            return None
+        return self._read_file(
+            self._events_path(program, start, total),
+            EVENT_MAGIC, EVENT_FORMAT_VERSION,
+            lambda payload: unpack_columns(payload,
+                                           program_fingerprint(program)))
 
     def _load_from_disk(self, program: Program, start: int,
                         total: int) -> Optional[TraceEntry]:
         """Deserialize an entry; any damage is a clean miss, not a crash."""
-        path = self._disk_path(program, start, total)
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except OSError:
-            return None
-        try:
-            data = pickle.loads(read_framed(blob, _MAGIC, FORMAT_VERSION))
+
+        def decode(payload: bytes) -> TraceEntry:
+            data = pickle.loads(payload)
             if (data["fingerprint"] != program_fingerprint(program)
                     or data["start"] != start or data["total"] != total):
                 raise ValueError("key mismatch")
@@ -629,8 +612,26 @@ class TraceCache:
                               list(data["start_regs"]), data["start_pc"],
                               data["start_seq"], data["final_pc"],
                               data["final_seq"], data["halted"])
+
+        return self._read_file(self._disk_path(program, start, total),
+                               _MAGIC, FORMAT_VERSION, decode)
+
+    def _read_file(self, path: str, magic: bytes, version: int,
+                   decode: Callable[[bytes], object]):
+        """``decode`` one framed file's payload; None when absent.
+
+        Any damage — a bad frame, or ``decode`` raising — is a counted
+        corrupt entry: the file is deleted best-effort so the next run
+        respills it, and the caller sees a clean miss.
+        """
+        try:
+            with open(path, "rb") as handle:
+                blob = handle.read()
+        except OSError:
+            return None
+        try:
+            return decode(read_framed(blob, magic, version))
         except Exception:
-            # truncated/garbage/stale file: drop it so the next run respills
             self.corrupt_entries += 1
             try:
                 os.remove(path)

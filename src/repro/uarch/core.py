@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Optional, Tuple
 
 from repro.emulator.trace import DynamicUop
 from repro.isa.registers import NUM_ARCH_REGS
+from repro.isa.uop import KIND_COND_BRANCH, KIND_JUMP, KIND_LOAD, KIND_STORE
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.memsys.port import PortTracker
 from repro.predictors.base import BranchPredictor
@@ -116,7 +117,6 @@ class CoreModel:
         self._retired_in_cycle = 0
         # register availability
         self._reg_ready = [0] * NUM_ARCH_REGS
-        self._issued_uops = 0
 
     @property
     def runahead(self) -> RunaheadHooks:
@@ -154,13 +154,7 @@ class CoreModel:
         """
         if initial_regs is not None:
             self.retired_regs = list(initial_regs)
-        # per-kind handlers indexed by the precomputed Uop.kind tag
-        # (KIND_ALU, KIND_LOAD, KIND_STORE, KIND_COND_BRANCH, KIND_JUMP,
-        # KIND_HALT — HALT never reaches the committed stream but maps to
-        # the ALU handler for safety)
-        handlers = (self._process_alu, self._process_load,
-                    self._process_store, self._process_branch,
-                    self._process_jump, self._process_alu)
+        process = self._process
         count = 0
         warmup_end_cycle = 0
         warmed_up = False
@@ -169,7 +163,7 @@ class CoreModel:
                 warmup_end_cycle = self._last_retire_cycle
                 self._reset_stats()
                 warmed_up = True
-            handlers[record.uop.kind](record)
+            process(record)
             count += 1
         if warmed_up:
             self.stats.instructions = count - warmup
@@ -189,18 +183,19 @@ class CoreModel:
 
     # -- per-instruction pipeline -------------------------------------------
     #
-    # One specialized handler per uop kind, selected in :meth:`run` by the
-    # precomputed ``Uop.kind`` tag.  Each handler fully inlines the shared
-    # fetch / dispatch / issue / retire skeleton — including the bodies of
+    # One handler for every uop kind.  It inlines the fetch / dispatch /
+    # issue / retire skeleton — including the bodies of
     # ``RingTracker.earliest_free``/``allocate`` and the hierarchy's
     # same-line I-fetch fast path — because at tens of thousands of dynamic
     # uops per region even the helper-call overhead is a measurable slice of
-    # the timing phase.  KEEP THE FIVE BODIES IN SYNC; the
-    # pipeline-behaviour and differential tests pin the shared semantics.
+    # the timing phase.  The precomputed ``Uop.kind`` tag selects the
+    # per-kind work at three points only: branch prediction at fetch, issue
+    # to completion, and the store's D-cache write at retire.
 
-    def _process_alu(self, record: DynamicUop) -> None:
+    def _process(self, record: DynamicUop) -> None:
         cfg = self.config
         op = record.uop
+        kind = op.kind
         pc = record.pc
         # ---- fetch -------------------------------------------------------
         if self._fetch_slots_used >= cfg.fetch_width:
@@ -220,6 +215,32 @@ class CoreModel:
         if self._tracing:
             self.tracer.emit("fetch", "core", fetch_cycle,
                              pc=pc, seq=record.seq)
+        mispredicted = False
+        if kind == KIND_COND_BRANCH:
+            # ---- branch prediction at fetch ------------------------------
+            stats = self.stats
+            taken = record.taken
+            stats.cond_branches += 1
+            stats.branch_counts[pc] += 1
+            if taken:
+                stats.taken_branches += 1
+            # predict and train in one call: no hook reads the baseline, so
+            # training it before fetch_prediction changes nothing
+            tage_pred = self.baseline(pc, taken)
+            mispredicted = tage_pred != taken
+            if mispredicted:
+                stats.baseline_mispredicts += 1
+            source = "tage"
+            if self._on_retire is not None:
+                # default no-op hooks would return (tage_pred, "tage"): skip
+                final_pred, source = self._runahead.fetch_prediction(
+                    pc, fetch_cycle, tage_pred)
+                if source == "dce":
+                    stats.dce_predictions_used += 1
+                mispredicted = final_pred != taken
+            if mispredicted:
+                stats.mispredicts += 1
+                stats.branch_mispredicts[pc] += 1
         # ---- dispatch / issue --------------------------------------------
         dispatch = fetch_cycle + cfg.frontend_depth
         rob = self.rob
@@ -239,390 +260,54 @@ class CoreModel:
             if src_ready > ready:
                 ready = src_ready
         issue = self.alus.acquire(ready)
-        self._issued_uops += 1
-        complete = issue + op.latency
-        for dst in op.dst_regs:
-            reg_ready[dst] = complete
-        # ---- retire ------------------------------------------------------
-        retire = complete + 1
-        last = self._last_retire_cycle
-        if retire < last:
-            retire = last
-        if retire == last:
-            if self._retired_in_cycle >= cfg.retire_width:
-                retire += 1
-                self._retired_in_cycle = 0
-        else:
-            self._retired_in_cycle = 0
-        self._retired_in_cycle += 1
-        self._last_retire_cycle = retire
-        index = rob._next
-        rob._release[index] = retire
-        rob._next = (index + 1) % rob.capacity
-        index = rs._next
-        rs._release[index] = issue + 1
-        rs._next = (index + 1) % rs.capacity
-        retired_regs = self.retired_regs
-        for dst in op.dst_regs:
-            retired_regs[dst] = record.dst_value
-        if self._tracing:
-            self.tracer.emit("retire", "core", retire,
-                             pc=pc, seq=record.seq)
-        on_retire = self._on_retire
-        if on_retire is not None:
-            on_retire(record, retire, False, retired_regs)
-        # periodic pruning of per-cycle trackers
-        if record.seq & 0x3FF == 0:
-            low_water = fetch_cycle - 512
-            if low_water < 0:
-                low_water = 0
-            self.alus.prune(low_water)
-            self.dcache_ports.prune(low_water)
-
-    def _process_load(self, record: DynamicUop) -> None:
-        cfg = self.config
-        op = record.uop
-        pc = record.pc
-        # ---- fetch -------------------------------------------------------
-        if self._fetch_slots_used >= cfg.fetch_width:
-            self._next_fetch_cycle += 1
-            self._fetch_slots_used = 0
-        fetch_cycle = self._next_fetch_cycle
-        hierarchy = self.hierarchy
-        if pc >> 3 == hierarchy._last_insn_line:
-            hierarchy.l1i.stats.hits += 1  # same-line fetch: guaranteed hit
-        else:
-            icache_done = hierarchy.access_insn(pc, fetch_cycle)
-            if icache_done > fetch_cycle + self._l1_latency:
-                fetch_cycle = icache_done
-                self._next_fetch_cycle = fetch_cycle
-                self._fetch_slots_used = 0
-        self._fetch_slots_used += 1
-        if self._tracing:
-            self.tracer.emit("fetch", "core", fetch_cycle,
-                             pc=pc, seq=record.seq)
-        # ---- dispatch / issue --------------------------------------------
-        dispatch = fetch_cycle + cfg.frontend_depth
-        rob = self.rob
-        oldest = rob._release[rob._next]
-        if oldest > dispatch:
-            rob.stall_events += 1
-            dispatch = oldest
-        rs = self.rs
-        oldest = rs._release[rs._next]
-        if oldest > dispatch:
-            rs.stall_events += 1
-            dispatch = oldest
-        ready = dispatch
-        reg_ready = self._reg_ready
-        for src in op.src_regs:
-            src_ready = reg_ready[src]
-            if src_ready > ready:
-                ready = src_ready
-        issue = self.alus.acquire(ready)
-        self._issued_uops += 1
-        self.stats.loads += 1
-        self.dcache_ports.use_core(issue)
-        complete = self.forwarder.try_forward(record.addr, issue)
-        if complete < 0:
-            complete = hierarchy.access_data(record.addr, issue)
-        for dst in op.dst_regs:
-            reg_ready[dst] = complete
-        # ---- retire ------------------------------------------------------
-        retire = complete + 1
-        last = self._last_retire_cycle
-        if retire < last:
-            retire = last
-        if retire == last:
-            if self._retired_in_cycle >= cfg.retire_width:
-                retire += 1
-                self._retired_in_cycle = 0
-        else:
-            self._retired_in_cycle = 0
-        self._retired_in_cycle += 1
-        self._last_retire_cycle = retire
-        index = rob._next
-        rob._release[index] = retire
-        rob._next = (index + 1) % rob.capacity
-        index = rs._next
-        rs._release[index] = issue + 1
-        rs._next = (index + 1) % rs.capacity
-        retired_regs = self.retired_regs
-        for dst in op.dst_regs:
-            retired_regs[dst] = record.dst_value
-        if self._tracing:
-            self.tracer.emit("retire", "core", retire,
-                             pc=pc, seq=record.seq)
-        on_retire = self._on_retire
-        if on_retire is not None:
-            on_retire(record, retire, False, retired_regs)
-        # periodic pruning of per-cycle trackers
-        if record.seq & 0x3FF == 0:
-            low_water = fetch_cycle - 512
-            if low_water < 0:
-                low_water = 0
-            self.alus.prune(low_water)
-            self.dcache_ports.prune(low_water)
-
-    def _process_store(self, record: DynamicUop) -> None:
-        cfg = self.config
-        op = record.uop
-        pc = record.pc
-        # ---- fetch -------------------------------------------------------
-        if self._fetch_slots_used >= cfg.fetch_width:
-            self._next_fetch_cycle += 1
-            self._fetch_slots_used = 0
-        fetch_cycle = self._next_fetch_cycle
-        hierarchy = self.hierarchy
-        if pc >> 3 == hierarchy._last_insn_line:
-            hierarchy.l1i.stats.hits += 1  # same-line fetch: guaranteed hit
-        else:
-            icache_done = hierarchy.access_insn(pc, fetch_cycle)
-            if icache_done > fetch_cycle + self._l1_latency:
-                fetch_cycle = icache_done
-                self._next_fetch_cycle = fetch_cycle
-                self._fetch_slots_used = 0
-        self._fetch_slots_used += 1
-        if self._tracing:
-            self.tracer.emit("fetch", "core", fetch_cycle,
-                             pc=pc, seq=record.seq)
-        # ---- dispatch / issue --------------------------------------------
-        dispatch = fetch_cycle + cfg.frontend_depth
-        rob = self.rob
-        oldest = rob._release[rob._next]
-        if oldest > dispatch:
-            rob.stall_events += 1
-            dispatch = oldest
-        rs = self.rs
-        oldest = rs._release[rs._next]
-        if oldest > dispatch:
-            rs.stall_events += 1
-            dispatch = oldest
-        ready = dispatch
-        reg_ready = self._reg_ready
-        for src in op.src_regs:
-            src_ready = reg_ready[src]
-            if src_ready > ready:
-                ready = src_ready
-        issue = self.alus.acquire(ready)
-        self._issued_uops += 1
-        self.stats.stores += 1
-        complete = issue + 1
-        self.forwarder.record_store(record.addr, complete)
-        # ---- retire ------------------------------------------------------
-        retire = complete + 1
-        last = self._last_retire_cycle
-        if retire < last:
-            retire = last
-        if retire == last:
-            if self._retired_in_cycle >= cfg.retire_width:
-                retire += 1
-                self._retired_in_cycle = 0
-        else:
-            self._retired_in_cycle = 0
-        self._retired_in_cycle += 1
-        self._last_retire_cycle = retire
-        index = rob._next
-        rob._release[index] = retire
-        rob._next = (index + 1) % rob.capacity
-        index = rs._next
-        rs._release[index] = issue + 1
-        rs._next = (index + 1) % rs.capacity
-        # stores write the D-cache at retire
-        self.dcache_ports.use_core(retire)
-        hierarchy.access_data(record.addr, retire, is_write=True)
-        retired_regs = self.retired_regs
-        for dst in op.dst_regs:
-            retired_regs[dst] = record.dst_value
-        if self._tracing:
-            self.tracer.emit("retire", "core", retire,
-                             pc=pc, seq=record.seq)
-        on_retire = self._on_retire
-        if on_retire is not None:
-            on_retire(record, retire, False, retired_regs)
-        # periodic pruning of per-cycle trackers
-        if record.seq & 0x3FF == 0:
-            low_water = fetch_cycle - 512
-            if low_water < 0:
-                low_water = 0
-            self.alus.prune(low_water)
-            self.dcache_ports.prune(low_water)
-
-    def _process_jump(self, record: DynamicUop) -> None:
-        cfg = self.config
-        op = record.uop
-        pc = record.pc
-        # ---- fetch -------------------------------------------------------
-        if self._fetch_slots_used >= cfg.fetch_width:
-            self._next_fetch_cycle += 1
-            self._fetch_slots_used = 0
-        fetch_cycle = self._next_fetch_cycle
-        hierarchy = self.hierarchy
-        if pc >> 3 == hierarchy._last_insn_line:
-            hierarchy.l1i.stats.hits += 1  # same-line fetch: guaranteed hit
-        else:
-            icache_done = hierarchy.access_insn(pc, fetch_cycle)
-            if icache_done > fetch_cycle + self._l1_latency:
-                fetch_cycle = icache_done
-                self._next_fetch_cycle = fetch_cycle
-                self._fetch_slots_used = 0
-        self._fetch_slots_used += 1
-        if self._tracing:
-            self.tracer.emit("fetch", "core", fetch_cycle,
-                             pc=pc, seq=record.seq)
-        # ---- dispatch / issue --------------------------------------------
-        dispatch = fetch_cycle + cfg.frontend_depth
-        rob = self.rob
-        oldest = rob._release[rob._next]
-        if oldest > dispatch:
-            rob.stall_events += 1
-            dispatch = oldest
-        rs = self.rs
-        oldest = rs._release[rs._next]
-        if oldest > dispatch:
-            rs.stall_events += 1
-            dispatch = oldest
-        ready = dispatch
-        reg_ready = self._reg_ready
-        for src in op.src_regs:
-            src_ready = reg_ready[src]
-            if src_ready > ready:
-                ready = src_ready
-        issue = self.alus.acquire(ready)
-        self._issued_uops += 1
-        complete = issue + op.latency
-        # an unconditional (always taken, never mispredicted) branch ends
-        # the fetch group
-        if self._next_fetch_cycle < fetch_cycle + 1:
-            self._next_fetch_cycle = fetch_cycle + 1
-        self._fetch_slots_used = cfg.fetch_width
-        # ---- retire ------------------------------------------------------
-        retire = complete + 1
-        last = self._last_retire_cycle
-        if retire < last:
-            retire = last
-        if retire == last:
-            if self._retired_in_cycle >= cfg.retire_width:
-                retire += 1
-                self._retired_in_cycle = 0
-        else:
-            self._retired_in_cycle = 0
-        self._retired_in_cycle += 1
-        self._last_retire_cycle = retire
-        index = rob._next
-        rob._release[index] = retire
-        rob._next = (index + 1) % rob.capacity
-        index = rs._next
-        rs._release[index] = issue + 1
-        rs._next = (index + 1) % rs.capacity
-        retired_regs = self.retired_regs
-        for dst in op.dst_regs:
-            retired_regs[dst] = record.dst_value
-        if self._tracing:
-            self.tracer.emit("retire", "core", retire,
-                             pc=pc, seq=record.seq)
-        on_retire = self._on_retire
-        if on_retire is not None:
-            on_retire(record, retire, False, retired_regs)
-        # periodic pruning of per-cycle trackers
-        if record.seq & 0x3FF == 0:
-            low_water = fetch_cycle - 512
-            if low_water < 0:
-                low_water = 0
-            self.alus.prune(low_water)
-            self.dcache_ports.prune(low_water)
-
-    def _process_branch(self, record: DynamicUop) -> None:
-        cfg = self.config
-        op = record.uop
-        pc = record.pc
-        # ---- fetch -------------------------------------------------------
-        if self._fetch_slots_used >= cfg.fetch_width:
-            self._next_fetch_cycle += 1
-            self._fetch_slots_used = 0
-        fetch_cycle = self._next_fetch_cycle
-        hierarchy = self.hierarchy
-        if pc >> 3 == hierarchy._last_insn_line:
-            hierarchy.l1i.stats.hits += 1  # same-line fetch: guaranteed hit
-        else:
-            icache_done = hierarchy.access_insn(pc, fetch_cycle)
-            if icache_done > fetch_cycle + self._l1_latency:
-                fetch_cycle = icache_done
-                self._next_fetch_cycle = fetch_cycle
-                self._fetch_slots_used = 0
-        self._fetch_slots_used += 1
-        if self._tracing:
-            self.tracer.emit("fetch", "core", fetch_cycle,
-                             pc=pc, seq=record.seq)
-
-        # ---- branch prediction at fetch ----------------------------------
-        stats = self.stats
-        taken = record.taken
-        stats.cond_branches += 1
-        stats.branch_counts[pc] += 1
-        if taken:
-            stats.taken_branches += 1
-        # predict and train in one call: no hook reads the baseline, so
-        # training it before fetch_prediction changes nothing
-        tage_pred = self.baseline(pc, taken)
-        mispredicted = tage_pred != taken
-        if mispredicted:
-            stats.baseline_mispredicts += 1
-        source = "tage"
-        if self._on_retire is not None:
-            # default no-op hooks would return (tage_pred, "tage"): skip them
-            final_pred, source = self._runahead.fetch_prediction(
-                pc, fetch_cycle, tage_pred)
-            if source == "dce":
-                stats.dce_predictions_used += 1
-            mispredicted = final_pred != taken
-        if mispredicted:
-            stats.mispredicts += 1
-            stats.branch_mispredicts[pc] += 1
-
-        # ---- dispatch / issue --------------------------------------------
-        dispatch = fetch_cycle + cfg.frontend_depth
-        rob = self.rob
-        oldest = rob._release[rob._next]
-        if oldest > dispatch:
-            rob.stall_events += 1
-            dispatch = oldest
-        rs = self.rs
-        oldest = rs._release[rs._next]
-        if oldest > dispatch:
-            rs.stall_events += 1
-            dispatch = oldest
-        ready = dispatch
-        reg_ready = self._reg_ready
-        for src in op.src_regs:
-            src_ready = reg_ready[src]
-            if src_ready > ready:
-                ready = src_ready
-        issue = self.alus.acquire(ready)
-        self._issued_uops += 1
-        complete = issue + op.latency
-
-        # ---- branch resolution / redirect --------------------------------
-        if self._tracing:
-            self.tracer.emit("branch_resolve", "core", complete,
-                             pc=pc, taken=taken,
-                             mispredicted=mispredicted, source=source)
-        if mispredicted:
-            resume = complete + cfg.mispredict_penalty
-            if resume > self._next_fetch_cycle:
-                self._next_fetch_cycle = resume
-                self._fetch_slots_used = 0
-        if self._on_retire is not None:
-            budget = min(cfg.wpb_max_distance,
-                         max(8, (complete - fetch_cycle) * cfg.fetch_width))
-            self._runahead.on_branch_resolved(
-                record, complete, mispredicted, self.retired_regs, budget)
-        if taken and not mispredicted:
-            # a predicted-taken branch ends the fetch group
+        # ---- issue to completion -----------------------------------------
+        if kind == KIND_LOAD:
+            self.stats.loads += 1
+            self.dcache_ports.use_core(issue)
+            complete = self.forwarder.try_forward(record.addr, issue)
+            if complete < 0:
+                complete = hierarchy.access_data(record.addr, issue)
+            for dst in op.dst_regs:
+                reg_ready[dst] = complete
+        elif kind == KIND_STORE:
+            self.stats.stores += 1
+            complete = issue + 1
+            self.forwarder.record_store(record.addr, complete)
+        elif kind == KIND_COND_BRANCH:
+            complete = issue + op.latency
+            # ---- branch resolution / redirect ----------------------------
+            if self._tracing:
+                self.tracer.emit("branch_resolve", "core", complete,
+                                 pc=pc, taken=taken,
+                                 mispredicted=mispredicted, source=source)
+            if mispredicted:
+                resume = complete + cfg.mispredict_penalty
+                if resume > self._next_fetch_cycle:
+                    self._next_fetch_cycle = resume
+                    self._fetch_slots_used = 0
+            if self._on_retire is not None:
+                budget = min(cfg.wpb_max_distance,
+                             max(8, (complete - fetch_cycle)
+                                 * cfg.fetch_width))
+                self._runahead.on_branch_resolved(
+                    record, complete, mispredicted, self.retired_regs,
+                    budget)
+            if taken and not mispredicted:
+                # a predicted-taken branch ends the fetch group
+                if self._next_fetch_cycle < fetch_cycle + 1:
+                    self._next_fetch_cycle = fetch_cycle + 1
+                self._fetch_slots_used = cfg.fetch_width
+        elif kind == KIND_JUMP:
+            complete = issue + op.latency
+            # an unconditional (always taken, never mispredicted) branch
+            # ends the fetch group
             if self._next_fetch_cycle < fetch_cycle + 1:
                 self._next_fetch_cycle = fetch_cycle + 1
             self._fetch_slots_used = cfg.fetch_width
-
+        else:  # KIND_ALU; KIND_HALT never reaches the committed stream
+            complete = issue + op.latency
+            for dst in op.dst_regs:
+                reg_ready[dst] = complete
         # ---- retire ------------------------------------------------------
         retire = complete + 1
         last = self._last_retire_cycle
@@ -642,6 +327,10 @@ class CoreModel:
         index = rs._next
         rs._release[index] = issue + 1
         rs._next = (index + 1) % rs.capacity
+        if kind == KIND_STORE:
+            # stores write the D-cache at retire
+            self.dcache_ports.use_core(retire)
+            hierarchy.access_data(record.addr, retire, is_write=True)
         retired_regs = self.retired_regs
         for dst in op.dst_regs:
             retired_regs[dst] = record.dst_value

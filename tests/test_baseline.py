@@ -1,4 +1,4 @@
-"""Regression observatory: baselines, tolerance bands, manifests."""
+"""Regression observatory: baselines, exact tolerances, manifests."""
 
 import json
 import os
@@ -28,24 +28,17 @@ class TestToleranceMath:
         assert tolerance.violates("a" * 64, "b" * 64)
         assert tolerance.violates(None, 7)
 
-    def test_relative_band_is_one_sided(self):
-        tolerance = ob.Tolerance("relative", bound=0.5, severity="warn")
-        assert not tolerance.violates(1.0, 1.5)    # at the band edge
-        assert tolerance.violates(1.0, 1.500001)   # beyond it
-        assert not tolerance.violates(1.0, 0.1)    # faster never violates
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ob.Tolerance("fuzzy").violates(1, 2)
 
     def test_policy_gates_determinism_but_not_timings(self):
         policy = ob.tolerance_policy()
-        for category in ("digest", "mpki", "ipc", "chain_coverage",
-                         "counter"):
-            assert policy[category].mode == "exact"
-            assert policy[category].severity == "fail"
-        assert policy["timing"].mode == "relative"
-        assert policy["timing"].severity == "warn"
+        assert sorted(policy) == ["chain_coverage", "counter", "digest",
+                                  "ipc", "mpki"]
+        for tolerance in policy.values():
+            assert tolerance.mode == "exact"
+            assert tolerance.severity == "fail"
 
 
 class TestStatExtraction:
@@ -71,8 +64,10 @@ class TestStatExtraction:
 class TestManifest:
     def test_deterministic_subset_is_stable_under_fixed_config(self):
         config = RunConfig(instructions=800, warmup=400)
-        first = run_manifest(config, phase_seconds={"timing": 1.0})
-        second = run_manifest(config, phase_seconds={"timing": 9.0})
+        first = run_manifest(config)
+        second = run_manifest(config)
+        # a differing host fact leaves the deterministic part alone
+        second["host"]["peak_rss_kb"] = -1
         assert deterministic_subset(first) == deterministic_subset(second)
         assert manifest_fingerprint(first) == manifest_fingerprint(second)
         # byte-stable, not just dict-equal
@@ -86,11 +81,11 @@ class TestManifest:
         assert manifest_fingerprint(base) != manifest_fingerprint(other)
 
     def test_host_section_carries_forensics(self):
-        manifest = run_manifest(RunConfig(),
-                                phase_seconds={"baseline": 1.25})
+        manifest = run_manifest(RunConfig())
         host = manifest["host"]
         assert host["python"] and host["platform"]
-        assert host["phase_seconds"] == {"baseline": 1.25}
+        assert set(host) == {"git_sha", "python", "implementation",
+                             "platform", "peak_rss_kb"}
         # explicit session configs have no layered provenance
         assert set(manifest["provenance"].values()) == {"explicit"}
 
@@ -146,12 +141,10 @@ class TestRecord:
         again = ob.record_baselines(out_dir=str(tmp_path), **MATRIX)
         first = json.load(open(report["written"][0]))
         second = json.load(open(again["written"][0]))
-        # wall-clock lives in exactly two places: the host manifest
-        # section and the timing-band baseline; everything else is a
-        # deterministic function of the config
+        # host facts live only in the manifest's host section; everything
+        # else is a deterministic function of the config
         for document in (first, second):
             document["manifest"].pop("host")
-            document.pop("host_phase_seconds")
         assert json.dumps(first, sort_keys=True) == \
             json.dumps(second, sort_keys=True)
 
@@ -223,18 +216,6 @@ class TestCheck:
         assert report["missing_baselines"] == ["sjeng_06"]
         assert report["checked"] == ["mcf_17"]
 
-    def test_timing_drift_warns_but_never_gates(self, recorded, tmp_path):
-        out_dir, _ = recorded
-
-        def mutate(document):
-            document["host_phase_seconds"] = {
-                phase: 1e-9 for phase in document["host_phase_seconds"]}
-
-        report = self._tampered(out_dir, tmp_path, mutate)
-        assert report["ok"]  # timings are warn-severity
-        assert report["violations"] == []
-        assert any(f["category"] == "timing" for f in report["warnings"])
-
     def test_explicit_session_is_used(self, recorded):
         out_dir, _ = recorded
         session = Session(RunConfig(instructions=MATRIX["instructions"],
@@ -257,15 +238,11 @@ class TestReporting:
             "violations": [ob._violation(
                 "mcf_17", "mini", "mpki", "mpki", 3.0, 4.0,
                 ob.Tolerance("exact"))],
-            "warnings": [ob._violation(
-                "mcf_17", None, "host_phase_seconds.timing", "timing",
-                1.0, 9.0, ob.Tolerance("relative", 1.0, "warn"))],
         }
 
-    def test_text_report_lists_failures_and_warnings(self):
+    def test_text_report_lists_failures_and_missing_baselines(self):
         text = ob.format_check_report(self._failing_report())
         assert "FAIL     mcf_17/mini: mpki" in text
-        assert "warn     mcf_17: host_phase_seconds.timing" in text
         assert "MISSING  sjeng_06" in text
         assert "FAILED: 1 violation(s), 1 missing baseline(s)" in text
 
@@ -273,7 +250,6 @@ class TestReporting:
         lines = ob.github_annotations(self._failing_report())
         assert any(line.startswith("::error file=baselines/mcf_17.json")
                    for line in lines)
-        assert any(line.startswith("::warning") for line in lines)
         assert any("Missing baseline" in line for line in lines)
 
 

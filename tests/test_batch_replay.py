@@ -31,17 +31,22 @@ from repro.session import Session
 from repro.sim import experiments
 from repro.sim.bench import batch_replay_predictors, payload_digest
 from repro.sim.branch_events import (
+    EVENT_FORMAT_VERSION,
+    EVENT_MAGIC,
     BranchColumns,
     extract_columns,
-    read_columns,
-    write_columns,
+    unpack_columns,
 )
 from repro.sim.predictor_replay import (
     load_branch_columns,
     replay_mpki,
     replay_mpki_batch,
 )
-from repro.sim.trace_cache import TraceCache, program_fingerprint
+from repro.sim.trace_cache import (
+    TraceCache,
+    program_fingerprint,
+    read_framed,
+)
 from repro.workloads import suite
 
 REGION = dict(instructions=1_200, warmup=600)
@@ -265,12 +270,17 @@ class TestBranchEventsFormat:
         program = halting_countdown(25)
         return program, load_branch_columns(program, 0, 10_000)
 
+    def spill(self, tmp_path, program, columns):
+        TraceCache(disk_dir=str(tmp_path))._spill_events(
+            program, 0, 10_000, columns)
+        sidecar, = tmp_path.glob("*.events")
+        return sidecar
+
     def test_round_trip(self, tmp_path):
         program, columns = self.build_columns()
-        fingerprint = program_fingerprint(program)
-        path = str(tmp_path / "region.events")
-        assert write_columns(path, columns, fingerprint)
-        loaded = read_columns(open(path, "rb").read(), fingerprint)
+        self.spill(tmp_path, program, columns)
+        reader = TraceCache(disk_dir=str(tmp_path))
+        loaded = reader._load_events(program, 0, 10_000)
         assert loaded.indices == columns.indices
         assert loaded.pcs == columns.pcs
         assert loaded.takens == columns.takens
@@ -284,12 +294,11 @@ class TestBranchEventsFormat:
     @pytest.mark.parametrize("damage", [
         "magic", "version", "payload", "truncate", "fingerprint", "taken"])
     def test_damage_raises_value_error(self, tmp_path, damage):
+        import hashlib
         program, columns = self.build_columns()
         fingerprint = program_fingerprint(program)
-        path = str(tmp_path / "region.events")
-        assert write_columns(path, columns, fingerprint)
-        blob = bytearray(open(path, "rb").read())
-        expected_fingerprint = fingerprint
+        sidecar = self.spill(tmp_path, program, columns)
+        blob = bytearray(sidecar.read_bytes())
         if damage == "magic":
             blob[0] ^= 0xFF
         elif damage == "version":
@@ -298,22 +307,32 @@ class TestBranchEventsFormat:
             blob[-1] ^= 0xFF
         elif damage == "truncate":
             blob = blob[:len(blob) - 3]
-        elif damage == "fingerprint":
-            expected_fingerprint = "00" * 32
-        elif damage == "taken":
-            # flip a taken byte to 2 and re-sign so only the value check
-            # can reject it
-            import hashlib
-            blob[-1] = 2
+        else:
+            # a foreign program's fingerprint, or a taken byte of 2,
+            # re-signed so only the payload checks can reject it
+            if damage == "fingerprint":
+                blob[38:70] = bytes(32)
+            else:
+                blob[-1] = 2
             blob[6:38] = hashlib.sha256(blob[38:]).digest()
         with pytest.raises(ValueError):
-            read_columns(bytes(blob), expected_fingerprint)
+            unpack_columns(read_framed(bytes(blob), EVENT_MAGIC,
+                                       EVENT_FORMAT_VERSION), fingerprint)
+        # the cache turns the same damage into a counted clean miss
+        sidecar.write_bytes(bytes(blob))
+        reader = TraceCache(disk_dir=str(tmp_path))
+        assert reader._load_events(program, 0, 10_000) is None
+        assert reader.corrupt_entries == 1
+        assert not sidecar.exists()
 
-    def test_write_failure_returns_false(self, tmp_path):
+    def test_write_failure_counts_spill_error(self, tmp_path):
         program, columns = self.build_columns()
-        missing = str(tmp_path / "no" / "such" / "dir" / "x.events")
-        assert write_columns(missing, columns,
-                             program_fingerprint(program)) is False
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        cache = TraceCache(disk_dir=str(blocker / "cache"))
+        cache._spill_events(program, 0, 10_000, columns)
+        assert cache.spill_errors == 1
+        assert cache.event_spills == 0
 
     def test_extract_columns_shape(self):
         _, columns = self.build_columns()
@@ -355,8 +374,8 @@ class TestEventSidecar:
         cache = TraceCache()
         load_branch_columns(program, 0, 1_800, trace_cache=cache)
         entry = cache.lookup(program, 0, 1_800, count=False)
-        assert entry.branch_events is entry.branch_events
-        assert entry.branch_events is entry.branch_columns.events()
+        assert entry.branch_columns.events() is \
+            entry.branch_columns.events()
 
     def test_corrupt_sidecar_falls_back_to_trace_entry(self, tmp_path):
         program = suite.load("sjeng_06")

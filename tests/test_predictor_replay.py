@@ -15,8 +15,8 @@ from repro.isa.program import ProgramBuilder
 from repro.predictors.mtage import mtage_sc
 from repro.predictors.tage_scl import tage_scl_64kb, tage_scl_80kb
 from repro.sim import experiments
-from repro.sim.predictor_replay import (PredictorReplayResult, branch_events,
-                                        replay_mpki)
+from repro.sim.predictor_replay import (PredictorReplayResult,
+                                        load_branch_columns, replay_mpki)
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import simulate
 from repro.sim.trace_cache import TraceCache
@@ -108,17 +108,21 @@ class TestBitIdentity:
 class TestBranchEvents:
     def test_cache_and_direct_paths_agree(self):
         program = suite.load("mcf_17")
-        direct = branch_events(program, 0, 1_000, trace_cache=None)
-        cached = branch_events(program, 0, 1_000, trace_cache=TraceCache())
-        assert direct == cached
+        direct = load_branch_columns(program, 0, 1_000, trace_cache=None)
+        cached = load_branch_columns(program, 0, 1_000,
+                                     trace_cache=TraceCache())
+        assert direct.events() == cached.events()
+        assert direct.record_count == cached.record_count
 
     def test_events_memoized_on_entry(self):
         program = suite.load("mcf_17")
         cache = TraceCache()
-        events, _ = branch_events(program, 0, 1_000, trace_cache=cache)
+        events = load_branch_columns(program, 0, 1_000,
+                                     trace_cache=cache).events()
         entry = cache.lookup(program, 0, 1_000, count=False)
-        assert entry.branch_events is events
-        again, _ = branch_events(program, 0, 1_000, trace_cache=cache)
+        assert entry.branch_columns.events() is events
+        again = load_branch_columns(program, 0, 1_000,
+                                    trace_cache=cache).events()
         assert again is events  # second sweep pays no re-extraction
 
 

@@ -1,5 +1,7 @@
 """Tests for the out-of-order core timing model."""
 
+import hashlib
+
 import pytest
 
 from repro.emulator.machine import Machine
@@ -282,6 +284,89 @@ class TestRunaheadHookWiring:
 
         simulate(build, runahead=Capture())
         assert captured[-1][0] == 16
+
+
+def every_kind_program(b):
+    """A loop that commits every uop kind the core times differently."""
+    big = b.zeros("big", 8192)  # 64 KB: twice the L1D
+    buf = b.zeros("buf", 8)
+    x, i, v, w, t, q, d, big_base, buf_base = b.regs(
+        "x", "i", "v", "w", "t", "q", "d", "big_base", "buf_base")
+    b.movi(big_base, big)
+    b.movi(buf_base, buf)
+    b.movi(x, 1)
+    b.movi(i, 0)
+    b.movi(d, 3)
+    b.label("top")
+    b.muli(x, x, 1103515245)  # LCG step
+    b.addi(x, x, 12345)
+    b.andi(x, x, 0x7FFFFFFF)
+    b.shri(t, x, 8)
+    b.andi(t, t, 8191)
+    b.ld(v, base=big_base, index=t)  # random word of 64 KB: L1D misses
+    b.andi(q, i, 7)
+    b.st(x, base=buf_base, index=q)
+    b.ld(w, base=buf_base, index=q)  # forwarded from the store above
+    b.div(w, w, d)
+    b.shri(t, x, 16)
+    b.andi(t, t, 1)
+    b.cmp(t, i)
+    b.cmpi(t, 0)
+    b.br("eq", "skip")  # a random bit: both ways, mispredicted
+    b.mul(v, v, w)
+    b.label("skip")
+    b.addi(i, i, 1)
+    b.jmp("top")
+
+
+class TestGoldenTiming:
+    """Per-uop retire timing of every committed uop kind, pinned.
+
+    The expected values are a recorded reference, not derived from the
+    model: any drift in fetch, dispatch, issue, completion or retire
+    timing of any kind moves them.  A small ROB and RS make both dispatch
+    stalls occur.
+    """
+
+    RETIRED_SHA256 = (
+        "e7c761b26d6d06192d99cbd6368283b60a5fe6c55d207dc01b0f3c79b3b57b6b")
+    AGGREGATES = {"cycles": 7653, "mispredicts": 115, "cond_branches": 228,
+                  "loads": 456, "stores": 228, "rob_stalls": 1741,
+                  "rs_stalls": 99, "l1d_hits": 243, "l1d_misses": 213}
+
+    class Recorder(RunaheadHooks):
+        def __init__(self):
+            self.retired = []
+
+        def on_retire(self, record, retire_cycle, mispredicted, regs):
+            self.retired.append((record.seq, retire_cycle, mispredicted))
+
+    def run(self, runahead):
+        core, stats = simulate(
+            every_kind_program, max_instructions=4000,
+            predictor=BimodalPredictor(),
+            config=CoreConfig(rob_size=64, rs_size=32), runahead=runahead)
+        l1d = core.hierarchy.l1d.stats
+        return {"cycles": stats.cycles, "mispredicts": stats.mispredicts,
+                "cond_branches": stats.cond_branches,
+                "loads": stats.loads, "stores": stats.stores,
+                "rob_stalls": core.rob.stall_events,
+                "rs_stalls": core.rs.stall_events,
+                "l1d_hits": l1d.hits, "l1d_misses": l1d.misses}
+
+    def test_per_uop_retire_timing(self):
+        recorder = self.Recorder()
+        aggregates = self.run(recorder)
+        assert len(recorder.retired) == 4000
+        digest = hashlib.sha256(repr(recorder.retired).encode()).hexdigest()
+        assert digest == self.RETIRED_SHA256
+        assert aggregates == self.AGGREGATES
+
+    def test_default_hooks_time_identically(self):
+        # the default hooks are elided from the hot path; they must not
+        # change a single cycle
+        assert self.run(None) == self.run(self.Recorder()) \
+            == self.AGGREGATES
 
 
 class TestWarmupEdgeCases:
