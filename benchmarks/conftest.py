@@ -1,16 +1,15 @@
 """Shared infrastructure for the figure/table benches.
 
 Every bench reproduces one table or figure of the paper: it runs the
-required simulations through :mod:`repro.sim.experiments`, prints the
+required simulations through the ``shared_session`` fixture, prints the
 paper's rows/series, and asserts the qualitative shape.  Region length is
-controlled with ``REPRO_INSTRUCTIONS`` / ``REPRO_WARMUP``.
+controlled with ``REPRO_INSTRUCTIONS`` / ``REPRO_WARMUP`` (or any other
+config layer ``Session()`` resolves).
 
-All benches share **one explicit** :class:`~repro.session.Session` (the
-autouse ``shared_session`` fixture installs it as the process default):
-every figure's ``experiments.run`` call and every sweep lands in the same
-result/trace caches — each benchmark region is emulated once for the
-whole tier-2 run — and every cell reports into that session's single
-merged ``StatRegistry``.
+All benches share **one explicit** :class:`~repro.session.Session`:
+every figure's ``shared_session.run`` call and every sweep lands in the
+same result/trace caches, so each benchmark region is emulated once for
+the whole tier-2 run.
 
 Run everything with::
 
@@ -20,12 +19,9 @@ Run everything with::
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.config import current_config
-from repro.session import Session, set_default_session
+from repro.session import Session
 from repro.workloads import suite
 
 #: Full benchmark list (the paper's x-axis order).
@@ -38,20 +34,11 @@ SWEEP_BENCHMARKS = ["leela_17", "deepsjeng_17", "gobmk_06", "sjeng_06",
                     "cc", "sssp", "stress_many"]
 
 
-@pytest.fixture(scope="session", autouse=True)
+@pytest.fixture(scope="session")
 def shared_session():
-    """The one Session every figure/table bench runs under.
-
-    Installed as the process default so module-level ``experiments.*``
-    calls inside the benches resolve to it; benches that thread a session
-    explicitly (the Figure 13 sweeps) take it as a fixture argument.
-    Restores the previous default on teardown so the figure run never
-    leaks state into an embedding process.
-    """
-    session = Session(current_config())
-    previous = set_default_session(session)
-    yield session
-    set_default_session(previous)
+    """The one Session every figure/table bench runs under, built once
+    from the resolved config (defaults < file < env)."""
+    return Session()
 
 
 def print_header(title: str) -> None:

@@ -15,8 +15,8 @@ Two claims get dedicated bench support:
 
 from conftest import print_header, print_series, run_once
 
-from repro.sim import experiments
 from repro.sim.results import arithmetic_mean, mpki_improvement
+from repro.sim.variants import override_variant
 
 #: Benchmarks with strong guard structure (where AG detection must matter).
 GUARD_BENCHMARKS = ["leela_17", "gobmk_06", "xz_17", "sjeng_06", "bfs"]
@@ -24,13 +24,13 @@ GUARD_BENCHMARKS = ["leela_17", "gobmk_06", "xz_17", "sjeng_06", "bfs"]
 MLP_BENCHMARKS = ["mcf_17", "xz_17", "sssp", "bc", "astar_06"]
 
 
-def test_ablation_affector_guard_detection(benchmark):
+def test_ablation_affector_guard_detection(benchmark, shared_session):
     def experiment():
         rows = []
         for name in GUARD_BENCHMARKS:
-            base = experiments.run(name, "tage64")
-            full = experiments.run(name, "mini")
-            ablated = experiments.run(name, experiments.override_variant(
+            base = shared_session.run(name, "tage64")
+            full = shared_session.run(name, "mini")
+            ablated = shared_session.run(name, override_variant(
                 "mini", enable_affector_guard=False))
             rows.append((name, {
                 "with AG": mpki_improvement(base.mpki, full.mpki),
@@ -47,13 +47,13 @@ def test_ablation_affector_guard_detection(benchmark):
     assert means["with AG"] > means["without AG"] + 5
 
 
-def test_ablation_in_order_dce_scheduling(benchmark):
+def test_ablation_in_order_dce_scheduling(benchmark, shared_session):
     def experiment():
         rows = []
         for name in MLP_BENCHMARKS:
-            base = experiments.run(name, "tage64")
-            out_of_order = experiments.run(name, "mini")
-            in_order = experiments.run(name, experiments.override_variant(
+            base = shared_session.run(name, "tage64")
+            out_of_order = shared_session.run(name, "mini")
+            in_order = shared_session.run(name, override_variant(
                 "mini", dce_in_order=True))
             rows.append((name, {
                 "OoO DCE": mpki_improvement(base.mpki, out_of_order.mpki),

@@ -7,20 +7,19 @@ dependence chains.  Paper means: ~11% (TAGE-SC-L), ~9% (MTAGE-SC), ~5%
 
 from conftest import ALL_BENCHMARKS, print_header, print_series, run_once
 
-from repro.sim import experiments
-from repro.sim.results import arithmetic_mean
+from repro.sim.results import arithmetic_mean, hard_branch_accuracy
 
 
-def test_fig01_hard_branch_misprediction_rate(benchmark):
+def test_fig01_hard_branch_misprediction_rate(benchmark, shared_session):
     def experiment():
         rows = []
         for name in ALL_BENCHMARKS:
-            tage = experiments.run(name, "tage64")
-            mtage = experiments.run(name, "mtage")
-            chains = experiments.run(name, "big")
-            tage_acc, _ = experiments.hard_branch_accuracy(tage)
-            mtage_acc, _ = experiments.hard_branch_accuracy(mtage)
-            _, chain_acc = experiments.hard_branch_accuracy(chains)
+            tage = shared_session.run(name, "tage64")
+            mtage = shared_session.run(name, "mtage")
+            chains = shared_session.run(name, "big")
+            tage_acc, _ = hard_branch_accuracy(tage)
+            mtage_acc, _ = hard_branch_accuracy(mtage)
+            _, chain_acc = hard_branch_accuracy(chains)
             rows.append((name, {
                 "TAGE-SC-L": 100 * (1 - tage_acc),
                 "MTAGE-SC": 100 * (1 - mtage_acc),

@@ -8,15 +8,14 @@ plus the static average of the installed chains.
 
 from conftest import ALL_BENCHMARKS, print_header, print_series, run_once
 
-from repro.sim import experiments
 from repro.sim.results import arithmetic_mean
 
 
-def test_fig02_average_chain_length(benchmark):
+def test_fig02_average_chain_length(benchmark, shared_session):
     def experiment():
         rows = []
         for name in ALL_BENCHMARKS:
-            result = experiments.run(name, "mini")
+            result = shared_session.run(name, "mini")
             dce = result.runahead.dce.stats
             chains = result.runahead.chain_cache.chains()
             static = arithmetic_mean([c.length for c in chains]) \

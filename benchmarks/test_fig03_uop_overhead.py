@@ -11,15 +11,14 @@ load overhead below total overhead — is asserted.
 
 from conftest import ALL_BENCHMARKS, print_header, print_series, run_once
 
-from repro.sim import experiments
 from repro.sim.results import arithmetic_mean
 
 
-def test_fig03_uop_increase(benchmark):
+def test_fig03_uop_increase(benchmark, shared_session):
     def experiment():
         rows = []
         for name in ALL_BENCHMARKS:
-            result = experiments.run(name, "mini")
+            result = shared_session.run(name, "mini")
             dce = result.runahead.dce.stats
             uop_increase = 100.0 * dce.uops_executed \
                 / result.core.instructions

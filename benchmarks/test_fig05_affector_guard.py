@@ -9,15 +9,14 @@ non-empty affector/guard list in the HBT.
 
 from conftest import ALL_BENCHMARKS, print_header, print_series, run_once
 
-from repro.sim import experiments
 from repro.sim.results import arithmetic_mean
 
 
-def test_fig05_chains_with_affectors_or_guards(benchmark):
+def test_fig05_chains_with_affectors_or_guards(benchmark, shared_session):
     def experiment():
         rows = []
         for name in ALL_BENCHMARKS:
-            result = experiments.run(name, "mini")
+            result = shared_session.run(name, "mini")
             system = result.runahead
             chains = system.chain_cache.chains()
             if chains:

@@ -9,7 +9,6 @@ TAGE-SC-L comparison.  Paper means: MPKI -37.5% / -43.6% / -47.5% and IPC
 
 from conftest import ALL_BENCHMARKS, print_header, print_series, run_once
 
-from repro.sim import experiments
 from repro.sim.results import (
     arithmetic_mean,
     ipc_improvement,
@@ -19,16 +18,16 @@ from repro.sim.results import (
 VARIANTS = ["tage80", "core_only", "mini", "big"]
 
 
-def test_fig10_mpki_and_ipc_improvement(benchmark):
+def test_fig10_mpki_and_ipc_improvement(benchmark, shared_session):
     def experiment():
         mpki_rows = []
         ipc_rows = []
         for name in ALL_BENCHMARKS:
-            base = experiments.run(name, "tage64")
+            base = shared_session.run(name, "tage64")
             mpki_values = {}
             ipc_values = {}
             for variant in VARIANTS:
-                result = experiments.run(name, variant)
+                result = shared_session.run(name, variant)
                 mpki_values[variant] = mpki_improvement(base.mpki,
                                                         result.mpki)
                 ipc_values[variant] = ipc_improvement(base.ipc, result.ipc)

@@ -8,7 +8,6 @@ timeliness.
 
 from conftest import ALL_BENCHMARKS, print_header, print_series, run_once
 
-from repro.sim import experiments
 from repro.sim.results import arithmetic_mean, mpki_improvement
 
 VARIANTS = [("mini-nonspec", "Non-spec"),
@@ -16,14 +15,14 @@ VARIANTS = [("mini-nonspec", "Non-spec"),
             ("mini", "Predictive")]
 
 
-def test_fig11_bottom_initiation_methods(benchmark):
+def test_fig11_bottom_initiation_methods(benchmark, shared_session):
     def experiment():
         rows = []
         for name in ALL_BENCHMARKS:
-            base = experiments.run(name, "tage64")
+            base = shared_session.run(name, "tage64")
             values = {}
             for variant, label in VARIANTS:
-                result = experiments.run(name, variant)
+                result = shared_session.run(name, variant)
                 values[label] = mpki_improvement(base.mpki, result.mpki)
             rows.append((name, values))
         return rows

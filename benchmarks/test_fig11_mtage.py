@@ -8,21 +8,20 @@ the combination improves on both everywhere it matters.
 
 from conftest import ALL_BENCHMARKS, print_header, print_series, run_once
 
-from repro.sim import experiments
 from repro.sim.results import arithmetic_mean, mpki_improvement
 from repro.workloads import suite
 
 VARIANTS = ["mtage", "big", "mtage+big"]
 
 
-def test_fig11_top_mtage_vs_branch_runahead(benchmark):
+def test_fig11_top_mtage_vs_branch_runahead(benchmark, shared_session):
     def experiment():
         rows = []
         for name in ALL_BENCHMARKS:
-            base = experiments.run(name, "tage64")
+            base = shared_session.run(name, "tage64")
             values = {
                 variant: mpki_improvement(
-                    base.mpki, experiments.run(name, variant).mpki)
+                    base.mpki, shared_session.run(name, variant).mpki)
                 for variant in VARIANTS
             }
             rows.append((name, values))

@@ -9,17 +9,16 @@ correct; timeliness is the technique's hardest problem.
 
 from conftest import ALL_BENCHMARKS, print_header, print_series, run_once
 
-from repro.sim import experiments
 from repro.sim.results import arithmetic_mean
 
 CATEGORIES = ["inactive", "late", "throttled", "incorrect", "correct"]
 
 
-def test_fig12_prediction_breakdown(benchmark):
+def test_fig12_prediction_breakdown(benchmark, shared_session):
     def experiment():
         rows = []
         for name in ALL_BENCHMARKS:
-            result = experiments.run(name, "mini")
+            result = shared_session.run(name, "mini")
             breakdown = result.runahead.stats.breakdown()
             rows.append((name, {category: 100 * breakdown[category]
                                 for category in CATEGORIES}))

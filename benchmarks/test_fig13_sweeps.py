@@ -14,14 +14,10 @@ from repro.sim import sweeps
 
 
 def test_fig13_parameter_sweeps(benchmark, shared_session):
-    # the session is threaded explicitly: every sweep cell shares the
-    # figure run's caches and reports into its merged StatRegistry
+    # all six ladders are one run_cells matrix in the figure run's
+    # session: the Mini references run once, at any job count
     def experiment():
-        return {
-            parameter: sweeps.sweep_parameter(parameter, SWEEP_BENCHMARKS,
-                                              session=shared_session)
-            for parameter in sweeps.SWEEPS
-        }
+        return sweeps.sweep_parameters(shared_session, SWEEP_BENCHMARKS)
 
     series = run_once(benchmark, experiment)
     print_header("Figure 13: MPKI improvement (%) relative to Mini, "

@@ -8,20 +8,19 @@ average for all three configurations.
 from conftest import ALL_BENCHMARKS, print_header, print_series, run_once
 
 from repro.power.energy import energy_change_percent
-from repro.sim import experiments
 from repro.sim.results import arithmetic_mean
 
 VARIANTS = ["core_only", "mini", "big"]
 
 
-def test_fig14_energy_change(benchmark):
+def test_fig14_energy_change(benchmark, shared_session):
     def experiment():
         rows = []
         for name in ALL_BENCHMARKS:
-            base = experiments.run(name, "tage64")
+            base = shared_session.run(name, "tage64")
             values = {
                 variant: energy_change_percent(
-                    base, experiments.run(name, variant))
+                    base, shared_session.run(name, variant))
                 for variant in VARIANTS
             }
             rows.append((name, values))

@@ -9,20 +9,20 @@ branches (pointer indirection, two-table checks) lose coverage.
 
 from conftest import print_header, print_series, run_once
 
-from repro.sim import experiments
 from repro.sim.results import arithmetic_mean, mpki_improvement
+from repro.sim.variants import override_variant
 
 #: Benchmarks whose hard branches need >1 load in the slice.
 MULTI_LOAD_BENCHMARKS = ["mcf_17", "xz_17", "leela_17", "sssp", "bc"]
 
 
-def test_related_work_single_load_chains(benchmark):
+def test_related_work_single_load_chains(benchmark, shared_session):
     def experiment():
         rows = []
         for name in MULTI_LOAD_BENCHMARKS:
-            base = experiments.run(name, "tage64")
-            general = experiments.run(name, "mini")
-            single = experiments.run(name, experiments.override_variant(
+            base = shared_session.run(name, "tage64")
+            general = shared_session.run(name, "mini")
+            single = shared_session.run(name, override_variant(
                 "mini", max_chain_loads=1))
             rows.append((name, {
                 "general": mpki_improvement(base.mpki, general.mpki),

@@ -8,16 +8,15 @@ correct path) over all benchmarks.
 
 from conftest import ALL_BENCHMARKS, print_header, print_series, run_once
 
-from repro.sim import experiments
 
 
-def test_sec44_merge_point_accuracy(benchmark):
+def test_sec44_merge_point_accuracy(benchmark, shared_session):
     def experiment():
         rows = []
         total = {"dynamic_correct": 0, "dynamic_total": 0,
                  "static_correct": 0, "static_total": 0}
         for name in ALL_BENCHMARKS:
-            result = experiments.run(name, "mini-oracle-merge")
+            result = shared_session.run(name, "mini-oracle-merge")
             oracle = result.runahead.oracle
             rows.append((name, {
                 "dynamic %": 100 * oracle.dynamic_accuracy(),

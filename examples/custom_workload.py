@@ -1,8 +1,8 @@
 """Authoring a custom workload and comparing predictors on it.
 
 Shows the full public API surface: write a kernel in the micro-op ISA,
-run it through the functional emulator, evaluate a ladder of classic
-predictors (always-taken, bimodal, gshare, TAGE-SC-L) trace-style, then
+replay a ladder of classic predictors (always-taken, bimodal, gshare,
+TAGE-SC-L) over its committed branch stream in one batched pass, then
 attach Branch Runahead for the full timing comparison.
 
 The kernel is a toy interpreter dispatch loop: a classic source of
@@ -18,8 +18,8 @@ from repro.predictors import (
     AlwaysTakenPredictor,
     BimodalPredictor,
     GSharePredictor,
-    compare_predictors,
 )
+from repro.sim.predictor_replay import replay_mpki_batch
 
 
 def build_interpreter():
@@ -58,14 +58,14 @@ def build_interpreter():
 def main():
     program = build_interpreter()
     print("trace-driven predictor accuracy on the dispatch branches:")
-    scores = compare_predictors(
-        program,
-        [AlwaysTakenPredictor(), BimodalPredictor(), GSharePredictor(),
-         tage_scl_64kb()],
-        instructions=30_000)
-    for name, score in scores.items():
-        print(f"  {name:16s} {100 * score.accuracy:6.2f}%  "
-              f"(MPKI {score.mpki:.1f})")
+    predictors = [AlwaysTakenPredictor(), BimodalPredictor(),
+                  GSharePredictor(), tage_scl_64kb()]
+    # one pass over the committed branch stream advances every predictor
+    results = replay_mpki_batch(program, predictors, instructions=30_000)
+    for predictor, result in zip(predictors, results):
+        print(f"  {predictor.name:16s} "
+              f"{100 * result.core.branch_accuracy():6.2f}%  "
+              f"(MPKI {result.mpki:.1f})")
 
     print("\nfull timing simulation:")
     baseline = simulate(program, instructions=20_000, warmup=10_000)

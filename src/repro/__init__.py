@@ -32,7 +32,7 @@ from repro.core.runahead import BranchRunahead
 from repro.isa.program import Program, ProgramBuilder
 from repro.predictors.mtage import mtage_sc
 from repro.predictors.tage_scl import TageSCL, tage_scl_64kb, tage_scl_80kb
-from repro.session import Session, default_session
+from repro.session import Session
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import simulate
 from repro.telemetry import StatRegistry, Telemetry, Tracer
@@ -55,7 +55,6 @@ __all__ = [
     "tage_scl_64kb",
     "tage_scl_80kb",
     "Session",
-    "default_session",
     "SimulationResult",
     "simulate",
     "StatRegistry",

@@ -44,12 +44,13 @@ from repro.observe import baseline as observe_baseline
 from repro.observe import journal as observe_journal
 from repro.observe import sweep_report as observe_sweep
 from repro.predictors.registry import PREDICTORS
-from repro.sim import experiments
+from repro.session import Session
 from repro.sim.bench import payload_digest
 from repro.sim.results import ipc_improvement, mpki_improvement
 from repro.sim.sampling import select_simpoints
 from repro.sim.simulator import simulate
-from repro.sim.variants import variant_names
+from repro.sim.variants import is_predictor_only, spec_variant, \
+    variant_names
 from repro.telemetry import Tracer
 from repro.workloads import suite
 
@@ -85,10 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     config_cmd.add_argument("--trace-cache-size", type=int, default=None)
     config_cmd.add_argument("--trace-cache-dir", default=None)
     config_cmd.add_argument("--variant", default=None)
-    config_cmd.add_argument("--batch-min-lanes", type=int, default=None,
-                            help="minimum same-geometry TAGE lanes before "
-                            "batched replay uses the columnar kernel "
-                            "(0 = auto-calibrate)")
     config_cmd.add_argument("--result-store-dir", default=None,
                             help="content-addressed result store "
                             "directory (enables sweep resume)")
@@ -242,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                   metavar="DIR",
                                   help="result store directory (default: "
                                   "the interrupted sweep's configured "
-                                  "store, else REPRO_RESULT_STORE_DIR)")
+                                  "store, else the resolved config's)")
     sweep_resume_cmd.add_argument("--json", action="store_true",
                                   help="emit the resume summary as JSON")
 
@@ -286,7 +283,7 @@ def _resolve_from_args(args) -> ResolvedConfig:
     """Layered resolution with every flag this command carries."""
     flag_fields = ("instructions", "warmup", "jobs", "result_cache_size",
                    "trace_cache_size", "trace_cache_dir", "variant",
-                   "batch_min_lanes", "result_store_dir")
+                   "result_store_dir")
     flags = {field: getattr(args, field, None) for field in flag_fields}
     return resolve_config(flags=flags,
                           config_file=getattr(args, "config_file", None))
@@ -344,8 +341,7 @@ def _cmd_list(args) -> int:
         elif kind == "variants":
             print(f"{'name':20s} {'mpki-replay':>11s}")
             for name in sorted(variant_names()):
-                replay = "yes" if experiments.is_predictor_only(name) \
-                    else "no"
+                replay = "yes" if is_predictor_only(name) else "no"
                 print(f"{name:20s} {replay:>11s}")
     return 0
 
@@ -411,7 +407,7 @@ def _progress_callback(force: bool = False):
     return callback
 
 
-def _compare_predictor_sweep(args, run_config, names) -> int:
+def _compare_predictor_sweep(args, session: Session, names) -> int:
     """``compare --predictors``: benchmarks x predictors MPKI sweep.
 
     Every cell is predictor-only, so ``run_cells(outputs="mpki")``
@@ -425,17 +421,12 @@ def _compare_predictor_sweep(args, run_config, names) -> int:
         print(f"note: dropped {dropped} duplicate predictor "
               f"column{'s' if dropped != 1 else ''} (each configuration "
               f"is swept once)", file=sys.stderr)
-    tokens = [experiments.spec_variant(name) for name in predictors]
+    tokens = [spec_variant(name) for name in predictors]
     cells = [(name, token) for name in names for token in tokens]
     progress = _progress_callback(force=args.progress)
     try:
-        rows = experiments.run_cells(cells,
-                                     instructions=run_config.instructions,
-                                     warmup=run_config.warmup,
-                                     jobs=args.jobs,
-                                     outputs="mpki",
-                                     journal=args.journal,
-                                     progress=progress)
+        rows = session.run_cells(cells, outputs="mpki",
+                                 journal=args.journal, progress=progress)
     finally:
         if progress is not None:
             progress.finish()
@@ -468,27 +459,25 @@ def _compare_predictor_sweep(args, run_config, names) -> int:
 
 
 def _cmd_compare(args) -> int:
-    run_config = _resolve_from_args(args).config
+    # one session from the fully resolved config: region, jobs, caches
+    # and the result store follow every layer, --config-file included
+    session = Session(_resolve_from_args(args).config)
     names = args.benchmarks or suite.BENCHMARK_NAMES
     if args.predictors:
-        return _compare_predictor_sweep(args, run_config, names)
-    config_name = _br_config_name(args, run_config, allow_none=False)
-    base_token = experiments.spec_variant(args.predictor)
-    br_token = experiments.spec_variant(args.predictor, config_name)
-    # benchmark-major cells through the experiment runner: with --jobs the
-    # matrix fans out over worker processes, and either way the shared
-    # trace cache emulates each benchmark once for both sides
+        return _compare_predictor_sweep(args, session, names)
+    config_name = _br_config_name(args, session.config, allow_none=False)
+    base_token = spec_variant(args.predictor)
+    br_token = spec_variant(args.predictor, config_name)
+    # benchmark-major cells through the session: with jobs > 1 the matrix
+    # fans out over worker processes, and either way the shared trace
+    # cache emulates each benchmark once for both sides
     cells = [(name, token) for name in names
              for token in (base_token, br_token)]
     outputs = "mpki" if args.mpki_only else "full"
     progress = _progress_callback(force=args.progress)
     try:
-        rows = experiments.run_cells(cells,
-                                     instructions=run_config.instructions,
-                                     warmup=run_config.warmup,
-                                     jobs=args.jobs, outputs=outputs,
-                                     journal=args.journal,
-                                     progress=progress)
+        rows = session.run_cells(cells, outputs=outputs,
+                                 journal=args.journal, progress=progress)
     finally:
         if progress is not None:
             progress.finish()
@@ -539,10 +528,12 @@ def _cmd_compare(args) -> int:
 
 
 def _matrix_kwargs(args) -> dict:
-    """Shared ``baseline record``/``check`` matrix selection."""
+    """Shared ``baseline record``/``check`` matrix selection; the session
+    supplies the region and jobs no flag (or ``--quick``) sets."""
     return dict(benchmarks=args.benchmarks, variants=args.variants,
                 instructions=args.instructions, warmup=args.warmup,
-                jobs=args.jobs, quick=args.quick)
+                jobs=args.jobs, quick=args.quick,
+                session=Session(_resolve_from_args(args).config))
 
 
 def _cmd_baseline(args) -> int:
@@ -654,10 +645,6 @@ def _cmd_sweep_resume(args) -> int:
     already landed replay from the store, only the remainder executes.
     The resumed run is itself journaled to ``JOURNAL.resume``.
     """
-    import os
-
-    from repro.session import Session
-
     try:
         journal = observe_journal.read_journal(args.journal)
     except (OSError, ValueError) as error:
@@ -685,12 +672,12 @@ def _cmd_sweep_resume(args) -> int:
               f"loadable: {error}", file=sys.stderr)
         return 2
     store_dir = (args.result_store_dir or config.result_store_dir
-                 or os.environ.get("REPRO_RESULT_STORE_DIR") or None)
+                 or _resolve_from_args(args).config.result_store_dir)
     if store_dir is None:
         print("repro sweep: error: no result store to resume from "
-              "(the sweep ran without result_store_dir and neither "
-              "--result-store-dir nor REPRO_RESULT_STORE_DIR is set)",
-              file=sys.stderr)
+              "(the sweep ran without result_store_dir and none is "
+              "configured: --result-store-dir, REPRO_RESULT_STORE_DIR or "
+              "a config file)", file=sys.stderr)
         return 2
     session = Session(config.replace(result_store_dir=store_dir))
     landed_before = sum(1 for event in journal["events"]

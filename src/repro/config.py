@@ -48,7 +48,6 @@ ENV_VARS: Dict[str, str] = {
     "trace_cache_size": "REPRO_TRACE_CACHE",
     "trace_cache_dir": "REPRO_TRACE_CACHE_DIR",
     "variant": "REPRO_VARIANT",
-    "batch_min_lanes": "REPRO_BATCH_MIN_LANES",
     "result_store_dir": "REPRO_RESULT_STORE_DIR",
 }
 
@@ -80,10 +79,6 @@ class RunConfig:
     trace_cache_dir: Optional[str] = None
     #: Default variant/BR-config token for single-run CLI flows.
     variant: str = "mini"
-    #: Minimum same-geometry TAGE lanes before batched replay cuts over
-    #: from lockstep to the columnar kernel (0 = auto: the value
-    #: calibrated by ``warm_backend()``, else a static default).
-    batch_min_lanes: int = 0
     #: Directory for the content-addressed sweep result store (None =
     #: no store: sweeps are neither written through nor resumable).
     result_store_dir: Optional[str] = None
@@ -102,9 +97,6 @@ class RunConfig:
         if self.trace_cache_size < 1:
             raise ValueError("trace_cache_size must be >= 1, "
                              f"got {self.trace_cache_size}")
-        if self.batch_min_lanes < 0:
-            raise ValueError("batch_min_lanes must be >= 0 (0 = auto), "
-                             f"got {self.batch_min_lanes}")
         return self
 
     def replace(self, **changes: Any) -> "RunConfig":
@@ -141,8 +133,7 @@ class ResolvedConfig(NamedTuple):
 
 
 _INT_FIELDS = frozenset({"instructions", "warmup", "jobs",
-                         "result_cache_size", "trace_cache_size",
-                         "batch_min_lanes"})
+                         "result_cache_size", "trace_cache_size"})
 
 
 def _coerce(field: str, value: Any, source: str) -> Any:
@@ -234,16 +225,3 @@ def resolve_config(flags: Optional[Mapping[str, Any]] = None,
 def current_config(environ: Optional[Mapping[str, str]] = None) -> RunConfig:
     """The effective config right now (defaults + file + env, no flags)."""
     return resolve_config(environ=environ).config
-
-
-def resolve_jobs(explicit: Optional[int] = None,
-                 environ: Optional[Mapping[str, str]] = None) -> int:
-    """Single worker-count resolver: explicit flag > env/file > serial.
-
-    ``repro baseline record/check --jobs`` resolves through here;
-    ``Session.run_cells`` applies the same rule to its own
-    frozen config (an explicit ``jobs`` argument, else ``config.jobs``).
-    """
-    if explicit is not None:
-        return max(1, explicit)
-    return current_config(environ=environ).jobs

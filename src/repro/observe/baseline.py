@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro import config as repro_config
+from repro.config import RunConfig
 from repro.observe.manifest import run_manifest
 from repro.session import Session
 from repro.sim.bench import payload_digest
@@ -149,27 +149,28 @@ def _run_matrix(benchmarks: Optional[List[str]],
                 quick: bool,
                 session: Optional[Session]
                 ) -> Tuple[List[str], List[str], int, int,
-                           Dict[str, List[Tuple[str, dict]]], Session]:
+                           Dict[str, List[Tuple[str, dict]]], RunConfig]:
     """Run the baseline matrix; returns per-benchmark (variant, payload)s.
 
     ``quick`` selects the CI smoke matrix (``QUICK_*``) the committed
-    baselines were recorded with; explicit arguments override it.  A
-    fresh :class:`~repro.session.Session` is built unless the caller
-    supplies one (cells still bypass its result cache — a baseline must
-    price real runs, not cache hits).
+    baselines were recorded with; explicit arguments override it, and
+    the session's config supplies whatever neither sets.  ``Session()``
+    is built when the caller supplies none (cells bypass its result
+    cache either way — a baseline must price real runs, not cache
+    hits).  The returned config is the one the matrix ran under, for
+    the manifest.
     """
+    if session is None:
+        session = Session()
     if quick:
         instructions = instructions or QUICK_INSTRUCTIONS
         warmup = warmup if warmup is not None else QUICK_WARMUP
-    run_config = repro_config.current_config()
+    config = session.config
     benchmarks = list(benchmarks or QUICK_BENCHMARKS)
     variants = list(variants or QUICK_VARIANTS)
-    instructions = instructions or run_config.instructions
-    warmup = warmup if warmup is not None else run_config.warmup
-    jobs = repro_config.resolve_jobs(jobs)
-    if session is None:
-        session = Session(run_config.replace(instructions=instructions,
-                                             warmup=warmup, jobs=jobs))
+    instructions = instructions or config.instructions
+    warmup = warmup if warmup is not None else config.warmup
+    jobs = max(1, jobs) if jobs is not None else config.jobs
     cells = [(benchmark, variant) for benchmark in benchmarks
              for variant in variants]
     rows = session.run_cells(cells, instructions=instructions,
@@ -179,8 +180,9 @@ def _run_matrix(benchmarks: Optional[List[str]],
     for row in rows:
         per_benchmark[row["benchmark"]].append(
             (row["variant"], row["payload"]))
-    return (benchmarks, variants, instructions, warmup, per_benchmark,
-            session)
+    ran = config.replace(instructions=instructions, warmup=warmup,
+                         jobs=jobs)
+    return benchmarks, variants, instructions, warmup, per_benchmark, ran
 
 
 def benchmark_document(benchmark: str, instructions: int, warmup: int,
@@ -218,11 +220,11 @@ def record_baselines(benchmarks: Optional[List[str]] = None,
     up to the ``host`` manifest section.
     """
     (benchmarks, variants, instructions, warmup, per_benchmark,
-     session) = _run_matrix(benchmarks, variants, instructions, warmup,
-                            jobs, quick, session)
+     ran) = _run_matrix(benchmarks, variants, instructions, warmup,
+                        jobs, quick, session)
     os.makedirs(out_dir, exist_ok=True)
     written: List[str] = []
-    manifest = run_manifest(session.config)
+    manifest = run_manifest(ran)
     for benchmark in benchmarks:
         document = benchmark_document(benchmark, instructions, warmup,
                                       per_benchmark[benchmark], manifest)
@@ -320,8 +322,8 @@ def check_baselines(benchmarks: Optional[List[str]] = None,
     """
     policy = tolerance_policy()
     (benchmarks, variants, instructions, warmup, per_benchmark,
-     session) = _run_matrix(benchmarks, variants, instructions, warmup,
-                            jobs, quick, session)
+     ran) = _run_matrix(benchmarks, variants, instructions, warmup,
+                        jobs, quick, session)
     violations: List[dict] = []
     missing: List[str] = []
     checked: List[str] = []
@@ -348,7 +350,7 @@ def check_baselines(benchmarks: Optional[List[str]] = None,
         "checked": checked,
         "missing_baselines": missing,
         "violations": violations,
-        "manifest": run_manifest(session.config),
+        "manifest": run_manifest(ran),
     }
 
 

@@ -2,11 +2,6 @@
 
 from repro.predictors.base import AlwaysTakenPredictor, BranchPredictor
 from repro.predictors.bimodal import BimodalPredictor
-from repro.predictors.evaluate import (
-    TraceScore,
-    compare_predictors,
-    score_trace,
-)
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.initiation_predictor import InitiationPredictor
 from repro.predictors.loop_predictor import LoopPredictor
@@ -36,9 +31,6 @@ __all__ = [
     "AlwaysTakenPredictor",
     "BranchPredictor",
     "BimodalPredictor",
-    "TraceScore",
-    "compare_predictors",
-    "score_trace",
     "GSharePredictor",
     "InitiationPredictor",
     "LoopPredictor",

@@ -29,7 +29,7 @@ kernels over the whole stream:
   share one folded-history/index/tag materialization and advance
   lane-stacked counter matrices through LUT-compiled automata — see
   :mod:`repro.predictors.tage_batch`.  The kernel engages once a
-  geometry group reaches the ``batch_min_lanes`` cutover
+  geometry group reaches the minimum-lane cutover
   (:func:`tage_min_lanes`); smaller groups stay on lockstep, where
   the scalar loop is faster.
 
@@ -69,10 +69,10 @@ from repro.predictors.perceptron import PerceptronPredictor
 #: outweighs the stacked-lane win; lockstep is faster.
 MIN_PERCEPTRON_LANES = 3
 
-#: TAGE-lane cutover when neither the caller nor the config layers set
-#: ``batch_min_lanes`` and :func:`warm_backend` has not calibrated one:
-#: below this many same-geometry lanes the columnar TAGE kernel's
-#: per-event numpy overhead loses to lockstep.
+#: TAGE-lane cutover when the caller passes no ``min_lanes`` and
+#: :func:`warm_backend` has not calibrated one: below this many
+#: same-geometry lanes the columnar TAGE kernel's per-event numpy
+#: overhead loses to lockstep.
 DEFAULT_TAGE_MIN_LANES = 8
 
 #: :func:`warm_backend` calibration result (None until it runs).
@@ -107,7 +107,7 @@ def _calibrate_tage_min() -> None:
     lockstep scales linearly, so the breakeven lane count is roughly
     (kernel seconds for one stream) / (scalar seconds for one lane).
     A tiny geometry keeps this cheap (~10ms); the ratio transfers well
-    enough for a default, and any configured ``batch_min_lanes`` wins.
+    enough for a default, and an explicit ``min_lanes`` argument wins.
     """
     global _calibrated_tage_min
     if _calibrated_tage_min is not None:
@@ -143,20 +143,12 @@ def _calibrate_tage_min() -> None:
 def tage_min_lanes(explicit: Optional[int] = None) -> int:
     """Resolve the TAGE kernel's minimum-lane cutover.
 
-    Precedence: a positive ``explicit`` value (callers thread the
-    resolved ``RunConfig.batch_min_lanes`` through, so CLI flags, the
-    ``REPRO_BATCH_MIN_LANES`` env var, and config files are already
-    layered into it) > the config layers directly when the caller passed
-    nothing > the :func:`warm_backend` calibration > the static default.
-    ``0`` means auto at every layer.
+    Precedence: a positive ``explicit`` value > the :func:`warm_backend`
+    calibration > :data:`DEFAULT_TAGE_MIN_LANES`.  ``None`` and ``0``
+    both mean auto.
     """
     if explicit is not None and explicit > 0:
         return explicit
-    if explicit is None:
-        from repro.config import current_config
-        configured = current_config().batch_min_lanes
-        if configured > 0:
-            return configured
     return _calibrated_tage_min or DEFAULT_TAGE_MIN_LANES
 
 
@@ -175,8 +167,8 @@ def replay_lanes(predictors: Sequence[BranchPredictor],
 
     ``min_lanes`` gates the columnar TAGE kernel: a geometry group with
     fewer unique lanes than this falls back to lockstep.  ``None`` and
-    ``0`` both mean auto (see :func:`tage_min_lanes`); callers with a
-    resolved config pass ``RunConfig.batch_min_lanes`` through.
+    ``0`` both mean auto (see :func:`tage_min_lanes`); tests pass a
+    value to force either path.
     """
     if len(pcs) == 0:
         return _lockstep(predictors, pcs, takens, split)

@@ -39,13 +39,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sched.store import ResultStore, cell_key
 
-#: Scheduler counters published under ``host.scheduler.*``.
+#: Scheduling counters reported by :meth:`SweepScheduler.stats`.
 _STAT_FIELDS = ("cells_scheduled", "cells_resumed_from_store", "units")
 
 
 def cell_row(benchmark: str, variant: str, index: Optional[int], *,
              started_at: float, wall_seconds: float, payload=None,
-             registry_state=None, error=None, peak_rss_kb_delta=None,
+             error=None, peak_rss_kb_delta=None,
              trace_cache_hit=False, result_cache_hit=False, manifest=None,
              batch_size=None, result_store_hit=False) -> dict:
     """One sweep row, for a cell run alone, in a fused batch
@@ -62,7 +62,6 @@ def cell_row(benchmark: str, variant: str, index: Optional[int], *,
         "ok": error is None,
         "error": error,
         "payload": payload,
-        "registry_state": registry_state,
         "trace_cache_hit": trace_cache_hit,
         "result_cache_hit": result_cache_hit,
         "cell": {
@@ -183,7 +182,6 @@ class SweepScheduler:
             manifest = run_manifest(self.task_config)
         return [cell_row(benchmark, variant, index,
                          payload=record["payload"],
-                         registry_state=record["registry_state"],
                          started_at=time.time(), wall_seconds=0.0,
                          manifest=None if position else manifest,
                          result_store_hit=True)
@@ -201,8 +199,7 @@ class SweepScheduler:
                 self._cell_key(row["benchmark"], row["variant"]),
                 {"benchmark": row["benchmark"],
                  "variant": row["variant"],
-                 "payload": row["payload"],
-                 "registry_state": row["registry_state"]})
+                 "payload": row["payload"]})
 
     # -- the dispatch loop -------------------------------------------------
 
@@ -304,18 +301,3 @@ class SweepScheduler:
         if self.store is not None:
             info["store"] = self.store.stats()
         return info
-
-    def register_into(self, registry) -> None:
-        """Publish ``host.scheduler.*`` counters on a merged registry.
-
-        Host-scoped on purpose: payload digests strip ``stats.host``, so
-        scheduler visibility never perturbs a scalar-identical payload.
-        """
-        if self.executor_name is None:
-            return  # run() never happened; nothing to report
-        scope = registry.scope("host").scope("scheduler")
-        for name in _STAT_FIELDS:
-            scope.counter(name).set(getattr(self, name))
-        scope.scope("executor").counter(self.executor_name).set(1)
-        if self.store is not None:
-            self.store.register_into(scope.scope("store"))

@@ -4,8 +4,8 @@ The trace cache made *emulation* resumable across processes; this module
 does the same for finished *cells*.  :func:`cell_key` is a cell result's
 one identity, which the session's result LRU keys on directly and a
 :class:`ResultStore` through a sha256 of it.  Records are framed,
-digest-checked payload dicts plus stat-registry state, using exactly the
-trace cache's on-disk scheme (:func:`~repro.sim.trace_cache.write_framed`
+digest-checked cell payload dicts, using exactly the trace cache's
+on-disk scheme (:func:`~repro.sim.trace_cache.write_framed`
 / :func:`~repro.sim.trace_cache.read_framed`): magic + u16 version +
 payload sha256 header, same-directory temp file + ``os.replace`` so
 concurrent workers racing on one key never expose a half-written entry.
@@ -81,10 +81,11 @@ class ResultStore:
     def get(self, key: Tuple) -> Optional[dict]:
         """The stored record for ``key``, or None on a (counted) miss.
 
-        Records are ``{"benchmark", "variant", "payload",
-        "registry_state", "key"}`` dicts; a record whose embedded key
-        does not match the filename's is treated as corrupt (a rename
-        or collision would otherwise resume the wrong cell).
+        Records are ``{"benchmark", "variant", "payload", "key"}`` dicts;
+        readers ignore any other key, so older records that also carry a
+        copy of the cell's stat registry still resume.  A record whose
+        embedded key does not match the filename's is treated as corrupt
+        (a rename or collision would otherwise resume the wrong cell).
         """
         path = self.path_for(key)
         try:
@@ -136,11 +137,6 @@ class ResultStore:
         return {"hits": self.hits, "misses": self.misses,
                 "stores": self.stores, "store_errors": self.store_errors,
                 "corrupt_entries": self.corrupt_entries}
-
-    def register_into(self, scope) -> None:
-        """Publish store counters (``host.scheduler.store.*``)."""
-        for name, value in self.stats().items():
-            scope.counter(name).set(value)
 
     def __repr__(self) -> str:
         return (f"ResultStore({self.directory!r}, hits={self.hits}, "

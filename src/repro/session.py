@@ -1,27 +1,21 @@
 """Session-scoped experiment state (``repro.session``).
 
-A :class:`Session` owns everything that used to be a module global in
-``repro.sim.experiments`` — the bounded result-cache LRU, the shared
-committed-trace cache, the merged stat registry — bound to one frozen
+A :class:`Session` owns the bounded result-cache LRU, the shared
+committed-trace cache and the optional result store, bound to one frozen
 :class:`~repro.config.RunConfig`.  Two sessions with different configs
-coexist in one process with fully independent caches, which is the
-prerequisite for sharded and multi-backend runners (and for tests that
-need isolation without global resets).
-
-The classic convenience API (``experiments.run`` & friends) is preserved
-by a *default session* that re-resolves its config from the environment
-on every entry call: setting ``REPRO_INSTRUCTIONS`` or
-``REPRO_CACHE_SIZE`` mid-process (monkeypatching tests, spawn-start
-workers) takes effect on the next call instead of being frozen at import.
-Explicit sessions never re-resolve — their config is exactly what they
-were constructed with.
+coexist in one process with fully independent caches.  There is no
+process-wide default: every caller builds the session it runs under.
+``Session()`` resolves defaults < config file < ``REPRO_*`` env once,
+when it is built; the CLI builds one from its fully resolved config
+(``--config-file`` and flags included).  A session never re-resolves.
 
 A cell is a benchmark plus a variant token (override tokens such as
 ``"mini[hbt_entries=8]"`` included) and :func:`~repro.sched.store.cell_key`
 is its one identity, which both result tiers key on: the in-memory LRU
 of live results (whose runahead oracle and chain cache the figure
 benches read) and the on-disk :class:`~repro.sched.store.ResultStore` of
-payload records, which cannot rebuild them.
+payload records, which cannot rebuild them.  A sweep row carries the
+cell's payload plus host facts (wall time, cache hits).
 
 Worker processes: each parallel task pickles the parent's ``RunConfig``;
 the worker resolves it to a session via :func:`_session_for_config`, so a
@@ -38,8 +32,7 @@ import time
 import traceback as _traceback
 import uuid
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
-    Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import RunConfig, current_config
 from repro.sched import ResultStore, SweepScheduler, cell_key, cell_row
@@ -47,13 +40,9 @@ from repro.sim.predictor_replay import replay_mpki, replay_mpki_batch
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import simulate
 from repro.sim.trace_cache import TraceCache
-from repro.sim.variants import (
-    is_predictor_only,
-    variant_kwargs,
-    variant_names,
-)
-from repro.telemetry import StatRegistry
+from repro.sim.variants import is_predictor_only, variant_kwargs
 from repro.workloads import suite
+
 
 class Session:
     """One experiment context: a config plus the caches it governs."""
@@ -71,9 +60,6 @@ class Session:
         #: kwargs-keyed entries).
         self._results: "OrderedDict[Tuple, SimulationResult]" = \
             OrderedDict()
-        #: Cross-cell merged stats (counters add, gauges newest); fed by
-        #: ``run_cells(..., merge=True)`` / ``run_matrix(merged=True)``.
-        self.registry = StatRegistry()
         #: Result-cache hit counter (journal cell events report per-cell
         #: hit flags the same way the trace cache already does).
         self.result_cache_hits = 0
@@ -87,35 +73,6 @@ class Session:
         #: Scheduling facts of the most recent ``run_cells`` sweep
         #: (executor, units, resumed/scheduled cell counts).
         self.last_sweep: Optional[dict] = None
-        self._last_scheduler: Optional[SweepScheduler] = None
-
-    # -- config management -------------------------------------------------
-
-    def reconfigure(self, config: RunConfig) -> None:
-        """Adopt a new config in place, preserving still-valid cache state.
-
-        Cache *contents* stay (results are keyed by their full region
-        parameters, so a region-length change cannot alias); cache
-        *bounds* and the trace-cache spill directory follow the new
-        config, trimming immediately when shrunk.
-        """
-        config.validate()
-        old = self.config
-        self.config = config
-        if config.result_cache_size < old.result_cache_size:
-            while len(self._results) > config.result_cache_size:
-                self._results.popitem(last=False)
-        cache = self.trace_cache
-        if config.trace_cache_size != old.trace_cache_size:
-            cache.capacity = config.trace_cache_size
-            while len(cache._entries) > cache.capacity:
-                cache._entries.popitem(last=False)
-                cache.evictions += 1
-        if config.trace_cache_dir != old.trace_cache_dir:
-            cache.disk_dir = config.trace_cache_dir
-        if config.result_store_dir != old.result_store_dir:
-            self.result_store = ResultStore(config.result_store_dir) \
-                if config.result_store_dir else None
 
     # -- result cache ------------------------------------------------------
 
@@ -232,20 +189,18 @@ class Session:
                   jobs: Optional[int] = None,
                   cache: bool = True,
                   outputs: str = "full",
-                  merge: bool = False,
                   journal: Optional[str] = None,
                   progress: Optional[Callable[[dict], None]] = None
                   ) -> List[dict]:
         """Run many ``(benchmark, variant)`` cells, optionally in parallel.
 
         Returns one dict per cell — ``{"benchmark", "variant", "payload",
-        "registry_state", "trace_cache_hit", ...}`` with ``payload =
+        "trace_cache_hit", ...}`` with ``payload =
         SimulationResult.to_dict()`` — in the *input* order regardless of
         worker scheduling, so output is deterministic for any job count.
-        ``jobs`` defaults to the session config (explicit argument wins).
-        ``merge=True`` additionally folds every row's registry into
-        :attr:`registry`, cells served from a cache included.  Variants
-        are any tokens; the Figure 13 override sweeps run through here.
+        ``jobs`` defaults to the session config (explicit argument wins,
+        clamped to at least one).  Variants are any tokens; the Figure 13
+        override sweeps run through here.
 
         A *raising* cell never aborts the sweep: its row carries
         ``ok=False`` and a structured ``error`` (exception class,
@@ -357,61 +312,10 @@ class Session:
             if recorder is not None:
                 recorder.finish()
         self.last_sweep = scheduler.stats()
-        self._last_scheduler = scheduler
         # batch grouping runs cells out of plan sequence; the return
         # contract is input order
         rows.sort(key=lambda row: row["index"])
-        if merge:
-            merged = merged_registry(rows)
-            scheduler.register_into(merged)
-            self.registry.merge(merged)
         return rows
-
-    def run_matrix(self, variants: Optional[Iterable[str]] = None,
-                   benchmarks: Optional[Iterable[str]] = None,
-                   instructions: Optional[int] = None,
-                   warmup: Optional[int] = None,
-                   jobs: Optional[int] = None,
-                   cache: bool = True,
-                   outputs: str = "full",
-                   merged: bool = False,
-                   journal: Optional[str] = None,
-                   progress: Optional[Callable[[dict], None]] = None):
-        """Run a variant × benchmark matrix; returns nested payload dicts.
-
-        ``result[benchmark][variant]`` is the cell's
-        :meth:`~repro.sim.results.SimulationResult.to_dict` payload — or
-        ``{"error": {...}}`` for a cell whose worker raised; error rows
-        are skipped when merging registries, so one bad cell degrades
-        exactly one matrix entry instead of aborting the sweep.  Cells
-        are laid out benchmark-major; a pool sweep runs each benchmark's
-        cells in one worker dispatch unit.  ``merged=True`` additionally
-        returns the cross-cell :func:`merged_registry` as
-        ``(matrix, registry)``.
-        """
-        variant_list = (list(variants) if variants is not None
-                        else variant_names())
-        benchmark_list = (list(benchmarks) if benchmarks is not None
-                          else list(suite.BENCHMARK_NAMES))
-        cells = [(benchmark, variant)
-                 for benchmark in benchmark_list
-                 for variant in variant_list]
-        rows = self.run_cells(cells, instructions=instructions,
-                              warmup=warmup, jobs=jobs, cache=cache,
-                              outputs=outputs, journal=journal,
-                              progress=progress)
-        matrix: Dict[str, Dict[str, dict]] = {name: {}
-                                              for name in benchmark_list}
-        for row in rows:
-            entry = row["payload"] if row.get("error") is None \
-                else {"error": row["error"]}
-            matrix[row["benchmark"]][row["variant"]] = entry
-        if merged:
-            registry = merged_registry(rows)
-            if self._last_scheduler is not None:
-                self._last_scheduler.register_into(registry)
-            return matrix, registry
-        return matrix
 
     def __repr__(self) -> str:
         return (f"Session(config={self.config!r}, "
@@ -429,9 +333,6 @@ _worker_sessions: Dict[RunConfig, Session] = {}
 
 def _session_for_config(config: RunConfig) -> Session:
     """Find or build the session a worker should run a task under."""
-    default = _default_session
-    if default is not None and default.config == config:
-        return default
     session = _worker_sessions.get(config)
     if session is None:
         session = Session(config)
@@ -488,13 +389,11 @@ def _announce(meta: dict, config: RunConfig) -> Optional[dict]:
 def _run_cell_in(session: Session, task: Tuple) -> dict:
     """Run one cell inside ``session`` and flatten it to a picklable dict.
 
-    ``registry_state`` carries the cell's full stat registry in the
-    kind-aware :meth:`~repro.telemetry.StatRegistry.to_state` form, so the
-    parent can :meth:`~repro.telemetry.StatRegistry.merge` registries from
-    all workers (see :func:`merged_registry`).  A raising cell is
-    converted into a structured error row (``ok=False``, ``payload=None``,
-    ``error={type, message, traceback}``) instead of propagating — one
-    bad cell must not abort a pool of good ones.
+    The row carries the cell's payload (``SimulationResult.to_dict()``,
+    stats included).  A raising cell is converted into a structured
+    error row (``ok=False``, ``payload=None``, ``error={type, message,
+    traceback}``) instead of propagating — one bad cell must not abort a
+    pool of good ones.
 
     The optional eighth task element is flight-recorder metadata
     (``index``, ``sweep_id``, ``announce``, ``profile``/``profile_dir``):
@@ -516,7 +415,7 @@ def _run_cell_in(session: Session, task: Tuple) -> dict:
     if meta.get("profile") == "cprofile" and meta.get("profile_dir"):
         import cProfile
         profiler = cProfile.Profile()
-    payload = registry_state = error = None
+    payload = error = None
     try:
         if profiler is not None:
             profiler.enable()
@@ -529,7 +428,6 @@ def _run_cell_in(session: Session, task: Tuple) -> dict:
             if profiler is not None:
                 profiler.disable()
         payload = result.to_dict()
-        registry_state = result.build_registry().to_state()
     except Exception as exc:
         error = _error_info(exc)
     wall = time.perf_counter() - tick
@@ -542,8 +440,7 @@ def _run_cell_in(session: Session, task: Tuple) -> dict:
             pass
     return cell_row(
         benchmark, variant, meta.get("index"), payload=payload,
-        registry_state=registry_state, error=error,
-        started_at=started_at, wall_seconds=wall,
+        error=error, started_at=started_at, wall_seconds=wall,
         peak_rss_kb_delta=_rss_delta(rss_before),  # before the manifest
         trace_cache_hit=trace_cache.hits > hits_before,
         result_cache_hit=session.result_cache_hits > result_hits_before,
@@ -594,8 +491,7 @@ def _run_batch_in(session: Session, task: Tuple) -> List[dict]:
             results = replay_mpki_batch(
                 program, [predictor for _, _, predictor in lanes],
                 instructions=instructions, warmup=warmup,
-                trace_cache=trace_cache,
-                min_lanes=session.config.batch_min_lanes)
+                trace_cache=trace_cache)
         except Exception as exc:
             error = _error_info(exc)
             for index, _, _ in lanes:
@@ -613,13 +509,11 @@ def _run_batch_in(session: Session, task: Tuple) -> List[dict]:
     for position, (variant, index) in enumerate(members):
         error = errors.get(index)
         result = cached.get(index, computed.get(index))
-        payload = registry_state = None
+        payload = None
         if error is None and result is not None:
             payload = result.to_dict()
-            registry_state = result.build_registry().to_state()
         rows.append(cell_row(
-            benchmark, variant, index, payload=payload,
-            registry_state=registry_state, error=error,
+            benchmark, variant, index, payload=payload, error=error,
             started_at=started_at, wall_seconds=wall / len(members),
             peak_rss_kb_delta=rss_delta if position == 0 else None,
             trace_cache_hit=group_hit and index not in cached,
@@ -651,60 +545,3 @@ def _run_unit(unit: List[Tuple]) -> List[List[dict]]:
     """
     session = _session_for_config(unit[0][0])
     return [_run_task_in(session, task) for task in unit]
-
-
-def merged_registry(rows: Iterable[dict]) -> StatRegistry:
-    """Fold every cell's registry into one (counters add, gauges newest).
-
-    This is the multi-region aggregation path ``StatRegistry.merge`` was
-    built for: cross-cell event totals (mispredicts, cache hits, DCE
-    uops) come out summed, histograms concatenated.  Error rows (a cell
-    whose worker raised) carry no registry state and are skipped, so a
-    failed cell degrades the aggregate instead of crashing the merge.
-    """
-    return StatRegistry.from_states(
-        row["registry_state"] for row in rows
-        if row.get("registry_state") is not None)
-
-
-# -- default session -------------------------------------------------------
-
-_default_session: Optional[Session] = None
-
-#: The session default_session() created implicitly.  Only *this* session
-#: re-resolves its config from the environment on every call; a session
-#: installed via :func:`set_default_session` keeps the config it was
-#: built with (the caller took explicit control).
-_auto_session: Optional[Session] = None
-
-
-def default_session() -> Session:
-    """The process-wide convenience session.
-
-    Unlike explicit sessions, its config *follows the environment*: each
-    call re-resolves ``REPRO_*`` (and any ``REPRO_CONFIG`` file) and
-    adopts changes in place, so env vars set after import — monkeypatching
-    tests, wrapper scripts — actually take effect.
-    """
-    global _default_session, _auto_session
-    if _default_session is None:
-        _default_session = _auto_session = Session(current_config())
-    elif _default_session is _auto_session:
-        config = current_config()
-        if _default_session.config != config:
-            _default_session.reconfigure(config)
-    return _default_session
-
-
-def set_default_session(session: Optional[Session]) -> Optional[Session]:
-    """Swap the default session (returns the previous one).
-
-    An explicitly installed session pins its own config; the env-following
-    behavior resumes when the default is reset to None or the original
-    auto-created session is restored.
-    """
-    global _default_session
-    previous = _default_session
-    _default_session = session
-    return previous
-

@@ -1,4 +1,4 @@
-"""Simulation driver, results, experiment helpers."""
+"""Simulation entry point, results, sweep and variant helpers."""
 
 from repro.sim.results import (
     ComparisonRow,
@@ -20,17 +20,16 @@ __all__ = [
     "mpki_improvement",
     "weighted_average",
     "simulate",
-    "experiments",
     "sweeps",
     "variants",
 ]
 
 
 def __getattr__(name: str):
-    # experiments (and sweeps, which imports it) sit above repro.session,
-    # which itself imports sim submodules — importing them lazily keeps
-    # the package import acyclic from every entry point
-    if name in ("experiments", "sweeps", "variants", "bench"):
+    # sweeps sits above repro.session, which itself imports sim
+    # submodules — importing it lazily keeps the package import acyclic
+    # from every entry point
+    if name in ("sweeps", "variants", "bench"):
         import importlib
         return importlib.import_module(f"repro.sim.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,8 +16,8 @@ so its MPKI, mispredict counts, and per-PC breakdowns are bit-identical
 to a full-timing run of the same cell (``tests/test_predictor_replay.py``
 pins this).  It is only valid for *predictor-only* cells: with Branch
 Runahead attached the final prediction depends on DCE timing, which this
-path does not model, so :mod:`repro.sim.experiments` falls back to the
-full simulator for those.
+path does not model, so :meth:`repro.session.Session.run` falls back to
+the full simulator for those.
 
 Branch events are extracted once per region and cached on the
 :class:`~repro.sim.trace_cache.TraceEntry` itself, so a sweep of N
@@ -262,11 +262,12 @@ def replay_mpki_batch(program: Program,
     as consumed by this call.
 
     ``min_lanes`` is the vectorized-kernel cutover floor, forwarded to
-    :func:`~repro.predictors.batched.replay_lanes`; None defers to the
-    config layers (``REPRO_BATCH_MIN_LANES`` / config file) and then the
-    calibrated/static default.  Each result additionally reports
-    ``host.batch.lanes_deduped`` — how many lanes were satisfied by an
-    equivalent sibling's replay rather than their own.
+    :func:`~repro.predictors.batched.replay_lanes`; None means the
+    calibrated, else static, default (see
+    :func:`~repro.predictors.batched.tage_min_lanes`).  Each result
+    additionally reports ``host.batch.lanes_deduped`` — how many lanes
+    were satisfied by an equivalent sibling's replay rather than their
+    own.
     """
     resolved: List[BranchPredictor] = []
     for predictor in predictors:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.telemetry import StatRegistry, Telemetry
 from repro.uarch.stats import CoreStats
@@ -135,6 +135,38 @@ class SimulationResult:
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+
+def hard_branch_accuracy(result: SimulationResult, count: int = 32
+                         ) -> Tuple[float, float]:
+    """Figure 1 helper: (predictor, chain) accuracy on the hardest branches.
+
+    Branch hardness is ranked by baseline-predictor mispredictions within
+    this run.  The chain accuracy covers validated chain values (falling
+    back to the run's predictor accuracy for uncovered branches).
+    """
+    core = result.core
+    hard = core.hardest_branches(count)
+    if not hard:
+        return 1.0, 1.0
+    executed = sum(core.branch_counts[pc] for pc in hard)
+    mispredicted = sum(core.branch_mispredicts[pc] for pc in hard)
+    predictor_accuracy = 1.0 - mispredicted / max(executed, 1)
+    if result.runahead is None:
+        return predictor_accuracy, predictor_accuracy
+    checks = correct = 0
+    stats = result.runahead.stats
+    for pc in hard:
+        pc_checks = stats.value_checks.get(pc, 0)
+        if pc_checks:
+            checks += pc_checks
+            correct += stats.value_correct.get(pc, 0)
+        else:
+            # uncovered branch: chains never ran; score the predictor
+            checks += core.branch_counts[pc]
+            correct += core.branch_counts[pc] - core.branch_mispredicts[pc]
+    chain_accuracy = correct / max(checks, 1)
+    return predictor_accuracy, chain_accuracy
 
 
 def mpki_improvement(baseline_mpki: float, new_mpki: float) -> float:

@@ -5,20 +5,18 @@ up to the Big configuration and reports MPKI improvement *relative to
 Mini*, isolating that parameter's contribution.  The paper ran sweeps on
 shorter regions (10M vs 200M instructions); we do the same proportionally.
 
-A sweep is one :meth:`~repro.session.Session.run_cells` call over the
-Mini reference cells plus one override token (``"mini[hbt_entries=16]"``)
-per value and benchmark, so its cells run on the session's pool, resume
-from its result store and report into its merged
-:attr:`~repro.session.Session.registry` like any other sweep's.  The
-figure benches pass their shared session; the default is the
-process-wide default session.
+All sweeps of a ladder are one :meth:`~repro.session.Session.run_cells`
+call over the Mini reference cells plus one override token
+(``"mini[hbt_entries=16]"``) per parameter, value and benchmark, so the
+references run once, a pool sweep starts one pool, and every cell
+resumes from the session's result store like any other sweep's.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.session import Session, default_session
+from repro.session import Session
 from repro.sim.results import arithmetic_mean, mpki_improvement
 from repro.sim.variants import override_variant
 
@@ -38,30 +36,34 @@ SWEEP_INSTRUCTIONS = 6000
 SWEEP_WARMUP = 4000
 
 
-def sweep_parameter(parameter: str, benchmarks: Sequence[str],
-                    values: Sequence = None,
-                    session: Optional[Session] = None
-                    ) -> Dict[object, float]:
-    """Mean MPKI improvement vs Mini for each value of ``parameter``.
+def _sweep_token(parameter: str, value) -> str:
+    fields = {parameter: value}
+    if parameter == "prediction_queue_entries":
+        # the queue bounds how far chains run ahead; scale the eager
+        # production cap with it so the sweep actually exercises depth
+        fields["runahead_limit"] = min(int(value), 32)
+    return override_variant("mini", **fields)
 
-    The Mini references are shared through the session's caches with
-    every other sweep in it.  The math needs every cell, so unlike the
-    matrix runner a failed cell raises ``RuntimeError`` naming it.
+
+def sweep_parameters(session: Session, benchmarks: Sequence[str],
+                     ladder: Optional[Mapping[str, Sequence]] = None
+                     ) -> Dict[str, Dict[object, float]]:
+    """Mean MPKI improvement vs Mini for each value of each parameter.
+
+    ``ladder`` maps each swept parameter to its values (default
+    :data:`SWEEPS`); the result is ``{parameter: {value: improvement}}``.
+    The math needs every cell, so unlike the matrix runner a failed cell
+    raises ``RuntimeError`` naming it.
     """
-    session = session if session is not None else default_session()
-    values = values if values is not None else SWEEPS[parameter]
-    tokens = []
-    for value in values:
-        fields = {parameter: value}
-        if parameter == "prediction_queue_entries":
-            # the queue bounds how far chains run ahead; scale the eager
-            # production cap with it so the sweep actually exercises depth
-            fields["runahead_limit"] = min(int(value), 32)
-        tokens.append(override_variant("mini", **fields))
+    ladder = SWEEPS if ladder is None else ladder
+    tokens = {parameter: [_sweep_token(parameter, value)
+                          for value in values]
+              for parameter, values in ladder.items()}
     cells = [(name, "mini") for name in benchmarks]
-    cells += [(name, token) for token in tokens for name in benchmarks]
+    cells += [(name, token) for parameter_tokens in tokens.values()
+              for token in parameter_tokens for name in benchmarks]
     rows = session.run_cells(cells, instructions=SWEEP_INSTRUCTIONS,
-                             warmup=SWEEP_WARMUP, merge=True)
+                             warmup=SWEEP_WARMUP)
     mpki = {}
     for row in rows:
         error = row["error"]
@@ -70,7 +72,8 @@ def sweep_parameter(parameter: str, benchmarks: Sequence[str],
                 f"sweep cell {row['benchmark']}/{row['variant']} failed: "
                 f"{error['type']}: {error['message']}")
         mpki[row["benchmark"], row["variant"]] = row["payload"]["mpki"]
-    return {value: arithmetic_mean(
+    return {parameter: {value: arithmetic_mean(
                 mpki_improvement(mpki[name, "mini"], mpki[name, token])
                 for name in benchmarks)
-            for value, token in zip(values, tokens)}
+            for value, token in zip(values, tokens[parameter])}
+            for parameter, values in ladder.items()}

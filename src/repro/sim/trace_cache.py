@@ -31,7 +31,7 @@ start warm.  The cache itself reads no environment: a session passes its
 ``RunConfig.trace_cache_size``/``trace_cache_dir``, which
 :func:`~repro.config.resolve_config` layers from ``REPRO_TRACE_CACHE``/
 ``REPRO_TRACE_CACHE_DIR``, so only sessions built from the resolved config
-(``default_session()``, the CLI) follow those variables.  Identity keys do not
+(``Session()``, the CLI's) follow those variables.  Identity keys do not
 survive a process boundary, so on-disk entries are keyed by a *content*
 fingerprint: the sha256 over the program's name, every static uop's
 architectural fields, and the initial memory image (memoized per Program

@@ -23,8 +23,8 @@ predictor, optionally a Branch Runahead configuration, optionally extra
 
 Because predictor-only variants fall through to the predictor registry, a
 single ``@register_predictor`` definition is enough to make a new
-predictor runnable through ``run``/``run_matrix``, the CLI, and ``repro
-list`` — no second registration.
+predictor runnable through ``Session.run``/``run_cells``, the CLI, and
+``repro list`` — no second registration.
 """
 
 from __future__ import annotations
@@ -108,8 +108,7 @@ def _mini_oracle_merge() -> dict:
 def variant_names() -> List[str]:
     """Every addressable named variant, predictor-only names first.
 
-    Ordering is registration order within each group — the default
-    ``run_matrix`` column order the figures rely on.
+    Ordering is registration order within each group.
     """
     return PREDICTORS.names() + BR_VARIANTS.names()
 

@@ -15,10 +15,9 @@ Three stat kinds:
 * :class:`Histogram` — distribution with count/mean/min/max/percentiles.
 
 ``scope(prefix)`` returns a namespaced view, so a mechanism registers its
-stats without knowing where it sits in the hierarchy.  ``merge`` combines
-registries from independent runs (counters add, gauges take the newest,
-histograms concatenate), which is what multi-region SimPoint aggregation
-needs.
+stats without knowing where it sits in the hierarchy.  One registry
+describes one run; its nested :meth:`StatRegistry.to_dict` export is the
+``stats`` section of that run's result payload.
 """
 
 from __future__ import annotations
@@ -234,67 +233,3 @@ class StatRegistry:
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    # -- state transfer -----------------------------------------------------------
-
-    def to_state(self) -> Dict[str, List]:
-        """Kind-aware flat serialization: ``{name: [kind, payload]}``.
-
-        Unlike :meth:`to_flat_dict` (which exports histograms as summary
-        statistics), this round-trips losslessly through JSON/pickle so a
-        worker process can ship its registry to the parent for
-        :meth:`merge` — the basis of the parallel runner's merged-registry
-        aggregation.
-        """
-        state: Dict[str, List] = {}
-        for name, stat in self._stats.items():
-            if isinstance(stat, Histogram):
-                state[name] = [stat.kind, list(stat.values)]
-            else:
-                state[name] = [stat.kind, stat.value]
-        return state
-
-    @classmethod
-    def from_state(cls, state: Dict[str, List]) -> "StatRegistry":
-        """Rebuild a registry serialized by :meth:`to_state`."""
-        registry = cls()
-        for name, (kind, payload) in state.items():
-            if kind == "counter":
-                registry.counter(name).set(payload)
-            elif kind == "gauge":
-                registry.gauge(name).set(payload)
-            elif kind == "histogram":
-                registry.histogram(name).record_many(payload)
-            else:
-                raise ValueError(f"unknown stat kind {kind!r} for {name!r}")
-        return registry
-
-    @classmethod
-    def from_states(cls, states) -> "StatRegistry":
-        """Merge many :meth:`to_state` payloads into one fresh registry.
-
-        The cross-cell aggregation primitive of the session runner:
-        ``run_matrix(merged=True)`` folds every worker row's
-        ``registry_state`` through here.
-        """
-        merged = cls()
-        for state in states:
-            merged.merge(cls.from_state(state))
-        return merged
-
-    # -- merging ------------------------------------------------------------------
-
-    def merge(self, other: "StatRegistry") -> "StatRegistry":
-        """Fold ``other`` into this registry in place and return self.
-
-        Counters add, gauges take ``other``'s value, histograms concatenate.
-        Kind mismatches raise :class:`TypeError`.
-        """
-        for name, stat in other._stats.items():
-            if isinstance(stat, Counter):
-                self.counter(name).add(stat.value)
-            elif isinstance(stat, Gauge):
-                self.gauge(name).set(stat.value)
-            else:
-                self.histogram(name).record_many(stat.values)
-        return self

@@ -1,10 +1,10 @@
 """Shared test fixtures.
 
 The config layer reads ``REPRO_*`` environment variables at *resolution
-time* (every call into the default session), so ambient variables from
-the invoking shell — or from a CI leg that deliberately exports
-conflicting ones — would silently reshape every test's region lengths
-and cache bounds.  The autouse fixture below gives each test a clean
+time* (every ``Session()`` a test builds without an explicit config), so
+ambient variables from the invoking shell — or from a CI leg that
+deliberately exports conflicting ones — would silently reshape every
+test's region lengths and cache bounds.  The autouse fixture below gives each test a clean
 environment; tests that exercise the env layer set their own variables
 through ``monkeypatch.setenv`` on top of it.
 """

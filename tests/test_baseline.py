@@ -135,6 +135,22 @@ class TestRecord:
         assert variants["mini"]["chain_coverage"] is not None
         assert document["manifest"]["config_fingerprint"]
 
+    def test_region_and_jobs_default_to_the_session_config(self,
+                                                             tmp_path):
+        # no region or jobs argument: the handed session's config decides,
+        # and the manifest records the region and jobs that ran
+        session = Session(RunConfig(instructions=700, warmup=300, jobs=2))
+        report = ob.record_baselines(benchmarks=["sjeng_06"],
+                                     variants=["tage64"],
+                                     out_dir=str(tmp_path), session=session)
+        assert (report["instructions"], report["warmup"]) == (700, 300)
+        config = report["manifest"]["config"]
+        assert (config["instructions"], config["warmup"],
+                config["jobs"]) == (700, 300, 2)
+        document = json.load(open(report["written"][0]))
+        assert document["variants"]["tage64"]["counters"][
+            "core.instructions"] == 700
+
     def test_rerecord_is_byte_stable_outside_the_host_section(
             self, recorded, tmp_path):
         out_dir, report = recorded

@@ -16,6 +16,7 @@ import pytest
 
 from repro import config as repro_config
 from repro.cli import main as cli_main
+from repro.config import RunConfig
 from repro.isa.program import ProgramBuilder
 from repro.observe.journal import read_journal
 from repro.predictors.batched import (
@@ -28,7 +29,6 @@ from repro.predictors.gshare import GSharePredictor
 from repro.predictors.perceptron import PerceptronPredictor
 from repro.predictors.registry import PREDICTORS, make_predictor
 from repro.session import Session
-from repro.sim import experiments
 from repro.sim.bench import batch_replay_predictors, payload_digest
 from repro.sim.branch_events import (
     EVENT_FORMAT_VERSION,
@@ -455,7 +455,7 @@ class TestComparePredictorsCli:
         document = json.loads(capsys.readouterr().out)
         assert document["benchmark"] == "sjeng_06"
         assert set(document["mpki"]) == {"bimodal", "gshare"}
-        scalar = experiments.run("sjeng_06", "bimodal", outputs="mpki",
-                                 instructions=1_200, warmup=600)
+        scalar = Session(RunConfig(instructions=1_200, warmup=600)).run(
+            "sjeng_06", "bimodal", outputs="mpki")
         assert document["mpki"]["bimodal"] == pytest.approx(
             scalar.core.mpki)

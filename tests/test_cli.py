@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.observe.journal import read_journal
 from repro.sim.results import ipc_improvement, mpki_improvement
 
 
@@ -31,7 +32,7 @@ class TestConfigCommand:
             "instructions": "env", "warmup": "file", "jobs": "flag",
             "result_cache_size": "default", "trace_cache_size": "default",
             "trace_cache_dir": "default", "variant": "default",
-            "batch_min_lanes": "default", "result_store_dir": "default"}
+            "result_store_dir": "default"}
         assert document["config_file"] == str(path)
 
     def test_config_file_env_var(self, tmp_path, monkeypatch, capsys):
@@ -42,6 +43,26 @@ class TestConfigCommand:
         document = json.loads(capsys.readouterr().out)
         assert document["config"]["variant"] == "big"
         assert document["config_file"] == str(path)
+
+
+class TestConfigFileReachesSweeps:
+    def test_config_file_jobs_and_store_reach_compare(self, tmp_path):
+        # --config-file must reach the sweep `compare` runs, not only
+        # `repro config`: its jobs start a pool and its store fills
+        store = tmp_path / "store"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"jobs": 2,
+                                    "result_store_dir": str(store)}))
+        journal = tmp_path / "sweep.jsonl"
+        code = cli_main(["--config-file", str(path), "compare", "sjeng_06",
+                         "--instructions", "300", "--warmup", "200",
+                         "--journal", str(journal)])
+        assert code == 0
+        started = read_journal(str(journal))["events"][0]
+        assert started["event"] == "sweep_started"
+        assert started["jobs"] == 2
+        assert started["executor"] == "pool"
+        assert len(list(store.glob("*.result"))) == 2
 
 
 class TestListCommand:
@@ -226,8 +247,8 @@ class TestJournaledSweeps:
         from repro.config import RunConfig
         from repro.observe.journal import read_journal
         from repro.session import Session
-        from repro.sim import experiments
         from repro.sim.bench import payload_digest
+        from repro.sim.variants import spec_variant
 
         code, path = self.run_compare(tmp_path, ["sjeng_06", "mcf_06"])
         assert code == 0
@@ -246,9 +267,8 @@ class TestJournaledSweeps:
         assert [event["payload_sha256"] for event in finished] == \
             [payload_digest(row["payload"]) for row in fresh]
         assert cells == [(name, token) for name in ("sjeng_06", "mcf_06")
-                         for token in (experiments.spec_variant("tage64"),
-                                       experiments.spec_variant(
-                                           "tage64", "mini"))]
+                         for token in (spec_variant("tage64"),
+                                       spec_variant("tage64", "mini"))]
 
     def test_sweep_report_on_a_compare_journal(self, tmp_path, capsys):
         code, path = self.run_compare(tmp_path, ["sjeng_06"], jobs="2")

@@ -10,9 +10,9 @@ from repro.config import (
     RunConfig,
     current_config,
     resolve_config,
-    resolve_jobs,
 )
-from repro.session import default_session
+from repro.observe.journal import read_journal
+from repro.session import Session
 
 
 class TestPrecedence:
@@ -142,40 +142,49 @@ class TestRunConfigObject:
 
 
 class TestJobsResolver:
-    def test_explicit_wins(self):
-        assert resolve_jobs(3, environ={"REPRO_JOBS": "7"}) == 3
+    """One worker-count rule: an explicit ``jobs`` argument (clamped to
+    serial) beats the session config, whose env/file layers beat the
+    serial default."""
 
-    def test_explicit_clamps_to_serial(self):
-        assert resolve_jobs(0, environ={}) == 1
-        assert resolve_jobs(-4, environ={}) == 1
+    @staticmethod
+    def sweep_jobs(session, tmp_path, **kwargs):
+        path = str(tmp_path / "sweep.jsonl")
+        session.run_cells([("sjeng_06", "bimodal")], instructions=300,
+                          warmup=200, outputs="mpki", journal=path,
+                          **kwargs)
+        (built,) = [event for event in read_journal(path)["events"]
+                    if event["event"] == "units_built"]
+        return built["jobs"]
 
-    def test_env_layer(self):
-        assert resolve_jobs(None, environ={"REPRO_JOBS": "7"}) == 7
+    def test_explicit_wins(self, tmp_path):
+        session = Session(RunConfig(jobs=7))
+        assert self.sweep_jobs(session, tmp_path, jobs=3) == 3
 
-    def test_default_is_serial(self):
-        assert resolve_jobs(None, environ={}) == 1
+    def test_explicit_clamps_to_serial(self, tmp_path):
+        session = Session(RunConfig(jobs=7))
+        assert self.sweep_jobs(session, tmp_path, jobs=0) == 1
+        assert self.sweep_jobs(session, tmp_path, jobs=-4) == 1
+
+    def test_env_layer(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "7")
+        assert self.sweep_jobs(Session(), tmp_path) == 7
+
+    def test_default_is_serial(self, tmp_path):
+        assert self.sweep_jobs(Session(), tmp_path) == 1
 
 
 class TestEnvReadAtResolutionTime:
     """Regression: REPRO_* must not be snapshotted at import time."""
 
     def test_instructions_env_set_after_import(self, monkeypatch):
-        before = default_session().config.instructions
+        before = Session().config.instructions
         monkeypatch.setenv("REPRO_INSTRUCTIONS", str(before + 777))
-        assert default_session().config.instructions == before + 777
+        assert Session().config.instructions == before + 777
         assert current_config().instructions == before + 777
 
     def test_warmup_and_cache_size_follow_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WARMUP", "41")
         monkeypatch.setenv("REPRO_CACHE_SIZE", "5")
-        config = default_session().config
+        config = Session().config
         assert config.warmup == 41
         assert config.result_cache_size == 5
-
-    def test_default_session_adopts_env_changes(self, monkeypatch):
-        first = default_session()
-        monkeypatch.setenv("REPRO_INSTRUCTIONS", "2222")
-        second = default_session()
-        # same session object (caches survive), new config
-        assert second is first
-        assert second.config.instructions == 2222

@@ -5,8 +5,11 @@ import re
 
 import pytest
 
-from repro.session import default_session
-from repro.sim import bench, experiments
+from repro.config import RunConfig
+from repro.session import Session
+from repro.sim import bench
+from repro.sim.variants import override_variant, spec_variant, \
+    variant_kwargs
 
 
 REGION = dict(instructions=1_200, warmup=600)
@@ -18,95 +21,82 @@ def strip(payload):
     return clean
 
 
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    experiments.clear_caches()
-    yield
-    experiments.clear_caches()
+@pytest.fixture
+def session():
+    """A fresh session per test: cold result and trace caches."""
+    return Session(RunConfig(**REGION))
 
 
 class TestRunCells:
     CELLS = [("sjeng_06", "tage64"), ("sjeng_06", "mini"),
              ("mcf_17", "tage64"), ("mcf_17", "mini")]
 
-    def test_serial_preserves_cell_order(self):
-        rows = experiments.run_cells(self.CELLS, jobs=1, **REGION)
+    def test_serial_preserves_cell_order(self, session):
+        rows = session.run_cells(self.CELLS, jobs=1)
         assert [(r["benchmark"], r["variant"]) for r in rows] == self.CELLS
 
-    def test_trace_cache_hits_within_benchmark(self):
-        rows = experiments.run_cells(self.CELLS, jobs=1, **REGION)
+    def test_trace_cache_hits_within_benchmark(self, session):
+        rows = session.run_cells(self.CELLS, jobs=1)
         # first variant of each benchmark records, the second replays
         assert [r["trace_cache_hit"] for r in rows] == \
             [False, True, False, True]
 
-    def test_parallel_equals_serial(self):
-        serial = experiments.run_cells(self.CELLS, jobs=1, **REGION)
-        experiments.clear_caches()
-        parallel = experiments.run_cells(self.CELLS, jobs=2, **REGION)
+    def test_parallel_equals_serial(self, session):
+        serial = session.run_cells(self.CELLS, jobs=1)
+        session.clear_caches()
+        parallel = session.run_cells(self.CELLS, jobs=2)
         assert [(r["benchmark"], r["variant"]) for r in parallel] == \
             self.CELLS
         for left, right in zip(serial, parallel):
             assert strip(left["payload"]) == strip(right["payload"])
 
-    def test_run_matrix_shape(self):
-        matrix = experiments.run_matrix(variants=["tage64", "mini"],
-                                        benchmarks=["sjeng_06"], jobs=1,
-                                        **REGION)
-        assert list(matrix) == ["sjeng_06"]
-        assert sorted(matrix["sjeng_06"]) == ["mini", "tage64"]
-        payload = matrix["sjeng_06"]["mini"]
-        assert payload["branch_runahead"] is True
-        assert payload["benchmark"] == "sjeng_06"
-
 
 class TestSpecVariants:
     def test_token_round_trip(self):
-        token = experiments.spec_variant("tage80", "mini")
+        token = spec_variant("tage80", "mini")
         assert token == "spec:tage80+mini"
-        kwargs = experiments.variant_kwargs(token)
+        kwargs = variant_kwargs(token)
         assert kwargs["predictor"].name
         assert kwargs["br_config"] is not None
 
     def test_baseline_token_has_no_config(self):
-        kwargs = experiments.variant_kwargs(
-            experiments.spec_variant("mtage"))
+        kwargs = variant_kwargs(
+            spec_variant("mtage"))
         assert "br_config" not in kwargs
 
     def test_unknown_names_rejected(self):
         with pytest.raises(KeyError):
-            experiments.spec_variant("nosuch")
+            spec_variant("nosuch")
         with pytest.raises(KeyError):
-            experiments.spec_variant("tage64", "nosuch")
+            spec_variant("tage64", "nosuch")
 
-    def test_spec_run_matches_named_variant(self):
-        named = experiments.run("sjeng_06", "mini", **REGION)
-        spec = experiments.run("sjeng_06",
-                               experiments.spec_variant("tage64", "mini"),
-                               **REGION)
+    def test_spec_run_matches_named_variant(self, session):
+        named = session.run("sjeng_06", "mini")
+        spec = session.run("sjeng_06", spec_variant("tage64", "mini"))
         assert strip(named.to_dict()) == strip(spec.to_dict())
 
 
 class TestOverrideVariants:
     def test_fields_are_sorted(self):
-        token = experiments.override_variant("mini", window_slots=16,
+        token = override_variant("mini", window_slots=16,
                                              hbt_entries=8)
         assert token == "mini[hbt_entries=8,window_slots=16]"
-        assert experiments.override_variant("mini") == "mini"
+        assert override_variant("mini") == "mini"
 
     def test_int_and_bool_values_round_trip(self):
-        token = experiments.override_variant("mini", hbt_entries=8,
+        token = override_variant("mini", hbt_entries=8,
                                              dce_in_order=True)
-        config = experiments.variant_kwargs(token)["br_config"]
+        config = variant_kwargs(token)["br_config"]
         assert type(config.hbt_entries) is int and config.hbt_entries == 8
         assert config.dce_in_order is True
         # the rest of the token's config is Mini's
-        assert config.chain_cache_entries == experiments.variant_kwargs(
+        assert config.chain_cache_entries == variant_kwargs(
             "mini")["br_config"].chain_cache_entries
 
     def test_overrides_compose_with_spec_tokens(self):
-        token = experiments.override_variant(
-            experiments.spec_variant("tage80", "big"), hbt_entries=16)
-        kwargs = experiments.variant_kwargs(token)
+        token = override_variant(
+            spec_variant("tage80", "big"), hbt_entries=16)
+        kwargs = variant_kwargs(token)
         assert kwargs["br_config"].name == "big"
         assert kwargs["br_config"].hbt_entries == 16
 
@@ -116,49 +106,48 @@ class TestOverrideVariants:
     ])
     def test_malformed_token_raises_naming_it(self, token):
         with pytest.raises(ValueError, match=re.escape(repr(token))):
-            experiments.variant_kwargs(token)
+            variant_kwargs(token)
 
     def test_non_canonical_spelling_rejected(self):
         # one configuration, one token: the error names the canonical one
         with pytest.raises(ValueError, match=re.escape(
                 "'mini[hbt_entries=8,window_slots=16]'")):
-            experiments.variant_kwargs("mini[window_slots=16,hbt_entries=8]")
+            variant_kwargs("mini[window_slots=16,hbt_entries=8]")
 
 
 class TestResultCacheLru:
     def test_cache_is_bounded(self, monkeypatch):
-        # the bound is read from the environment at call time, not import
+        # Session() reads the bound from the environment when it is
+        # built, not at import
         monkeypatch.setenv("REPRO_CACHE_SIZE", "2")
+        session = Session()
         for variant in ("tage64", "tage80", "mtage", "core_only"):
-            experiments.run("sjeng_06", variant, **REGION)
-        assert len(default_session().result_cache) == 2
+            session.run("sjeng_06", variant, **REGION)
+        assert len(session.result_cache) == 2
 
     def test_eviction_is_lru_ordered(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_SIZE", "2")
-        first = experiments.run("sjeng_06", "tage64", **REGION)
-        experiments.run("sjeng_06", "tage80", **REGION)
+        session = Session()
+        first = session.run("sjeng_06", "tage64", **REGION)
+        session.run("sjeng_06", "tage80", **REGION)
         # touch tage64 so tage80 is now the least recently used
-        assert experiments.run("sjeng_06", "tage64", **REGION) is first
-        experiments.run("sjeng_06", "mtage", **REGION)
-        keys = [key[1] for key in default_session().result_cache]
+        assert session.run("sjeng_06", "tage64", **REGION) is first
+        session.run("sjeng_06", "mtage", **REGION)
+        keys = [key[1] for key in session.result_cache]
         assert "tage64" in keys and "tage80" not in keys
 
-    def test_cache_false_bypasses_storage(self):
-        result = experiments.run("sjeng_06", "tage64", cache=False,
-                                 **REGION)
-        assert len(default_session().result_cache) == 0
-        again = experiments.run("sjeng_06", "tage64", cache=False,
-                                **REGION)
+    def test_cache_false_bypasses_storage(self, session):
+        result = session.run("sjeng_06", "tage64", cache=False)
+        assert len(session.result_cache) == 0
+        again = session.run("sjeng_06", "tage64", cache=False)
         assert again is not result
         assert strip(again.to_dict()) == strip(result.to_dict())
 
 
 class TestBenchHarness:
-    def test_payload_digest_ignores_host_timings(self):
-        first = experiments.run("sjeng_06", "tage64", cache=False,
-                                **REGION).to_dict()
-        experiments.clear_caches()
-        second = experiments.run("sjeng_06", "tage64", cache=False,
-                                 **REGION).to_dict()
+    def test_payload_digest_ignores_host_timings(self, session):
+        first = session.run("sjeng_06", "tage64", cache=False).to_dict()
+        session.clear_caches()
+        second = session.run("sjeng_06", "tage64", cache=False).to_dict()
         assert first["stats"]["host"] != second["stats"]["host"]
         assert bench.payload_digest(first) == bench.payload_digest(second)

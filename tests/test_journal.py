@@ -167,16 +167,6 @@ class TestFailureTolerance:
             [("sjeng_06", "tage64"), ("no_such_bench", "tage64")], jobs=1)
         assert [row["ok"] for row in rows] == [True, False]
 
-    def test_run_matrix_degrades_failed_cells_to_error_entries(self):
-        session = quick_session()
-        matrix, registry = session.run_matrix(
-            variants=["tage64", "no_such_variant"],
-            benchmarks=["sjeng_06"], jobs=1, merged=True)
-        assert "mpki" in matrix["sjeng_06"]["tage64"]
-        assert "error" in matrix["sjeng_06"]["no_such_variant"]
-        # the merged registry folded only the successful cell
-        assert registry.get("core.instructions").value == 800
-
 
 class TestTruncationTolerance:
     def test_truncated_journal_reads_as_incomplete(self, tmp_path):

@@ -14,13 +14,15 @@ import pytest
 from repro.isa.program import ProgramBuilder
 from repro.predictors.mtage import mtage_sc
 from repro.predictors.tage_scl import tage_scl_64kb, tage_scl_80kb
-from repro.sim import experiments
+from repro.config import RunConfig
+from repro.predictors.registry import make_predictor
+from repro.session import Session
 from repro.sim.predictor_replay import (PredictorReplayResult,
                                         load_branch_columns, replay_mpki)
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import simulate
 from repro.sim.trace_cache import TraceCache
-from repro.telemetry import StatRegistry
+from repro.sim.variants import spec_variant
 from repro.workloads import suite
 
 PREDICTORS = {
@@ -78,6 +80,24 @@ class TestBitIdentity:
     def test_across_benchmarks(self, workload):
         assert_no_drift(workload, tage_scl_64kb,
                         instructions=1_200, warmup=600)
+
+    @pytest.mark.parametrize("start", [2_500, 10_000])
+    @pytest.mark.parametrize("workload", ["sjeng_06", "mcf_17", "bfs"])
+    def test_mid_stream_start_matches_full_timing(self, workload, start):
+        # a region that starts mid-stream (perfbench's predictor sweep
+        # replays starts of 10k-40k) must still replay bit-identically
+        program = suite.load(workload)
+        for name in ("tage64", "bimodal", "perceptron"):
+            full = simulate(program, instructions=3_000, warmup=1_500,
+                            start_instruction=start,
+                            predictor=make_predictor(name),
+                            trace_cache=TraceCache())
+            fast = replay_mpki(program, make_predictor(name),
+                               instructions=3_000, warmup=1_500,
+                               start_instruction=start,
+                               trace_cache=TraceCache())
+            assert branch_fields(fast.core) == branch_fields(full.core), \
+                name
 
     def test_zero_warmup(self):
         full, fast = assert_no_drift("sjeng_06", tage_scl_64kb,
@@ -153,94 +173,46 @@ class TestReplayResult:
 
 
 class TestExperimentsDispatch:
-    @pytest.fixture(autouse=True)
-    def fresh_caches(self):
-        experiments.clear_caches()
-        yield
-        experiments.clear_caches()
-
     REGION = dict(instructions=1_200, warmup=600)
 
-    def test_predictor_only_variant_takes_fast_path(self):
-        result = experiments.run("sjeng_06", "tage64", outputs="mpki",
-                                 **self.REGION)
+    @pytest.fixture
+    def session(self):
+        return Session(RunConfig(**self.REGION))
+
+    def test_predictor_only_variant_takes_fast_path(self, session):
+        result = session.run("sjeng_06", "tage64", outputs="mpki")
         assert isinstance(result, PredictorReplayResult)
 
-    def test_spec_none_variant_takes_fast_path(self):
-        token = experiments.spec_variant("tage80")
-        result = experiments.run("sjeng_06", token, outputs="mpki",
-                                 **self.REGION)
+    def test_spec_none_variant_takes_fast_path(self, session):
+        token = spec_variant("tage80")
+        result = session.run("sjeng_06", token, outputs="mpki")
         assert isinstance(result, PredictorReplayResult)
 
-    def test_br_variant_falls_back_to_full_timing(self):
-        result = experiments.run("sjeng_06", "mini", outputs="mpki",
-                                 **self.REGION)
+    def test_br_variant_falls_back_to_full_timing(self, session):
+        result = session.run("sjeng_06", "mini", outputs="mpki")
         assert isinstance(result, SimulationResult)
 
-    def test_fast_path_mpki_matches_full_run(self):
-        fast = experiments.run("sjeng_06", "tage64", outputs="mpki",
-                               **self.REGION)
-        experiments.clear_caches()
-        full = experiments.run("sjeng_06", "tage64", outputs="full",
-                               **self.REGION)
+    def test_fast_path_mpki_matches_full_run(self, session):
+        fast = session.run("sjeng_06", "tage64", outputs="mpki")
+        session.clear_caches()
+        full = session.run("sjeng_06", "tage64", outputs="full")
         assert branch_fields(fast.core) == branch_fields(full.core)
 
-    def test_modes_cached_under_distinct_keys(self):
-        fast = experiments.run("sjeng_06", "tage64", outputs="mpki",
-                               **self.REGION)
-        full = experiments.run("sjeng_06", "tage64", outputs="full",
-                               **self.REGION)
+    def test_modes_cached_under_distinct_keys(self, session):
+        fast = session.run("sjeng_06", "tage64", outputs="mpki")
+        full = session.run("sjeng_06", "tage64", outputs="full")
         assert isinstance(fast, PredictorReplayResult)
         assert isinstance(full, SimulationResult)
         # and the cache hands each mode back its own object
-        assert experiments.run("sjeng_06", "tage64", outputs="mpki",
-                               **self.REGION) is fast
-        assert experiments.run("sjeng_06", "tage64", outputs="full",
-                               **self.REGION) is full
+        assert session.run("sjeng_06", "tage64", outputs="mpki") is fast
+        assert session.run("sjeng_06", "tage64", outputs="full") is full
 
-    def test_run_cells_threads_outputs(self):
+    def test_run_cells_threads_outputs(self, session):
         cells = [("sjeng_06", "tage64"), ("sjeng_06", "tage80")]
-        rows = experiments.run_cells(cells, jobs=1, outputs="mpki",
-                                     **self.REGION)
+        rows = session.run_cells(cells, jobs=1, outputs="mpki")
         assert all(row["payload"]["mpki_only"] for row in rows)
         assert all(row["payload"]["ipc"] is None for row in rows)
 
-    def test_run_matrix_merged_registry(self):
-        matrix, registry = experiments.run_matrix(
-            variants=["tage64", "tage80"], benchmarks=["sjeng_06"],
-            jobs=1, outputs="mpki", merged=True, **self.REGION)
-        assert matrix["sjeng_06"]["tage64"]["mpki_only"] is True
-        per_cell = [
-            experiments.run("sjeng_06", variant, outputs="mpki",
-                            **self.REGION).core.cond_branches
-            for variant in ("tage64", "tage80")]
-        merged = registry.get("core.fetch.cond_branches")
-        assert merged.value == sum(per_cell)  # counters add across cells
-
-    def test_unknown_outputs_rejected(self):
+    def test_unknown_outputs_rejected(self, session):
         with pytest.raises(ValueError):
-            experiments.run("sjeng_06", "tage64", outputs="cycles")
-
-
-class TestRegistryState:
-    def test_round_trip(self):
-        registry = StatRegistry()
-        registry.counter("a.events").add(7)
-        registry.gauge("a.ratio").set(0.25)
-        registry.histogram("a.dist").record_many([1, 2, 2, 9])
-        rebuilt = StatRegistry.from_state(registry.to_state())
-        assert rebuilt.to_flat_dict() == registry.to_flat_dict()
-        assert rebuilt.get("a.dist").values == [1, 2, 2, 9]
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            StatRegistry.from_state({"x": ["sketch", 1]})
-
-    def test_state_survives_merge(self):
-        left = StatRegistry()
-        left.counter("n").add(3)
-        right = StatRegistry()
-        right.counter("n").add(4)
-        merged = StatRegistry.from_state(left.to_state()).merge(
-            StatRegistry.from_state(right.to_state()))
-        assert merged.get("n").value == 7
+            session.run("sjeng_06", "tage64", outputs="cycles")

@@ -2,19 +2,25 @@
 
 The extensibility tests are the acceptance criterion of the registry
 refactor: ONE ``@register_predictor`` definition must make a new
-component addressable through ``run``/``run_matrix``, ``spec:`` tokens,
-the MPKI replay fast path, the CLI choices, and ``repro list`` — with no
-second registration anywhere.
+component addressable through ``Session.run``/``run_cells``, ``spec:``
+tokens, the MPKI replay fast path, the CLI choices, and ``repro list`` —
+with no second registration anywhere.
 """
 
 import pytest
 
 from repro import cli
+from repro.config import RunConfig
 from repro.predictors.base import AlwaysTakenPredictor
 from repro.predictors.registry import PREDICTORS, register_predictor
 from repro.registry import Registry, RegistryError, UnknownComponentError
-from repro.sim import experiments
-from repro.sim.variants import BR_VARIANTS, register_variant
+from repro.session import Session
+from repro.sim.variants import (
+    BR_VARIANTS,
+    is_predictor_only,
+    register_variant,
+    spec_variant,
+)
 from repro.workloads import suite
 from repro.workloads.registry import (
     BENCHMARK_REGISTRY,
@@ -23,6 +29,11 @@ from repro.workloads.registry import (
 )
 
 REGION = dict(instructions=800, warmup=400)
+
+
+@pytest.fixture
+def session():
+    return Session(RunConfig(**REGION))
 
 
 class TestRegistryBasics:
@@ -118,25 +129,25 @@ class TestOneDecoratorExtensibility:
         yield "toy-taken"
         PREDICTORS.unregister("toy-taken")
 
-    def test_runs_through_run_and_matrix(self, toy_predictor):
-        result = experiments.run("sjeng_06", toy_predictor, **REGION)
+    def test_runs_through_run_and_matrix(self, toy_predictor, session):
+        result = session.run("sjeng_06", toy_predictor)
         assert result.mpki > 0
-        matrix = experiments.run_matrix(variants=[toy_predictor],
-                                        benchmarks=["sjeng_06"], **REGION)
-        assert matrix["sjeng_06"][toy_predictor]["mpki"] == result.mpki
+        # the same cell, recomputed through the sweep runner
+        (row,) = session.run_cells([("sjeng_06", toy_predictor)],
+                                   cache=False)
+        assert row["payload"]["mpki"] == result.mpki
 
-    def test_takes_the_mpki_replay_fast_path(self, toy_predictor):
-        assert experiments.is_predictor_only(toy_predictor)
-        result = experiments.run("sjeng_06", toy_predictor,
-                                 outputs="mpki", **REGION)
+    def test_takes_the_mpki_replay_fast_path(self, toy_predictor,
+                                             session):
+        assert is_predictor_only(toy_predictor)
+        result = session.run("sjeng_06", toy_predictor, outputs="mpki")
         assert result.mpki_only is True
-        full = experiments.run("sjeng_06", toy_predictor, cache=False,
-                               **REGION)
+        full = session.run("sjeng_06", toy_predictor, cache=False)
         assert result.mpki == full.mpki  # bit-identical outcomes
 
-    def test_composes_into_spec_tokens(self, toy_predictor):
-        token = experiments.spec_variant(toy_predictor, "mini")
-        result = experiments.run("sjeng_06", token, **REGION)
+    def test_composes_into_spec_tokens(self, toy_predictor, session):
+        token = spec_variant(toy_predictor, "mini")
+        result = session.run("sjeng_06", token)
         assert result.runahead is not None
 
     def test_addressable_from_the_cli(self, toy_predictor, capsys):
@@ -151,7 +162,7 @@ class TestOneDecoratorExtensibility:
         out = capsys.readouterr().out
         assert "toy-taken" in out and "always-taken toy baseline" in out
 
-    def test_toy_benchmark_round_trip(self):
+    def test_toy_benchmark_round_trip(self, session):
         from repro.workloads.stress import many_branches
 
         @register_benchmark("toy-bench", suite="test", extra=True)
@@ -159,7 +170,7 @@ class TestOneDecoratorExtensibility:
             return many_branches()
 
         try:
-            result = experiments.run("toy-bench", "tage64", **REGION)
+            result = session.run("toy-bench", "tage64")
             assert result.program_name
             # extra benchmarks never leak into the paper's figure list
             assert "toy-bench" not in suite.BENCHMARK_NAMES
@@ -167,14 +178,14 @@ class TestOneDecoratorExtensibility:
         finally:
             unregister_benchmark("toy-bench")
 
-    def test_toy_variant_round_trip(self):
+    def test_toy_variant_round_trip(self, session):
         @register_variant("toy-variant")
         def toy_variant():
             return dict(predictor=AlwaysTakenPredictor())
 
         try:
-            result = experiments.run("sjeng_06", "toy-variant", **REGION)
+            result = session.run("sjeng_06", "toy-variant")
             assert result.mpki > 0
-            assert not experiments.is_predictor_only("toy-variant")
+            assert not is_predictor_only("toy-variant")
         finally:
             BR_VARIANTS.unregister("toy-variant")

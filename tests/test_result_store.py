@@ -26,8 +26,7 @@ def path_of(**key_fields):
 
 def sample_record(benchmark="sjeng_06", variant="spec:tage64+none"):
     return {"benchmark": benchmark, "variant": variant,
-            "payload": {"mpki": 12.5, "ipc": 0.91},
-            "registry_state": [("core.cycles", 1234)]}
+            "payload": {"mpki": 12.5, "ipc": 0.91}}
 
 
 class TestKeying:

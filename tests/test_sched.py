@@ -2,10 +2,10 @@
 
 Covers benchmark-aligned dispatch units, pool sweeps matching serial ones
 (with replays on their benchmark's recording worker), store-backed sweep
-resume (only cells with no landed result execute; merged rows and
-registries stay bit-identical to an uninterrupted run), the
-``host.scheduler.*`` stat surface, and the ``repro sweep report`` /
-``resume`` exit-code contract.
+resume (only cells with no landed result execute; resumed payloads stay
+bit-identical to an uninterrupted run, also from records in the older
+layout that carried a stat-registry copy), and the ``repro sweep
+report`` / ``resume`` exit-code contract.
 """
 
 import json
@@ -22,8 +22,8 @@ from repro.cli import main as cli_main
 from repro.config import RunConfig
 from repro.observe.journal import read_journal
 from repro.sched import ResultStore, build_units, cell_key
-from repro.session import Session, merged_registry
-from repro.sim.bench import payload_digest
+from repro.session import Session
+from repro.sim.bench import payload_digest, strip_host
 
 REGION = dict(instructions=800, warmup=400)
 
@@ -37,10 +37,9 @@ def session(**overrides):
         **overrides))
 
 
-def host_stripped(registry):
-    return {name: value
-            for name, value in registry.to_flat_dict().items()
-            if not name.startswith("host.")}
+def host_stripped_stats(rows):
+    """Each row's stat tree without the host-timing scope."""
+    return [strip_host(row["payload"])["stats"] for row in rows]
 
 
 class TestBuildUnits:
@@ -107,37 +106,6 @@ class TestSchedulerJournal:
             [payload_digest(row["payload"]) for row in reference]
 
 
-class TestHostSchedulerStats:
-    def test_merge_publishes_scheduler_counters(self):
-        sess = session()
-        rows = sess.run_cells(CELLS, merge=True)
-        flat = sess.registry.to_flat_dict()
-        assert flat["host.scheduler.cells_scheduled"] == len(CELLS)
-        assert flat["host.scheduler.cells_resumed_from_store"] == 0
-        assert flat["host.scheduler.units"] == 4
-        assert flat["host.scheduler.executor.inline"] == 1
-        # host-scoped on purpose: payload digests strip stats.host, so
-        # the new counters never perturb a scalar-identical payload
-        reference = session().run_cells(CELLS)
-        assert [payload_digest(row["payload"]) for row in rows] == \
-            [payload_digest(row["payload"]) for row in reference]
-
-    def test_run_matrix_merged_carries_scheduler_stats(self):
-        matrix, registry = session().run_matrix(
-            variants=["bimodal", "gshare"], benchmarks=["sjeng_06"],
-            merged=True)
-        flat = registry.to_flat_dict()
-        assert flat["host.scheduler.cells_scheduled"] == 2
-        assert "host.scheduler.executor.inline" in flat
-
-    def test_store_counters_surface_under_host_scope(self, tmp_path):
-        sess = session(result_store_dir=str(tmp_path / "store"))
-        sess.run_cells(CELLS, merge=True)
-        flat = sess.registry.to_flat_dict()
-        assert flat["host.scheduler.store.stores"] == len(CELLS)
-        assert flat["host.scheduler.store.misses"] == len(CELLS)
-
-
 class TestStoreResume:
     def test_full_resume_executes_nothing(self, tmp_path):
         store_dir = str(tmp_path / "store")
@@ -189,12 +157,42 @@ class TestStoreResume:
             [payload_digest(row["payload"]) for row in rows]
 
     def test_resumed_registry_matches_uninterrupted_run(self, tmp_path):
+        # each payload's stats section is its cell's full registry export
         store_dir = str(tmp_path / "store")
         reference_rows = session().run_cells(CELLS)
         session(result_store_dir=store_dir).run_cells(CELLS)
         resumed_rows = session(result_store_dir=store_dir).run_cells(CELLS)
-        assert host_stripped(merged_registry(resumed_rows)) == \
-            host_stripped(merged_registry(reference_rows))
+        assert all(row["result_store_hit"] for row in resumed_rows)
+        assert host_stripped_stats(resumed_rows) == \
+            host_stripped_stats(reference_rows)
+
+    def test_older_records_with_a_registry_copy_still_resume(self,
+                                                              tmp_path):
+        # stores written before rows became payload-only hold one more
+        # record key, a kind-aware copy of the cell's stats; the probe
+        # ignores it, so such a store resumes every cell unchanged
+        store_dir = str(tmp_path / "store")
+        reference_rows = session().run_cells(CELLS)
+        store = ResultStore(store_dir)
+        for row in reference_rows:
+            key = cell_key(row["benchmark"], row["variant"],
+                           REGION["instructions"], REGION["warmup"], "full")
+            stats = row["payload"]["stats"]
+            assert store.put(key, {
+                "benchmark": row["benchmark"],
+                "variant": row["variant"],
+                "payload": row["payload"],
+                "registry_state": {
+                    "core.instructions":
+                        ["counter", stats["core"]["instructions"]]}})
+        resumed = session(result_store_dir=store_dir)
+        rows = resumed.run_cells(CELLS)
+        assert resumed.last_sweep["cells_resumed_from_store"] == len(CELLS)
+        assert resumed.last_sweep["cells_scheduled"] == 0
+        assert all(row["result_store_hit"] for row in rows)
+        assert all("registry_state" not in row for row in rows)
+        assert [payload_digest(row["payload"]) for row in rows] == \
+            [payload_digest(row["payload"]) for row in reference_rows]
 
     def test_resumed_rows_flagged_in_journal(self, tmp_path):
         store_dir = str(tmp_path / "store")
@@ -391,5 +389,5 @@ class TestKillAndResume:
         reference_rows = reference.run_cells(cells, outputs="mpki")
         assert [payload_digest(row["payload"]) for row in rows] == \
             [payload_digest(row["payload"]) for row in reference_rows]
-        assert host_stripped(merged_registry(rows)) == \
-            host_stripped(merged_registry(reference_rows))
+        assert host_stripped_stats(rows) == \
+            host_stripped_stats(reference_rows)

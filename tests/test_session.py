@@ -3,13 +3,8 @@
 import pytest
 
 from repro.config import RunConfig
-from repro.session import (
-    Session,
-    _session_for_config,
-    default_session,
-    set_default_session,
-)
-from repro.sim import experiments
+from repro.session import Session, _session_for_config
+from repro.sim import sweeps
 
 
 def strip(payload: dict) -> dict:
@@ -49,15 +44,6 @@ class TestSessionBasics:
             session.run("sjeng_06", variant)
         assert len(session.result_cache) == 2
 
-    def test_reconfigure_trims_bounds_keeps_contents(self):
-        session = Session(RunConfig(instructions=800, warmup=400))
-        first = session.run("sjeng_06", "tage64")
-        session.reconfigure(session.config.replace(result_cache_size=1))
-        # the cached result survived the reconfigure
-        assert session.run("sjeng_06", "tage64") is first
-        session.run("sjeng_06", "tage80")
-        assert len(session.result_cache) == 1
-
 
 class TestTwoSessionsCoexist:
     """Acceptance: two sessions with different configs in one process."""
@@ -85,23 +71,6 @@ class TestTwoSessionsCoexist:
         assert strip(session.run("sjeng_06", "tage64").to_dict()) == \
             strip(lone.run("sjeng_06", "tage64").to_dict())
 
-    def test_default_session_is_untouched_by_explicit_sessions(self):
-        default = default_session()
-        cached_before = len(default.result_cache)
-        session = Session(RunConfig(instructions=800, warmup=400))
-        session.run("sjeng_06", "tage64")
-        assert len(default.result_cache) == cached_before
-
-    def test_set_default_session_swaps(self):
-        replacement = Session(RunConfig(instructions=800, warmup=400))
-        previous = set_default_session(replacement)
-        try:
-            result = experiments.run("sjeng_06", "tage64")
-            assert result.core.instructions == 800
-            assert len(replacement.result_cache) == 1
-        finally:
-            set_default_session(previous)
-
 
 class TestRunCells:
     def test_serial_and_parallel_rows_identical(self):
@@ -121,15 +90,7 @@ class TestRunCells:
         rows = session.run_cells([("sjeng_06", "tage64"),
                                   ("sjeng_06", "tage80")])
         assert len(rows) == 2
-
-    def test_merge_folds_cell_registries(self):
-        session = Session(RunConfig(instructions=800, warmup=400))
-        rows = session.run_cells([("sjeng_06", "tage64"),
-                                  ("mcf_06", "tage64")], merge=True)
-        merged = session.registry
-        total = sum(row["payload"]["stats"]["core"]["instructions"]
-                    for row in rows)
-        assert merged.get("core.instructions").value == total
+        assert session.last_sweep["executor"] == "pool"
 
     def test_worker_session_resolution(self):
         config = RunConfig(instructions=777, warmup=0)
@@ -137,9 +98,6 @@ class TestRunCells:
         assert session.config == config
         # same config resolves to the same (warm) session
         assert _session_for_config(config) is session
-        # the default session is preferred when its config matches
-        default = default_session()
-        assert _session_for_config(default.config) is default
 
 
 class TestDirectEntryPoints:
@@ -178,45 +136,19 @@ class TestDirectEntryPoints:
         via_variant = lone.run("sjeng_06", "mini")
         assert strip(direct.to_dict()) == strip(via_variant.to_dict())
 
-    def test_module_level_facade_delegates_to_default_session(self):
-        replacement = Session(RunConfig(instructions=800, warmup=400))
-        previous = set_default_session(replacement)
-        try:
-            result = experiments.simulate("sjeng_06", predictor="tage64")
-            assert result.core.instructions == 800
-            replayed = experiments.run("sjeng_06", "tage64",
-                                       outputs="mpki")
-            assert replayed.mpki == result.mpki
-            assert len(replacement.trace_cache) == 1
-        finally:
-            set_default_session(previous)
-
 
 class TestSweepSessionThreading:
     def test_sweep_runs_inside_the_given_session(self):
-        from repro.sim import sweeps
         session = Session(RunConfig(instructions=800, warmup=400))
-        series = sweeps.sweep_parameter(
-            "chain_cache_entries", ["sjeng_06"], values=[8, 64],
-            session=session)
-        assert set(series) == {8, 64}
-        # reference + override cells all cached in *this* session, and
-        # every fresh cell reported into its merged registry
+        series = sweeps.sweep_parameters(
+            session, ["sjeng_06"], {"chain_cache_entries": [8, 64]})
+        assert set(series["chain_cache_entries"]) == {8, 64}
+        # reference + override cells all cached in *this* session, at
+        # the sweep's own region length
         assert len(session.result_cache) == 3
         assert len(session.trace_cache) == 1
-        instructions = session.registry.get("core.instructions").value
-        assert instructions == 3 * sweeps.SWEEP_INSTRUCTIONS
-
-    def test_sweep_defaults_to_the_default_session(self):
-        replacement = Session(RunConfig(instructions=800, warmup=400))
-        previous = set_default_session(replacement)
-        try:
-            from repro.sim import sweeps
-            sweeps.sweep_parameter("hbt_entries", ["sjeng_06"],
-                                   values=[8])
-            assert len(replacement.result_cache) >= 1
-        finally:
-            set_default_session(previous)
+        assert {key[2] for key in session.result_cache} == \
+            {sweeps.SWEEP_INSTRUCTIONS}
 
 
 class TestSweepCells:
@@ -226,15 +158,15 @@ class TestSweepCells:
     VALUES = [2, 64]
 
     def sweep(self, session):
-        from repro.sim import sweeps
-        return sweeps.sweep_parameter("prediction_queue_entries",
-                                      self.BENCHMARKS, values=self.VALUES,
-                                      session=session)
+        series = sweeps.sweep_parameters(
+            session, self.BENCHMARKS,
+            {"prediction_queue_entries": self.VALUES})
+        assert list(series) == ["prediction_queue_entries"]
+        return series["prediction_queue_entries"]
 
     def test_series_matches_direct_simulate_calls(self):
         from repro.core.config import mini
         from repro.predictors.registry import PREDICTORS
-        from repro.sim import sweeps
         from repro.sim.results import arithmetic_mean, mpki_improvement
         from repro.sim.simulator import simulate
         from repro.workloads import suite
@@ -260,7 +192,6 @@ class TestSweepCells:
         assert self.sweep(Session(RunConfig(jobs=2))) == serial
 
     def test_failed_cell_raises(self):
-        from repro.sim import sweeps
         with pytest.raises(RuntimeError, match="bogus_field"):
-            sweeps.sweep_parameter("bogus_field", ["sjeng_06"], values=[1],
-                                   session=Session(RunConfig()))
+            sweeps.sweep_parameters(Session(RunConfig()), ["sjeng_06"],
+                                    {"bogus_field": [1]})

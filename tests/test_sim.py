@@ -1,12 +1,14 @@
-"""Tests for the simulation driver, results arithmetic, and experiments."""
+"""Tests for ``simulate()``, results arithmetic, and the cell runner."""
 
 import pytest
 
+from repro.config import RunConfig
 from repro.core.config import mini
-from repro.sim import experiments
+from repro.session import Session
 from repro.sim.results import (
     arithmetic_mean,
     geometric_mean,
+    hard_branch_accuracy,
     ipc_improvement,
     mpki_improvement,
     weighted_average,
@@ -92,12 +94,18 @@ class TestSimulate:
         assert "sjeng_06" in repr(row)
 
 
+@pytest.fixture(scope="module")
+def session():
+    """One session for the runner tests: cells share its caches."""
+    return Session(RunConfig())
+
+
 class TestExperimentRunner:
-    def test_cache_hit(self):
-        first = experiments.run("sjeng_06", "tage64", instructions=2_000,
-                                warmup=1_000)
-        second = experiments.run("sjeng_06", "tage64", instructions=2_000,
-                                 warmup=1_000)
+    def test_cache_hit(self, session):
+        first = session.run("sjeng_06", "tage64", instructions=2_000,
+                            warmup=1_000)
+        second = session.run("sjeng_06", "tage64", instructions=2_000,
+                             warmup=1_000)
         assert first is second
 
     def test_variants_exist(self):
@@ -105,30 +113,30 @@ class TestExperimentRunner:
                         "big", "mtage+big", "mini-nonspec", "mini-indep"):
             assert variant in variant_names()
 
-    def test_br_override(self):
-        result = experiments.run(
+    def test_br_override(self, session):
+        result = session.run(
             "sjeng_06", override_variant("mini", chain_cache_entries=4),
             instructions=2_000, warmup=1_000)
         assert result.runahead.config.chain_cache_entries == 4
 
-    def test_unknown_override_rejected(self):
+    def test_unknown_override_rejected(self, session):
         with pytest.raises(AttributeError):
-            experiments.run("sjeng_06",
-                            override_variant("mini", bogus_field=1),
-                            instructions=2_000, warmup=1_000)
+            session.run("sjeng_06",
+                        override_variant("mini", bogus_field=1),
+                        instructions=2_000, warmup=1_000)
 
-    def test_override_requires_br_variant(self):
+    def test_override_requires_br_variant(self, session):
         with pytest.raises(ValueError):
-            experiments.run("sjeng_06",
-                            override_variant("tage64", hbt_entries=4),
-                            instructions=2_000, warmup=1_000)
+            session.run("sjeng_06",
+                        override_variant("tage64", hbt_entries=4),
+                        instructions=2_000, warmup=1_000)
 
-    def test_hard_branch_accuracy(self):
-        baseline = experiments.run("sjeng_06", "tage64", instructions=4_000,
-                                   warmup=2_000)
-        tage_acc, same = experiments.hard_branch_accuracy(baseline)
+    def test_hard_branch_accuracy(self, session):
+        baseline = session.run("sjeng_06", "tage64", instructions=4_000,
+                               warmup=2_000)
+        tage_acc, same = hard_branch_accuracy(baseline)
         assert tage_acc == same  # no chains: both are predictor accuracy
-        br = experiments.run("sjeng_06", "mini", instructions=4_000,
-                             warmup=2_000)
-        tage_acc, chain_acc = experiments.hard_branch_accuracy(br)
+        br = session.run("sjeng_06", "mini", instructions=4_000,
+                         warmup=2_000)
+        tage_acc, chain_acc = hard_branch_accuracy(br)
         assert chain_acc > tage_acc

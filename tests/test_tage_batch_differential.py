@@ -28,7 +28,7 @@ import random
 
 import pytest
 
-from repro.predictors import tage_batch
+from repro.predictors import batched, tage_batch
 from repro.predictors.batched import _lockstep, replay_lanes
 from repro.predictors.loop_predictor import LoopPredictor
 from repro.predictors.reference import (
@@ -210,7 +210,8 @@ class TestTageBatchDifferential:
 
 
 class TestMinLanesCutover:
-    """The batch_min_lanes knob: explicit param > config layers > default.
+    """The TAGE kernel cutover: an explicit ``min_lanes`` wins, else the
+    ``warm_backend()`` calibration, else the static default.
 
     Whether the kernel engaged is observable from the outside: the
     columnar kernel keeps lane evolution in its own arrays (the instance
@@ -218,9 +219,7 @@ class TestMinLanesCutover:
     own tables (``_tick`` advances every update).
     """
 
-    def replay(self, monkeypatch, min_lanes, env=None):
-        if env is not None:
-            monkeypatch.setenv("REPRO_BATCH_MIN_LANES", env)
+    def replay(self, min_lanes):
         pcs, takens = loopy_stream(400, seed=11)
         predictor = TagePredictor(tiny_cfg())
         result, = replay_lanes([predictor], pcs, takens, split=100,
@@ -230,14 +229,17 @@ class TestMinLanesCutover:
         assert result == expected
         return predictor._tick
 
-    def test_explicit_floor_engages_kernel(self, monkeypatch):
-        assert self.replay(monkeypatch, min_lanes=1) == 0
+    def test_explicit_floor_engages_kernel(self):
+        assert self.replay(min_lanes=1) == 0
 
-    def test_below_floor_stays_lockstep(self, monkeypatch):
-        assert self.replay(monkeypatch, min_lanes=99) > 0
+    def test_below_floor_stays_lockstep(self):
+        assert self.replay(min_lanes=99) > 0
 
-    def test_env_floor_engages_kernel(self, monkeypatch):
-        assert self.replay(monkeypatch, min_lanes=None, env="1") == 0
-
-    def test_explicit_floor_beats_env(self, monkeypatch):
-        assert self.replay(monkeypatch, min_lanes=99, env="1") > 0
+    def test_auto_takes_calibration_else_default(self, monkeypatch):
+        monkeypatch.setattr(batched, "_calibrated_tage_min", None)
+        assert batched.tage_min_lanes(None) == \
+            batched.DEFAULT_TAGE_MIN_LANES
+        assert batched.tage_min_lanes(0) == batched.DEFAULT_TAGE_MIN_LANES
+        monkeypatch.setattr(batched, "_calibrated_tage_min", 5)
+        assert batched.tage_min_lanes(None) == 5
+        assert batched.tage_min_lanes(3) == 3

@@ -76,28 +76,6 @@ class TestStatRegistry:
         registry.histogram("a.h").record(3)
         assert json.loads(registry.to_json())["a"]["b"] == 1
 
-    def test_merge_semantics(self):
-        left, right = StatRegistry(), StatRegistry()
-        left.counter("n").add(2)
-        right.counter("n").add(3)
-        left.gauge("g").set(1.0)
-        right.gauge("g").set(9.0)
-        left.histogram("h").record(1)
-        right.histogram("h").record_many([2, 3])
-        right.counter("only_right").add(5)
-        left.merge(right)
-        assert left.counter("n").value == 5          # counters add
-        assert left.gauge("g").value == 9.0          # gauges take newest
-        assert left.histogram("h").values == [1, 2, 3]  # histograms concat
-        assert left.counter("only_right").value == 5
-
-    def test_merge_kind_conflict_raises(self):
-        left, right = StatRegistry(), StatRegistry()
-        left.counter("x")
-        right.gauge("x").set(1)
-        with pytest.raises(TypeError):
-            left.merge(right)
-
 
 class TestHistogram:
     def test_percentiles_nearest_rank(self):

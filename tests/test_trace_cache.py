@@ -15,7 +15,7 @@ import pytest
 from repro.core import config as br_config
 from repro.emulator.machine import Machine
 from repro.isa.program import ProgramBuilder
-from repro.session import default_session
+from repro.session import Session
 from repro.sim.simulator import simulate
 from repro.sim.trace_cache import TraceCache
 from repro.workloads import suite
@@ -197,4 +197,4 @@ class TestCacheMechanics:
         # the config layer reads REPRO_TRACE_CACHE; the cache never does
         monkeypatch.setenv("REPRO_TRACE_CACHE", "7")
         assert TraceCache().capacity == 32
-        assert default_session().trace_cache.capacity == 7
+        assert Session().trace_cache.capacity == 7
