@@ -279,14 +279,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _ConfigError(Exception):
+    """A config that does not resolve: a usage error, not a crash."""
+
+
 def _resolve_from_args(args) -> ResolvedConfig:
-    """Layered resolution with every flag this command carries."""
+    """Layered resolution with every flag this command carries.
+
+    An out-of-range flag or file value, an unknown config-file key and
+    an unreadable config file raise :class:`_ConfigError`.
+    """
     flag_fields = ("instructions", "warmup", "jobs", "result_cache_size",
                    "trace_cache_size", "trace_cache_dir", "variant",
                    "result_store_dir")
     flags = {field: getattr(args, field, None) for field in flag_fields}
-    return resolve_config(flags=flags,
-                          config_file=getattr(args, "config_file", None))
+    try:
+        return resolve_config(flags=flags,
+                              config_file=getattr(args, "config_file", None))
+    except (OSError, ValueError) as error:
+        raise _ConfigError(str(error)) from None
 
 
 def _br_config_name(args, run_config: RunConfig,
@@ -804,6 +815,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
+    except _ConfigError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # output piped into e.g. `head`; not an error
         return 0

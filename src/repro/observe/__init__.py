@@ -18,13 +18,13 @@ rewritten.  This package is the per-benchmark regression observatory
 * :mod:`repro.observe.journal` — the sweep flight recorder: an
   append-only ``repro-journal-v1`` JSONL event stream written live as a
   parallel ``run_cells`` sweep lands rows (per-worker manifests, per-cell
-  wall/RSS/cache/digest facts, structured failures), tolerant of
-  truncation by a killed sweep.
+  wall/RSS/cache/digest facts and host phase seconds, structured
+  failures), tolerant of truncation by a killed sweep.
 * :mod:`repro.observe.sweep_report` — ``repro sweep report``/``watch``
   merge a journal into a ``repro-sweep-report-v1``: cross-worker
-  manifest drift audit (fail-severity, same tolerance machinery as the
-  baselines), per-worker aggregates, load imbalance, slowest cells,
-  failure digest, optional cProfile frames.
+  manifest drift audit (exact, fail-severity except the platform),
+  per-worker aggregates, load imbalance, slowest cells with their
+  dominant host phase, per-phase host totals, failure digest.
 """
 
 from repro.observe.manifest import (  # noqa: F401

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import RunConfig
@@ -61,34 +60,6 @@ KEY_COUNTERS = (
     "dce.chain_cache.installed",
     "dce.chain_cache.covered_branches",
 )
-
-@dataclass(frozen=True)
-class Tolerance:
-    """How one metric is allowed to move before it is reported.
-
-    ``mode`` is ``"exact"``: any difference violates.  ``severity``
-    decides whether a violation fails a check (``"fail"``) or is
-    informational (``"warn"``, used by the sweep drift audit).
-    """
-
-    mode: str
-    severity: str = "fail"
-
-    def violates(self, baseline: float, current: float) -> bool:
-        if self.mode == "exact":
-            return baseline != current
-        raise ValueError(f"unknown tolerance mode {self.mode!r}")
-
-
-def tolerance_policy() -> Dict[str, Tolerance]:
-    """The per-metric-category tolerance table ``check`` applies."""
-    return {
-        "digest": Tolerance("exact", severity="fail"),
-        "mpki": Tolerance("exact", severity="fail"),
-        "ipc": Tolerance("exact", severity="fail"),
-        "chain_coverage": Tolerance("exact", severity="fail"),
-        "counter": Tolerance("exact", severity="fail"),
-    }
 
 
 # -- stat extraction -------------------------------------------------------
@@ -247,8 +218,7 @@ def record_baselines(benchmarks: Optional[List[str]] = None,
 # -- checking --------------------------------------------------------------
 
 def _violation(benchmark: str, variant: Optional[str], metric: str,
-               category: str, baseline_value, current_value,
-               tolerance: Tolerance) -> dict:
+               category: str, baseline_value, current_value) -> dict:
     return {
         "benchmark": benchmark,
         "variant": variant,
@@ -256,54 +226,45 @@ def _violation(benchmark: str, variant: Optional[str], metric: str,
         "category": category,
         "baseline": baseline_value,
         "current": current_value,
-        "tolerance": {"mode": tolerance.mode},
-        "severity": tolerance.severity,
+        "severity": "fail",
     }
 
 
 def _check_benchmark(benchmark: str, document: dict,
                      variant_payloads: List[Tuple[str, dict]],
-                     instructions: int, warmup: int,
-                     policy: Dict[str, Tolerance]) -> List[dict]:
+                     instructions: int, warmup: int) -> List[dict]:
     """Diff one benchmark's rerun against its committed document."""
     findings: List[dict] = []
     if (document.get("instructions"), document.get("warmup")) != \
             (instructions, warmup):
-        region = Tolerance("exact", severity="fail")
         findings.append(_violation(
             benchmark, None, "region", "region",
             {"instructions": document.get("instructions"),
              "warmup": document.get("warmup")},
-            {"instructions": instructions, "warmup": warmup}, region))
+            {"instructions": instructions, "warmup": warmup}))
         return findings  # every metric diff would be spurious noise
 
     recorded = document.get("variants", {})
     for variant, payload in variant_payloads:
         base = recorded.get(variant)
         if base is None:
-            missing = Tolerance("exact", severity="fail")
             findings.append(_violation(benchmark, variant, "variant",
-                                       "missing", None, "present",
-                                       missing))
+                                       "missing", None, "present"))
             continue
         current = _variant_entry(payload)
-        for metric, category in (("digest", "digest"), ("mpki", "mpki"),
-                                 ("ipc", "ipc"),
-                                 ("chain_coverage", "chain_coverage")):
-            tolerance = policy[category]
-            if tolerance.violates(base.get(metric), current[metric]):
+        for metric in ("digest", "mpki", "ipc", "chain_coverage"):
+            if base.get(metric) != current[metric]:
                 findings.append(_violation(
-                    benchmark, variant, metric, category,
-                    base.get(metric), current[metric], tolerance))
-        tolerance = policy["counter"]
+                    benchmark, variant, metric, metric,
+                    base.get(metric), current[metric]))
         base_counters = base.get("counters", {})
         for name in sorted(set(base_counters) | set(current["counters"])):
             recorded_value = base_counters.get(name)
             current_value = current["counters"].get(name)
-            if tolerance.violates(recorded_value, current_value):
+            if recorded_value != current_value:
                 findings.append(_violation(
                     benchmark, variant, f"counters.{name}", "counter",
-                    recorded_value, current_value, tolerance))
+                    recorded_value, current_value))
     return findings
 
 
@@ -320,7 +281,6 @@ def check_baselines(benchmarks: Optional[List[str]] = None,
     The report's ``ok`` is False iff a violation (or a missing baseline
     file) was found.
     """
-    policy = tolerance_policy()
     (benchmarks, variants, instructions, warmup, per_benchmark,
      ran) = _run_matrix(benchmarks, variants, instructions, warmup,
                         jobs, quick, session)
@@ -338,7 +298,7 @@ def check_baselines(benchmarks: Optional[List[str]] = None,
         checked.append(benchmark)
         violations.extend(_check_benchmark(benchmark, document,
                                            per_benchmark[benchmark],
-                                           instructions, warmup, policy))
+                                           instructions, warmup))
     return {
         "schema": CHECK_SCHEMA,
         "ok": not violations and not missing,
@@ -361,8 +321,7 @@ def _describe(finding: dict) -> str:
     if finding["variant"]:
         where += f"/{finding['variant']}"
     return (f"{where}: {finding['metric']} {finding['baseline']!r} -> "
-            f"{finding['current']!r} ({finding['category']}, "
-            f"{finding['tolerance']['mode']} tolerance)")
+            f"{finding['current']!r} ({finding['category']})")
 
 
 def format_check_report(report: dict) -> str:

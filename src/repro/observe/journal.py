@@ -22,20 +22,16 @@ Event vocabulary::
     worker_started   one per worker process, with *its own* run manifest
     cell_started     index/benchmark/variant, worker wall-clock start
     cell_finished    wall seconds, peak-RSS delta, cache-hit flags,
-                     payload sha256, MPKI/IPC extract
+                     payload sha256, MPKI/IPC extract, and for a cell
+                     this sweep executed its host ``phase_seconds``
     cell_failed      exception class + message + traceback (sweep
                      continues; the row carries a structured error)
-    worker_exited    per-worker cell/wall/cache-hit totals
     sweep_finished   done/failed counts, sweep wall seconds, ok flag
 
 A journal whose process was killed mid-sweep simply stops early: the
 reader tolerates a truncated final line and a missing ``sweep_finished``
 and reports the sweep as *incomplete* rather than failing to parse —
 ``repro sweep resume`` re-runs such a sweep from its result store.
-
-Setting ``REPRO_PROFILE=cprofile`` while journaling makes every worker
-dump per-cell ``pstats`` files under ``<journal>.profile/``;
-``repro sweep report`` surfaces the top cumulative frames.
 """
 
 from __future__ import annotations
@@ -43,21 +39,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.observe.manifest import manifest_fingerprint, run_manifest
 from repro.sim.bench import payload_digest
 
 JOURNAL_SCHEMA = "repro-journal-v1"
-
-#: Environment knob: ``cprofile`` writes per-cell pstats next to the
-#: journal (only consulted when a journal path is active).
-PROFILE_ENV = "REPRO_PROFILE"
-
-
-def profile_dir_for(path: str) -> str:
-    """Directory for per-cell pstats dumps belonging to ``path``."""
-    return f"{os.fspath(path)}.profile"
 
 
 class SweepRecorder:
@@ -76,7 +63,6 @@ class SweepRecorder:
                  jobs: int = 1,
                  outputs: str = "full",
                  sweep_id: Optional[str] = None,
-                 profile: Optional[str] = None,
                  progress: Optional[Callable[[dict], None]] = None):
         self.path = os.fspath(path) if path is not None else None
         self.config = config
@@ -89,16 +75,11 @@ class SweepRecorder:
         self.executor: Optional[str] = None
         self.start_method: Optional[str] = None
         self.progress = progress
-        self.profile = profile if (profile and self.path) else None
-        self.profile_dir: Optional[str] = None
         self._handle = None
         if self.path is not None:
             self._handle = open(self.path, "w")
-            if self.profile:
-                self.profile_dir = profile_dir_for(self.path)
-                os.makedirs(self.profile_dir, exist_ok=True)
         self._seq: Dict[str, int] = {}
-        self._workers: Dict[int, dict] = {}
+        self._pids: Set[int] = set()
         self.total = len(self.cells)
         self.done = 0
         self.failed = 0
@@ -141,7 +122,6 @@ class SweepRecorder:
             total_cells=self.total,
             jobs=self.jobs,
             outputs=self.outputs,
-            profile=self.profile,
             start_method=self.start_method,
             executor=self.executor)
 
@@ -161,12 +141,9 @@ class SweepRecorder:
         worker = row.get("worker") or {}
         pid = worker.get("pid")
         stream = f"worker-{pid}" if pid is not None else "worker-unknown"
-        if pid is not None and pid not in self._workers:
+        if pid is not None and pid not in self._pids:
+            self._pids.add(pid)
             manifest = worker.get("manifest")
-            self._workers[pid] = {
-                "stream": stream, "cells": 0, "wall_seconds": 0.0,
-                "trace_cache_hits": 0, "manifest": manifest,
-            }
             self._emit(
                 "worker_started", stream, pid=pid, manifest=manifest,
                 manifest_fingerprint=(manifest_fingerprint(manifest)
@@ -190,6 +167,9 @@ class SweepRecorder:
                 # only present on synthesized resume rows, so journals
                 # of store-less sweeps stay byte-for-byte unchanged
                 base["result_store_hit"] = True
+            elif not row.get("result_cache_hit") and payload:
+                # a cache or store hit's timings belong to an earlier run
+                base["phase_seconds"] = payload["stats"]["host"]["phase"]
             self._emit(
                 "cell_finished", stream,
                 wall_seconds=wall,
@@ -201,27 +181,15 @@ class SweepRecorder:
                 mpki=payload.get("mpki"),
                 ipc=payload.get("ipc"),
                 **base)
-        if pid in self._workers:
-            info = self._workers[pid]
-            info["cells"] += 1
-            info["wall_seconds"] += wall or 0.0
-            if row.get("trace_cache_hit"):
-                info["trace_cache_hits"] += 1
         if self.progress is not None:
             self.progress(self.snapshot(row))
 
     def finish(self) -> None:
-        """Write per-worker exit summaries plus ``sweep_finished``."""
+        """Write ``sweep_finished`` and close the journal."""
         if self._finished or not self._started:
             self.close()
             return
         self._finished = True
-        for pid in sorted(self._workers):
-            info = self._workers[pid]
-            self._emit("worker_exited", info["stream"], pid=pid,
-                       cells=info["cells"],
-                       wall_seconds=round(info["wall_seconds"], 6),
-                       trace_cache_hits=info["trace_cache_hits"])
         self._emit("sweep_finished", "sweep",
                    cells_done=self.done, cells_failed=self.failed,
                    total_cells=self.total,

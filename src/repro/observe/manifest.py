@@ -11,9 +11,9 @@ contracts:
   :func:`manifest_fingerprint` hashes exactly that subset so comparability
   is a string equality;
 * the **host part** — git sha, interpreter, platform, peak RSS — varies
-  run to run and exists for forensics, never for gating.  Tolerance
-  policy in :mod:`repro.observe.baseline` treats everything under
-  ``host`` as informational.
+  run to run and exists for forensics, never for gating:
+  :mod:`repro.observe.baseline` treats everything under ``host`` as
+  informational.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import json
 import os
 import platform
 import subprocess
-import sys
 from typing import Dict, Mapping, Optional, Union
 
 from repro.config import ResolvedConfig, RunConfig, resolve_config
+from repro.telemetry.timers import peak_rss_kb
 
 MANIFEST_SCHEMA = "repro-manifest-v1"
 
@@ -48,18 +48,6 @@ def git_revision(cwd: Optional[str] = None) -> Optional[str]:
     if completed.returncode != 0:
         return None
     return completed.stdout.strip() or None
-
-
-def peak_rss_kb() -> Optional[int]:
-    """Peak resident set size of this process in KiB (None if unknown)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platform
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - reported in bytes
-        peak //= 1024
-    return int(peak)
 
 
 def run_manifest(resolved: Union[ResolvedConfig, RunConfig, None] = None

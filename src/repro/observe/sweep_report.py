@@ -3,24 +3,24 @@
 Merges a ``repro-journal-v1`` sweep journal into a
 ``repro-sweep-report-v1`` document:
 
-* **per-worker drift audit** — every worker's run manifest is checked
-  against the sweep manifest under the same
-  :class:`~repro.observe.baseline.Tolerance` machinery the baseline
-  checker uses: the deterministic manifest fingerprint plus the host
-  facts that must not vary *within one sweep* (git sha, interpreter) are
-  exact fail-severity checks, the platform string warns.  A worker that
-  never shipped a manifest is itself a fail-severity violation — an
-  unauditable worker is drift you cannot rule out;
+* **per-worker drift audit** — every worker's run manifest must equal
+  the sweep manifest on each fact of :data:`DRIFT_SEVERITY`: the
+  deterministic manifest fingerprint plus the host facts that must not
+  vary *within one sweep* (git sha, interpreter) fail, the platform
+  string warns.  A worker that never shipped a manifest is itself a
+  fail-severity violation — an unauditable worker is drift you cannot
+  rule out;
 * **per-worker aggregates** — cells run, busy wall seconds, trace/result
   cache hits, peak-RSS delta high-water mark;
 * **load balance** — busiest/idlest worker and the imbalance ratio
   (busiest / mean busy seconds), plus the slowest-N cells (the
-  stragglers an ordered sweep serializes behind);
+  stragglers an ordered sweep serializes behind), each with its host
+  phase split and dominant phase;
+* **phases** — per-phase host seconds summed over the cells the sweep
+  executed (:func:`exclusive_phases` of each ``cell_finished``
+  ``phase_seconds``);
 * **failure digest** — ``cell_failed`` events grouped by exception
-  class, with the first message and the affected cells;
-* **profile** — when the journal was recorded under
-  ``REPRO_PROFILE=cprofile``, the top cumulative-time frames aggregated
-  from the per-cell pstats dumps next to the journal.
+  class, with the first message and the affected cells.
 
 ``report["ok"]`` is False — and the CLI exits nonzero — when the sweep
 is incomplete, any cell failed, or any fail-severity drift violation
@@ -29,42 +29,31 @@ fired.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, Optional
 
-from repro.observe.baseline import Tolerance
-from repro.observe.journal import (
-    format_progress,
-    profile_dir_for,
-    read_journal,
-)
+from repro.observe.journal import format_progress, read_journal
 
 SWEEP_REPORT_SCHEMA = "repro-sweep-report-v1"
 
 #: Slowest-cell table length.
 DEFAULT_SLOWEST = 10
 
-#: Top cumulative profile frames surfaced in the report.
-DEFAULT_PROFILE_FRAMES = 15
+#: Severity of a worker manifest fact that differs from the sweep's.
+#: Within one sweep every worker must run the same code (git sha), the
+#: same interpreter, and the same resolved config (manifest
+#: fingerprint); any mismatch silently mixes incomparable results into
+#: one table, so those fail.  The platform string can legitimately vary
+#: across a future multi-host fleet, so it only warns.
+DRIFT_SEVERITY = {
+    "manifest_fingerprint": "fail",
+    "host.git_sha": "fail",
+    "host.python": "fail",
+    "host.platform": "warn",
+}
 
-
-def drift_policy() -> Dict[str, Tolerance]:
-    """Per-fact tolerance table for the cross-worker manifest audit.
-
-    Within one sweep every worker must run the same code (git sha), the
-    same interpreter, and the same resolved config (manifest
-    fingerprint); any mismatch silently mixes incomparable results into
-    one table, so those are exact fail-severity checks.  The platform
-    string can legitimately vary across a future multi-host fleet, so it
-    only warns.
-    """
-    return {
-        "manifest_fingerprint": Tolerance("exact", severity="fail"),
-        "host.git_sha": Tolerance("exact", severity="fail"),
-        "host.python": Tolerance("exact", severity="fail"),
-        "host.platform": Tolerance("exact", severity="warn"),
-    }
+#: Phases that run inside ``timing`` (see
+#: :func:`repro.sim.simulator.simulate`).
+NESTED_IN_TIMING = ("emulation", "dce")
 
 
 def _manifest_fact(manifest: Optional[dict], dotted: str):
@@ -77,79 +66,66 @@ def _manifest_fact(manifest: Optional[dict], dotted: str):
 
 
 def _drift_violation(pid, metric: str, sweep_value, worker_value,
-                     tolerance: Tolerance) -> dict:
+                     severity: str) -> dict:
     return {
         "worker": pid,
         "metric": metric,
         "sweep": sweep_value,
         "worker_value": worker_value,
-        "tolerance": {"mode": tolerance.mode},
-        "severity": tolerance.severity,
+        "severity": severity,
     }
 
 
-def _audit_worker(pid, started: dict, sweep: dict,
-                  policy: Dict[str, Tolerance]) -> List[dict]:
+def _audit_worker(pid, started: dict, sweep: dict) -> List[dict]:
     """Drift findings for one ``worker_started`` event vs the sweep."""
     manifest = started.get("manifest")
     if manifest is None:
-        missing = Tolerance("exact", severity="fail")
-        return [_drift_violation(pid, "manifest", "present", None, missing)]
+        return [_drift_violation(pid, "manifest", "present", None, "fail")]
     findings: List[dict] = []
-    tolerance = policy["manifest_fingerprint"]
-    sweep_fp = sweep.get("manifest_fingerprint")
-    worker_fp = started.get("manifest_fingerprint")
-    if tolerance.violates(sweep_fp, worker_fp):
-        findings.append(_drift_violation(
-            pid, "manifest_fingerprint", sweep_fp, worker_fp, tolerance))
-    for fact in ("host.git_sha", "host.python", "host.platform"):
-        tolerance = policy[fact]
-        sweep_value = _manifest_fact(sweep.get("manifest"), fact)
-        worker_value = _manifest_fact(manifest, fact)
-        if tolerance.violates(sweep_value, worker_value):
+    for fact, severity in DRIFT_SEVERITY.items():
+        if fact == "manifest_fingerprint":
+            sweep_value, worker_value = sweep.get(fact), started.get(fact)
+        else:
+            sweep_value = _manifest_fact(sweep.get("manifest"), fact)
+            worker_value = _manifest_fact(manifest, fact)
+        if sweep_value != worker_value:
             findings.append(_drift_violation(
-                pid, fact, sweep_value, worker_value, tolerance))
+                pid, fact, sweep_value, worker_value, severity))
     return findings
 
 
-# -- profiling -------------------------------------------------------------
+# -- host phases -----------------------------------------------------------
 
-def _profile_summary(journal_path: str,
-                     frames: int = DEFAULT_PROFILE_FRAMES
-                     ) -> Optional[dict]:
-    """Aggregate per-cell pstats dumps into a top-cumulative-frames table."""
-    directory = profile_dir_for(journal_path)
-    if not os.path.isdir(directory):
-        return None
-    import pstats
-    stats = None
-    dumps = sorted(name for name in os.listdir(directory)
-                   if name.endswith(".pstats"))
-    loaded = 0
-    for name in dumps:
-        path = os.path.join(directory, name)
-        try:
-            if stats is None:
-                stats = pstats.Stats(path)
-            else:
-                stats.add(path)
-            loaded += 1
-        except Exception:  # corrupt dump from a killed worker: skip
-            continue
-    if stats is None:
-        return None
-    stats.sort_stats("cumulative")
-    top: List[dict] = []
-    for func, (cc, nc, tt, ct, _callers) in sorted(
-            stats.stats.items(), key=lambda item: -item[1][3])[:frames]:
-        filename, line, name = func
-        top.append({
-            "function": f"{os.path.basename(filename)}:{line}({name})",
-            "calls": nc,
-            "cumulative_seconds": round(ct, 6),
-            "internal_seconds": round(tt, 6),
-        })
-    return {"dumps": loaded, "top_cumulative": top}
+def exclusive_phases(phase_seconds: Optional[dict]) -> Dict[str, float]:
+    """A cell's journaled ``phase_seconds`` as exclusive phases.
+
+    Names drop the gauges' ``_seconds`` suffix.  ``timing`` contains the
+    :data:`NESTED_IN_TIMING` phases, so it is listed as ``timing_self``:
+    the timing phase without them (the core model, memory hierarchy and
+    Branch Runahead hooks).  The split sums to at most the journaled
+    phases' total.
+    """
+    phases = {name.removesuffix("_seconds"): seconds
+              for name, seconds in (phase_seconds or {}).items()}
+    if "timing" in phases:
+        nested = sum(phases.get(name, 0.0) for name in NESTED_IN_TIMING)
+        phases["timing_self"] = max(0.0, phases.pop("timing") - nested)
+    return phases
+
+
+def _rounded(phases: Dict[str, float]) -> Dict[str, float]:
+    return {name: round(seconds, 6) for name, seconds in phases.items()}
+
+
+def _slow_cell(event: dict) -> dict:
+    phases = exclusive_phases(event.get("phase_seconds"))
+    return {"cell": f"{event['benchmark']}/{event['variant']}",
+            "wall_seconds": event.get("wall_seconds"),
+            "trace_cache_hit": event.get("trace_cache_hit"),
+            "pid": event.get("pid"),
+            "phases": _rounded(phases),
+            "dominant_phase": (max(phases, key=phases.get)
+                               if phases else None)}
 
 
 # -- report building -------------------------------------------------------
@@ -159,15 +135,12 @@ def resume_command(journal_path: str) -> str:
     return f"python -m repro sweep resume {journal_path}"
 
 
-def build_sweep_report(journal, slowest: int = DEFAULT_SLOWEST,
-                       profile_frames: int = DEFAULT_PROFILE_FRAMES
-                       ) -> dict:
+def build_sweep_report(journal, slowest: int = DEFAULT_SLOWEST) -> dict:
     """Merge a journal (path or :func:`read_journal` dict) into a report."""
     if not isinstance(journal, dict):
         journal = read_journal(journal)
     events = journal["events"]
     sweep = events[0]
-    policy = drift_policy()
 
     workers: Dict[object, dict] = {}
     cells_finished: List[dict] = []
@@ -193,7 +166,7 @@ def build_sweep_report(journal, slowest: int = DEFAULT_SLOWEST,
                 "peak_rss_kb_delta": 0,
                 "has_manifest": event.get("manifest") is not None,
             }
-            for finding in _audit_worker(pid, event, sweep, policy):
+            for finding in _audit_worker(pid, event, sweep):
                 (violations if finding["severity"] == "fail"
                  else warnings).append(finding)
         elif kind in ("cell_finished", "cell_failed"):
@@ -246,14 +219,17 @@ def build_sweep_report(journal, slowest: int = DEFAULT_SLOWEST,
         }
 
     slowest_cells = [
-        {"cell": f"{event['benchmark']}/{event['variant']}",
-         "wall_seconds": event.get("wall_seconds"),
-         "trace_cache_hit": event.get("trace_cache_hit"),
-         "pid": event.get("pid")}
+        _slow_cell(event)
         for event in sorted(cells_finished + cells_failed,
                             key=lambda e: -(e.get("wall_seconds") or 0.0)
                             )[:slowest]
     ]
+    # only executed cells journal phase_seconds
+    phases: Dict[str, float] = {}
+    for event in cells_finished:
+        for name, seconds in exclusive_phases(
+                event.get("phase_seconds")).items():
+            phases[name] = phases.get(name, 0.0) + seconds
 
     hits = sum(1 for event in cells_finished
                if event.get("trace_cache_hit"))
@@ -294,12 +270,9 @@ def build_sweep_report(journal, slowest: int = DEFAULT_SLOWEST,
         },
         "load": load,
         "slowest_cells": slowest_cells,
+        "phases": _rounded(phases),
         "failures": sorted(failure_groups.values(),
                            key=lambda group: group["type"]),
-        "profile": (_profile_summary(journal.get("path"),
-                                     frames=profile_frames)
-                    if sweep.get("profile") and journal.get("path")
-                    else None),
     }
     report["ok"] = (journal["complete"] and not cells_failed
                     and not violations)
@@ -361,13 +334,10 @@ def format_sweep_report(report: dict) -> str:
             f"{(worst['wall_seconds'] or 0.0):.3f}s"
             + (f" (+{len(report['slowest_cells']) - 1} more)"
                if len(report["slowest_cells"]) > 1 else ""))
-    profile = report.get("profile")
-    if profile:
-        lines.append(f"  profile : {profile['dumps']} cell dump(s); "
-                     f"top cumulative frames:")
-        for frame in profile["top_cumulative"][:5]:
-            lines.append(f"    {frame['cumulative_seconds']:8.3f}s  "
-                         f"{frame['function']}")
+    if report["phases"]:
+        lines.append("  phases : " + ", ".join(
+            f"{name} {seconds:.3f}s" for name, seconds in sorted(
+                report["phases"].items(), key=lambda item: -item[1])))
     if report["ok"]:
         lines.append("  ok: sweep complete, no failures, no worker drift")
     else:

@@ -17,7 +17,7 @@ benches read) and the on-disk :class:`~repro.sched.store.ResultStore` of
 payload records, which cannot rebuild them.  A sweep row carries the
 cell's payload plus host facts (wall time, cache hits).
 
-Worker processes: each parallel task pickles the parent's ``RunConfig``;
+Worker processes: each dispatch unit pickles the sweep's ``RunConfig``;
 the worker resolves it to a session via :func:`_session_for_config`, so a
 spawn-start worker reconstructs the *exact* parent configuration instead
 of re-deriving one from inherited environment variables, while a
@@ -27,7 +27,6 @@ included) when the config matches.
 
 from __future__ import annotations
 
-import os
 import time
 import traceback as _traceback
 import uuid
@@ -35,12 +34,15 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import RunConfig, current_config
-from repro.sched import ResultStore, SweepScheduler, cell_key, cell_row
+from repro.sched import ResultStore, SweepContext, SweepScheduler, \
+    cell_key, cell_row
+from repro.sched.scheduler import Cell
 from repro.sim.predictor_replay import replay_mpki, replay_mpki_batch
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import simulate
 from repro.sim.trace_cache import TraceCache
 from repro.sim.variants import is_predictor_only, variant_kwargs
+from repro.telemetry.timers import peak_rss_kb
 from repro.workloads import suite
 
 
@@ -207,31 +209,28 @@ class Session:
         message, traceback) with ``payload=None``, and the remaining
         cells still run.  ``journal=PATH`` records the sweep as an
         append-only ``repro-journal-v1`` event stream (see
-        :mod:`repro.observe.journal`) — rows are journaled in plan order
+        :mod:`repro.observe.journal`) — rows are journaled in input order
         as cells finish, not at the barrier; ``progress`` is called with
         a live snapshot dict after every row.
 
-        Execution goes through :class:`~repro.sched.SweepScheduler`.
-        With one job, or at most one task to run, tasks run inline in
-        this session one at a time.  Otherwise each benchmark's tasks
-        ride one dispatch unit on a worker pool (fork preferred, spawn
-        fallback), so a worker emulates the region once and replays it
-        for the benchmark's other cells; only a benchmark holding a
-        large share of the matrix splits over several workers.  When the
-        session has a :attr:`result_store` and ``cache=True``, every
-        landed cell is written through to the store and cells that
-        already landed there — e.g. from a sweep killed partway — are
-        resumed without re-execution (their journal rows carry
-        ``result_store_hit``).
+        Execution goes through :class:`~repro.sched.SweepScheduler`:
+        each benchmark's cells ride one dispatch unit, so the unit
+        emulates the region once and replays it for the benchmark's other
+        cells; only a benchmark holding a large share of the matrix
+        splits over several units.  With one job, or at most one unit,
+        the units run inline in this session; otherwise on a worker pool
+        (fork preferred, spawn fallback).  When the session has a
+        :attr:`result_store` and ``cache=True``, every landed cell is
+        written through to the store and cells that already landed there
+        — e.g. from a sweep killed partway — are resumed without
+        re-execution (their journal rows carry ``result_store_hit``).
 
-        When ``outputs="mpki"``, groups of two or more predictor-only
-        cells sharing a benchmark collapse into one batched
+        When ``outputs="mpki"``, the two or more predictor-only cells of
+        one unit collapse into one batched
         :func:`~repro.sim.predictor_replay.replay_mpki_batch` call (one
-        region load, one stream pass for the whole group) while still
+        region load, one stream pass for all of them) while still
         producing one row per cell with scalar-identical payloads and
-        result-cache keys.  Per-cell profiling (``REPRO_PROFILE``)
-        disables batching automatically since a fused group's cells
-        cannot be attributed individually.
+        result-cache keys.
         """
         instructions = instructions or self.config.instructions
         warmup = warmup if warmup is not None else self.config.warmup
@@ -240,57 +239,24 @@ class Session:
             instructions=instructions, warmup=warmup)
 
         recorder = None
-        profile_mode = None
         if journal is not None or progress is not None:
-            from repro.observe.journal import PROFILE_ENV, SweepRecorder
-            if journal is not None:
-                profile_mode = os.environ.get(PROFILE_ENV) or None
-            jobs_effective = min(jobs, len(cells)) if cells else jobs
+            from repro.observe.journal import SweepRecorder
             recorder = SweepRecorder(
-                journal, config=task_config, cells=cells,
-                jobs=jobs_effective, outputs=outputs,
-                sweep_id=uuid.uuid4().hex, profile=profile_mode,
+                journal, config=task_config, cells=cells, jobs=jobs,
+                outputs=outputs, sweep_id=uuid.uuid4().hex,
                 progress=progress)
-        meta = {
-            "sweep_id": recorder.sweep_id if recorder else None,
+        context = SweepContext(
+            task_config, cache, outputs,
+            sweep_id=recorder.sweep_id if recorder else None,
             # worker manifests are only worth a git subprocess when a
             # journal will actually record them
-            "announce": journal is not None,
-            "profile": recorder.profile if recorder else None,
-            "profile_dir": recorder.profile_dir if recorder else None,
-        }
-        batching = (outputs == "mpki" and len(cells) > 1
-                    and profile_mode is None)
-        groups: Dict[str, List[Tuple[str, int]]] = {}
-        if batching:
-            for index, (benchmark, variant) in enumerate(cells):
-                if is_predictor_only(variant):
-                    groups.setdefault(benchmark, []).append(
-                        (variant, index))
-            groups = {benchmark: members
-                      for benchmark, members in groups.items()
-                      if len(members) >= 2}
-        tasks: List[Tuple] = []
-        emitted: set = set()
-        for index, (benchmark, variant) in enumerate(cells):
-            members = groups.get(benchmark)
-            if members is None or not is_predictor_only(variant):
-                tasks.append((task_config, benchmark, variant,
-                              instructions, warmup, cache, outputs,
-                              {**meta, "index": index}))
-            elif benchmark not in emitted:
-                # the whole group runs at the position of its first
-                # member; rows are re-sorted to input order at the end
-                emitted.add(benchmark)
-                tasks.append((task_config, benchmark, tuple(members),
-                              instructions, warmup, cache, outputs,
-                              {**meta, "index": members[0][1]}))
+            announce=journal is not None)
         scheduler = SweepScheduler(
-            tasks, task_config, _run_unit,
-            lambda task: _run_task_in(self, task),
+            [(index, benchmark, variant)
+             for index, (benchmark, variant) in enumerate(cells)],
+            context, _run_unit, lambda unit: _run_unit_in(self, unit),
             jobs=jobs, recorder=recorder,
-            store=self.result_store if cache else None,
-            outputs=outputs)
+            store=self.result_store if cache else None)
         try:
             # publish this session so fork workers find it warm (and
             # spawn workers rebuild an equivalent one from the pickled
@@ -312,9 +278,6 @@ class Session:
             if recorder is not None:
                 recorder.finish()
         self.last_sweep = scheduler.stats()
-        # batch grouping runs cells out of plan sequence; the return
-        # contract is input order
-        rows.sort(key=lambda row: row["index"])
         return rows
 
     def __repr__(self) -> str:
@@ -340,23 +303,8 @@ def _session_for_config(config: RunConfig) -> Session:
     return session
 
 
-def _peak_rss_kb() -> Optional[int]:
-    """Local peak-RSS probe (duplicated from repro.observe.manifest: this
-    module must stay importable without triggering the observe package,
-    which imports Session back)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platform
-        return None
-    import sys
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - bytes on macOS
-        peak //= 1024
-    return int(peak)
-
-
 def _rss_delta(before: Optional[int]) -> Optional[int]:
-    after = _peak_rss_kb()
+    after = peak_rss_kb()
     return after - before if after is not None and before is not None \
         else None
 
@@ -374,109 +322,72 @@ def _error_info(exc: Exception) -> dict:
 _announced_sweeps: set = set()
 
 
-def _announce(meta: dict, config: RunConfig) -> Optional[dict]:
-    """This worker's manifest of the *task* config (an adopted parent
+def _announce(context: SweepContext) -> Optional[dict]:
+    """This worker's manifest of the *sweep* config (an adopted parent
     session keeps its own region lengths), once per journaled sweep."""
-    sweep_id = meta.get("sweep_id")
-    if not meta.get("announce") or sweep_id is None \
-            or sweep_id in _announced_sweeps:
+    if not context.announce or context.sweep_id is None \
+            or context.sweep_id in _announced_sweeps:
         return None
-    _announced_sweeps.add(sweep_id)
+    _announced_sweeps.add(context.sweep_id)
     from repro.observe.manifest import run_manifest
-    return run_manifest(config)
+    return run_manifest(context.config)
 
 
-def _run_cell_in(session: Session, task: Tuple) -> dict:
-    """Run one cell inside ``session`` and flatten it to a picklable dict.
-
-    The row carries the cell's payload (``SimulationResult.to_dict()``,
-    stats included).  A raising cell is converted into a structured
-    error row (``ok=False``, ``payload=None``, ``error={type, message,
-    traceback}``) instead of propagating — one bad cell must not abort a
-    pool of good ones.
-
-    The optional eighth task element is flight-recorder metadata
-    (``index``, ``sweep_id``, ``announce``, ``profile``/``profile_dir``):
-    cells measure their own wall seconds and peak-RSS delta, the first
-    cell per worker per sweep ships the worker's own
-    :func:`~repro.observe.manifest.run_manifest` back on the row, and
-    ``REPRO_PROFILE=cprofile`` dumps per-cell pstats beside the journal.
-    """
-    (config, benchmark, variant, instructions, warmup, use_result_cache,
-     outputs) = task[:7]
-    meta = task[7] if len(task) > 7 else {}
+def _run_cell(session: Session, context: SweepContext, index: int,
+              benchmark: str, variant: str) -> dict:
+    """One cell through :meth:`Session.run`, as a picklable row dict."""
     trace_cache = session.trace_cache
     hits_before = trace_cache.hits
     result_hits_before = session.result_cache_hits
-    rss_before = _peak_rss_kb()
+    rss_before = peak_rss_kb()
     started_at = time.time()
     tick = time.perf_counter()
-    profiler = None
-    if meta.get("profile") == "cprofile" and meta.get("profile_dir"):
-        import cProfile
-        profiler = cProfile.Profile()
     payload = error = None
     try:
-        if profiler is not None:
-            profiler.enable()
-        try:
-            result = session.run(benchmark, variant,
-                                 instructions=instructions,
-                                 warmup=warmup, cache=use_result_cache,
-                                 outputs=outputs)
-        finally:
-            if profiler is not None:
-                profiler.disable()
-        payload = result.to_dict()
+        payload = session.run(
+            benchmark, variant, instructions=context.config.instructions,
+            warmup=context.config.warmup, cache=context.cache,
+            outputs=context.outputs).to_dict()
     except Exception as exc:
         error = _error_info(exc)
-    wall = time.perf_counter() - tick
-    if profiler is not None:
-        try:
-            profiler.dump_stats(os.path.join(
-                meta["profile_dir"],
-                f"cell-{meta.get('index', 0):04d}.pstats"))
-        except OSError:  # profiling is best-effort forensics
-            pass
     return cell_row(
-        benchmark, variant, meta.get("index"), payload=payload,
-        error=error, started_at=started_at, wall_seconds=wall,
-        peak_rss_kb_delta=_rss_delta(rss_before),  # before the manifest
+        benchmark, variant, index, payload=payload, error=error,
+        started_at=started_at, wall_seconds=time.perf_counter() - tick,
+        peak_rss_kb_delta=_rss_delta(rss_before),
         trace_cache_hit=trace_cache.hits > hits_before,
-        result_cache_hit=session.result_cache_hits > result_hits_before,
-        manifest=_announce(meta, config))
+        result_cache_hit=session.result_cache_hits > result_hits_before)
 
 
-def _run_batch_in(session: Session, task: Tuple) -> List[dict]:
-    """Run one batched group of predictor-only MPKI cells; one row each.
+def _run_fused(session: Session, context: SweepContext,
+               cells: List[Cell]) -> Dict[int, dict]:
+    """One benchmark's predictor-only MPKI cells as one batched replay.
 
-    The task's variant slot holds ``((variant, index), ...)`` instead of
-    a single variant string.  Cached members are served under their
+    Cached members are served under their
     :func:`~repro.sched.store.cell_key`; the misses replay together via
     :func:`~repro.sim.predictor_replay.replay_mpki_batch` and are cached
-    individually, so a later scalar ``run(..., outputs="mpki")`` of any
-    member hits.  Row shape mirrors :func:`_run_cell_in` member for
-    member — the batch's wall time is attributed evenly across members
+    one by one, so a later scalar ``run(..., outputs="mpki")`` of any
+    member hits.  Rows mirror :func:`_run_cell` member for member — the
+    batch's wall time is split evenly over the members
     (``cell.batch_size`` marks the fusion), the peak-RSS delta lands on
     the first row only (it is a process-wide measurement), and a member
     whose variant fails to resolve errors alone while a failure of the
     shared replay errors every non-cached member.
     """
-    (config, benchmark, members, instructions, warmup, use_result_cache,
-     outputs) = task[:7]
-    meta = task[7] if len(task) > 7 else {}
+    config = context.config
+    benchmark = cells[0][1]
     trace_cache = session.trace_cache
     hits_before = trace_cache.hits
-    rss_before = _peak_rss_kb()
+    rss_before = peak_rss_kb()
     started_at = time.time()
     tick = time.perf_counter()
     cached: Dict[int, object] = {}
     computed: Dict[int, object] = {}
     errors: Dict[int, dict] = {}
     lanes: List[Tuple[int, Tuple, object]] = []
-    for variant, index in members:
-        key = cell_key(benchmark, variant, instructions, warmup, outputs)
-        if use_result_cache:
+    for index, _, variant in cells:
+        key = cell_key(benchmark, variant, config.instructions,
+                       config.warmup, context.outputs)
+        if context.cache:
             hit = session._cache_get(key)
             if hit is not None:
                 cached[index] = hit
@@ -488,9 +399,11 @@ def _run_batch_in(session: Session, task: Tuple) -> List[dict]:
     if lanes:
         try:
             program = suite.load(benchmark)
+            # through this module's global, which benchmark
+            # instrumentation rebinds
             results = replay_mpki_batch(
                 program, [predictor for _, _, predictor in lanes],
-                instructions=instructions, warmup=warmup,
+                instructions=config.instructions, warmup=config.warmup,
                 trace_cache=trace_cache)
         except Exception as exc:
             error = _error_info(exc)
@@ -499,49 +412,67 @@ def _run_batch_in(session: Session, task: Tuple) -> List[dict]:
         else:
             for (index, key, _), result in zip(lanes, results):
                 computed[index] = result
-                if use_result_cache:
+                if context.cache:
                     session._cache_put(key, result)
     wall = time.perf_counter() - tick
     rss_delta = _rss_delta(rss_before)
     group_hit = trace_cache.hits > hits_before
-    manifest = _announce(meta, config)
-    rows: List[dict] = []
-    for position, (variant, index) in enumerate(members):
+    rows: Dict[int, dict] = {}
+    for position, (index, _, variant) in enumerate(cells):
         error = errors.get(index)
         result = cached.get(index, computed.get(index))
         payload = None
         if error is None and result is not None:
             payload = result.to_dict()
-        rows.append(cell_row(
+        rows[index] = cell_row(
             benchmark, variant, index, payload=payload, error=error,
-            started_at=started_at, wall_seconds=wall / len(members),
+            started_at=started_at, wall_seconds=wall / len(cells),
             peak_rss_kb_delta=rss_delta if position == 0 else None,
             trace_cache_hit=group_hit and index not in cached,
-            result_cache_hit=index in cached,
-            manifest=manifest if position == 0 else None,
-            batch_size=len(members)))
+            result_cache_hit=index in cached, batch_size=len(cells))
     return rows
 
 
-def _run_task_in(session: Session, task: Tuple) -> List[dict]:
-    """Run one task — a single cell or a batched group — as row dicts."""
-    if isinstance(task[2], tuple):
-        return _run_batch_in(session, task)
-    return [_run_cell_in(session, task)]
+def _run_unit_in(session: Session, unit: Tuple[SweepContext, List[Cell]]
+                 ) -> List[List[dict]]:
+    """Run one dispatch unit's cells in ``session``; one row list each.
 
-
-def _run_unit(unit: List[Tuple]) -> List[List[dict]]:
-    """Worker entry for a scheduler dispatch unit (a list of tasks).
-
-    Module-level so fork *and* spawn pools can pickle it.  Every task's
-    first element is the parent's ``RunConfig``; resolving it through
-    :func:`_session_for_config` gives spawn-start workers the exact
-    parent configuration and fork-start workers their inherited warm
-    session.  Returns one row list per task so the scheduler can map
-    results back to plan positions.  All tasks of a unit share one
-    resolved session, and a unit holds one benchmark's tasks, so its
-    first task records the region into this worker's trace cache and the
-    rest replay it.
+    A unit holds one benchmark's cells (see
+    :func:`~repro.sched.build_units`).  Under ``outputs="mpki"`` its
+    predictor-only cells, when there are two or more, replay in one
+    :func:`_run_fused` call at the position of the first of them; every
+    other cell runs alone through :func:`_run_cell`.  A raising cell
+    becomes a structured error row instead of propagating — one bad cell
+    must not abort a pool of good ones.  The first row of a worker's
+    first unit per journaled sweep ships the worker's own
+    :func:`~repro.observe.manifest.run_manifest` back.
     """
-    session = _session_for_config(unit[0][0])
-    return [_run_task_in(session, task) for task in unit]
+    context, cells = unit
+    fused = [cell for cell in cells if context.outputs == "mpki"
+             and is_predictor_only(cell[2])]
+    if len(fused) < 2:
+        fused = []
+    rows: Dict[int, dict] = {}
+    for cell in cells:
+        if cell[0] in rows:
+            continue
+        if cell in fused:
+            rows.update(_run_fused(session, context, fused))
+        else:
+            rows[cell[0]] = _run_cell(session, context, *cell)
+    manifest = _announce(context)  # after the cells' peak-RSS deltas
+    if manifest is not None:
+        rows[cells[0][0]]["worker"]["manifest"] = manifest
+    return [[rows[index]] for index, _, _ in cells]
+
+
+def _run_unit(unit: Tuple[SweepContext, List[Cell]]) -> List[List[dict]]:
+    """Pool entry for a scheduler dispatch unit ``(context, cells)``.
+
+    Module-level so fork *and* spawn pools can pickle it.  Resolving the
+    context's ``RunConfig`` through :func:`_session_for_config` gives
+    spawn-start workers the exact parent configuration and fork-start
+    workers their inherited warm session; the unit then runs through
+    :func:`_run_unit_in`, the same runner an inline sweep uses.
+    """
+    return _run_unit_in(_session_for_config(unit[0].config), unit)

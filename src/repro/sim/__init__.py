@@ -1,24 +1,20 @@
 """Simulation entry point, results, sweep and variant helpers."""
 
 from repro.sim.results import (
-    ComparisonRow,
     SimulationResult,
     arithmetic_mean,
     geometric_mean,
     ipc_improvement,
     mpki_improvement,
-    weighted_average,
 )
 from repro.sim.simulator import simulate
 
 __all__ = [
-    "ComparisonRow",
     "SimulationResult",
     "arithmetic_mean",
     "geometric_mean",
     "ipc_improvement",
     "mpki_improvement",
-    "weighted_average",
     "simulate",
     "sweeps",
     "variants",

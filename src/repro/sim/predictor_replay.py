@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter, deque
-from contextlib import ExitStack
 from typing import List, Optional, Sequence, Union
 
 from repro.emulator.machine import Machine
@@ -38,7 +37,7 @@ from repro.predictors.base import BranchPredictor
 from repro.predictors.batched import replay_lanes
 from repro.sim.branch_events import BranchColumns, extract_columns
 from repro.sim.trace_cache import TraceCache
-from repro.telemetry import StatRegistry, Telemetry
+from repro.telemetry import PhaseTimers, StatRegistry, Telemetry
 from repro.uarch.stats import CoreStats
 
 
@@ -277,20 +276,23 @@ def replay_mpki_batch(program: Program,
         resolved.append(predictor)
     telemetries = [Telemetry() for _ in resolved]
     total = instructions + warmup
-    with ExitStack() as stack:
-        for telemetry in telemetries:
-            stack.enter_context(telemetry.timers.phase("setup"))
+    # the lanes share one region load and one stream pass: time each step
+    # once and book an even share into every lane, as a fused sweep row
+    # splits its wall time, so the lanes' phases sum to the call's time
+    shared = PhaseTimers()
+    with shared.phase("setup"):
         columns = load_branch_columns(program, start_instruction, total,
                                       trace_cache)
     record_count = columns.record_count
     warmed = warmup > 0 and record_count > warmup
     boundary = warmup if warmed else 0
-    with ExitStack() as stack:
-        for telemetry in telemetries:
-            stack.enter_context(telemetry.timers.phase("mpki_replay"))
+    with shared.phase("mpki_replay"):
         split = bisect_left(columns.indices, boundary)
         lanes = replay_lanes(resolved, columns.pcs, columns.takens,
                              split, min_lanes=min_lanes)
+    for telemetry in telemetries:
+        for phase, seconds in shared.to_dict().items():
+            telemetry.timers.add(phase, seconds / len(telemetries))
     # measured-stream aggregates are lane-independent: count them once
     cond_branches = len(columns.pcs) - split
     taken_branches = int(sum(columns.takens[split:]))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.telemetry import StatRegistry, Telemetry
 from repro.uarch.stats import CoreStats
@@ -66,10 +66,6 @@ class SimulationResult:
         """Core + DCE uops (Figure 3 numerator)."""
         extra = self.dce.uops_executed if self.dce else 0
         return self.core.instructions + extra
-
-    def total_loads_issued(self) -> int:
-        extra = self.dce.loads_executed if self.dce else 0
-        return self.core.loads + extra
 
     def summary(self) -> str:
         text = f"{self.program_name}: {self.core.summary()}"
@@ -192,37 +188,3 @@ def geometric_mean(values: Iterable[float]) -> float:
 def arithmetic_mean(values: Iterable[float]) -> float:
     values = list(values)
     return sum(values) / len(values) if values else 0.0
-
-
-def weighted_average(values: List[float], weights: List[float]) -> float:
-    """SimPoint-style weighted average across regions/inputs."""
-    if not values:
-        return 0.0
-    total_weight = sum(weights)
-    if total_weight <= 0:
-        return arithmetic_mean(values)
-    return sum(v * w for v, w in zip(values, weights)) / total_weight
-
-
-class ComparisonRow:
-    """One benchmark's baseline-vs-variant comparison."""
-
-    def __init__(self, name: str, baseline: SimulationResult,
-                 variant: SimulationResult):
-        self.name = name
-        self.baseline = baseline
-        self.variant = variant
-
-    @property
-    def mpki_improvement(self) -> float:
-        return mpki_improvement(self.baseline.mpki, self.variant.mpki)
-
-    @property
-    def ipc_improvement(self) -> float:
-        return ipc_improvement(self.baseline.ipc, self.variant.ipc)
-
-    def __repr__(self) -> str:
-        return (f"{self.name}: MPKI {self.baseline.mpki:.2f} -> "
-                f"{self.variant.mpki:.2f} ({self.mpki_improvement:+.1f}%), "
-                f"IPC {self.baseline.ipc:.3f} -> {self.variant.ipc:.3f} "
-                f"({self.ipc_improvement:+.1f}%)")

@@ -7,14 +7,29 @@ future performance PR measures against.  :class:`PhaseTimers` accumulates
 re-entry (a phase may be entered many times; durations add), and can wrap
 an iterator so a generator's production cost is attributed to its own
 phase even though consumption is interleaved with another phase.
+:func:`peak_rss_kb` is the one peak-memory probe the sweep rows and the
+run manifests share.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from contextlib import contextmanager
 from itertools import islice
-from typing import Dict, Iterable, Iterator
+from typing import Dict, Iterable, Iterator, Optional
+
+
+def peak_rss_kb() -> Optional[int]:
+    """Peak resident set size of this process in KiB (None if unknown)."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX platform
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # pragma: no cover - reported in bytes
+        peak //= 1024
+    return int(peak)
 
 
 class PhaseTimers:

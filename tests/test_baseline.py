@@ -1,4 +1,4 @@
-"""Regression observatory: baselines, exact tolerances, manifests."""
+"""Regression observatory: baselines, exact checks, manifests."""
 
 import json
 import os
@@ -18,27 +18,6 @@ from repro.session import Session
 #: The tiny matrix every run-based test here uses (keeps reruns cheap).
 MATRIX = dict(benchmarks=["mcf_17"], variants=["tage64", "mini"],
               instructions=800, warmup=400)
-
-
-class TestToleranceMath:
-    def test_exact_violates_on_any_difference(self):
-        tolerance = ob.Tolerance("exact")
-        assert not tolerance.violates(3.25, 3.25)
-        assert tolerance.violates(3.25, 3.2500001)
-        assert tolerance.violates("a" * 64, "b" * 64)
-        assert tolerance.violates(None, 7)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ob.Tolerance("fuzzy").violates(1, 2)
-
-    def test_policy_gates_determinism_but_not_timings(self):
-        policy = ob.tolerance_policy()
-        assert sorted(policy) == ["chain_coverage", "counter", "digest",
-                                  "ipc", "mpki"]
-        for tolerance in policy.values():
-            assert tolerance.mode == "exact"
-            assert tolerance.severity == "fail"
 
 
 class TestStatExtraction:
@@ -252,8 +231,7 @@ class TestReporting:
             "instructions": 800, "warmup": 400,
             "checked": ["mcf_17"], "missing_baselines": ["sjeng_06"],
             "violations": [ob._violation(
-                "mcf_17", "mini", "mpki", "mpki", 3.0, 4.0,
-                ob.Tolerance("exact"))],
+                "mcf_17", "mini", "mpki", "mpki", 3.0, 4.0)],
         }
 
     def test_text_report_lists_failures_and_missing_baselines(self):

@@ -11,6 +11,7 @@ path here.
 """
 
 import json
+import time
 
 import pytest
 
@@ -211,6 +212,19 @@ class TestBatchIdentity:
         for result in results:
             assert payload_digest(result.to_dict()) == \
                 payload_digest(scalar.to_dict())
+
+    def test_lanes_split_the_shared_host_time(self, backend):
+        # every lane books an even share of the one region load and the
+        # one stream pass, so the lanes' phases sum to the call's time
+        program = suite.load("mcf_17")
+        tick = time.perf_counter()
+        results = replay_mpki_batch(
+            program, ["tage64", "gshare", "bimodal", "perceptron"],
+            trace_cache=TraceCache(), **REGION)
+        wall = time.perf_counter() - tick
+        booked = sum(sum(result.to_dict()["stats"]["host"]["phase"]
+                         .values()) for result in results)
+        assert 0 < booked <= wall
 
     def test_string_lanes_resolve_via_registry(self, backend):
         program = suite.load("sjeng_06")
@@ -418,6 +432,24 @@ class TestSessionBatching:
             ["bimodal", "mini", "gshare"]
         assert rows[1]["payload"]["branch_runahead"] is True
         assert "batch_size" not in rows[1]["cell"]
+
+    def test_mixed_group_journals_in_index_order(self, tmp_path):
+        # the fused pair lands before the full-timing cell between its
+        # members, yet rows journal by index and progress always waits
+        # on the head-of-line cell
+        cells = [("sjeng_06", "bimodal"), ("sjeng_06", "mini"),
+                 ("sjeng_06", "gshare")]
+        path = str(tmp_path / "sweep.jsonl")
+        snapshots = []
+        session().run_cells(cells, outputs="mpki", journal=path,
+                            progress=snapshots.append)
+        finished = [event["index"] for event in read_journal(path)["events"]
+                    if event["event"] == "cell_finished"]
+        assert finished == [0, 1, 2]
+        assert [snapshot["last_cell"] for snapshot in snapshots] == \
+            ["/".join(cell) for cell in cells]
+        assert [snapshot["next_cell"] for snapshot in snapshots] == \
+            ["sjeng_06/mini", "sjeng_06/gshare", None]
 
     def test_batched_results_populate_scalar_cache(self):
         sess = session()

@@ -45,6 +45,29 @@ class TestConfigCommand:
         assert document["config_file"] == str(path)
 
 
+class TestConfigErrors:
+    """A config that does not resolve is a one-line usage error (exit 2)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "sjeng_06", "--jobs", "0"],
+        ["run", "sjeng_06", "--instructions", "0"],
+    ], ids=["jobs", "instructions"])
+    def test_out_of_range_flag(self, argv, capsys):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and err.count("\n") == 1
+        assert "must be >= 1, got 0" in err
+
+    def test_unknown_config_file_key(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"instructionz": 3000}')
+        assert cli_main(["--config-file", str(path), "compare",
+                         "sjeng_06"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: unknown config file key(s) "
+                              "['instructionz']")
+
+
 class TestConfigFileReachesSweeps:
     def test_config_file_jobs_and_store_reach_compare(self, tmp_path):
         # --config-file must reach the sweep `compare` runs, not only

@@ -11,9 +11,7 @@ import pytest
 from repro.config import RunConfig
 from repro.observe.journal import (
     JOURNAL_SCHEMA,
-    SweepRecorder,
     format_progress,
-    profile_dir_for,
     read_journal,
 )
 from repro.session import Session, _worker_sessions
@@ -48,6 +46,7 @@ class TestJournalRoundtrip:
         assert kinds[-1] == "sweep_finished"
         assert kinds.count("cell_finished") == len(rows)
         assert kinds.count("worker_started") == 1  # serial: one process
+        assert "worker_exited" not in kinds
 
     def test_sweep_started_carries_manifest_and_plan(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
@@ -59,6 +58,28 @@ class TestJournalRoundtrip:
         assert started["cells"] == [list(cell) for cell in CELLS]
         assert started["total_cells"] == len(CELLS)
         assert started["sweep_id"]
+        assert "profile" not in started
+
+    def test_jobs_is_the_resolved_request_in_both_events(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        quick_session().run_cells(CELLS[:1], jobs=3, journal=str(path))
+        events = events_of(path)
+        (built,) = [e for e in events if e["event"] == "units_built"]
+        assert events[0]["jobs"] == built["jobs"] == 3
+
+    def test_phase_seconds_only_for_executed_cells(self, tmp_path):
+        session = quick_session()
+        paths = [tmp_path / f"sweep{step}.jsonl" for step in (0, 1)]
+        for path in paths:  # the second sweep hits the result cache
+            session.run_cells(CELLS[:2], jobs=1, journal=str(path))
+        executed, cached = ([e for e in events_of(path)
+                             if e["event"] == "cell_finished"]
+                            for path in paths)
+        assert all(e["phase_seconds"]["timing_seconds"] > 0
+                   for e in executed)
+        assert executed[1]["phase_seconds"]["dce_seconds"] > 0  # mini
+        assert all(e["result_cache_hit"] and "phase_seconds" not in e
+                   for e in cached)
 
     def test_cell_digests_match_the_returned_rows(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
@@ -264,22 +285,6 @@ class TestProgress:
             "last_cell": "mcf_06/mini", "next_cell": None})
         assert "last mcf_06/mini" in line
         assert "waiting" not in line
-
-
-class TestProfiling:
-    def test_cprofile_dumps_one_pstats_per_cell(self, tmp_path,
-                                                monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "cprofile")
-        path = tmp_path / "sweep.jsonl"
-        quick_session().run_cells(CELLS[:2], jobs=1, journal=str(path))
-        dumps = sorted(os.listdir(profile_dir_for(str(path))))
-        assert dumps == ["cell-0000.pstats", "cell-0001.pstats"]
-        assert events_of(path)[0]["profile"] == "cprofile"
-
-    def test_profile_requires_a_journal(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "cprofile")
-        recorder = SweepRecorder(None, cells=CELLS, profile="cprofile")
-        assert recorder.profile is None and recorder.profile_dir is None
 
 
 class TestWorkerSessionHousekeeping:

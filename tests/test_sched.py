@@ -72,8 +72,8 @@ class TestSchedulerJournal:
         assert events[0]["executor"] == "inline"
         assert events[0]["start_method"] is None
         (built,) = [e for e in events if e["event"] == "units_built"]
-        # serial: one task per unit, in plan order
-        assert built["units"] == 4
+        # serial: one unit per benchmark, in plan order
+        assert built["units"] == 2
         assert built["executor"] == "inline"
         assert built["jobs"] == 1
         assert built["resumed_cells"] == []
@@ -121,25 +121,32 @@ class TestStoreResume:
         assert [payload_digest(row["payload"]) for row in again] == \
             [payload_digest(row["payload"]) for row in rows]
 
-    def test_partial_resume_executes_only_missing_cells(self, tmp_path):
+    @pytest.mark.parametrize("outputs", ["full", "mpki"])
+    def test_partial_resume_executes_only_missing_cells(self, tmp_path,
+                                                        outputs):
+        # under "mpki" each benchmark's two cells replay as one fused
+        # pair; its landed member still resumes alone
         store_dir = str(tmp_path / "store")
         config = repro_config.current_config().replace(
             result_store_dir=store_dir, **REGION)
-        Session(config).run_cells(CELLS)
+        Session(config).run_cells(CELLS, outputs=outputs)
         # damage exactly one landed cell: blow its store entry away
         store = ResultStore(store_dir)
         key = cell_key("mcf_06", "gshare", REGION["instructions"],
-                       REGION["warmup"], "full")
+                       REGION["warmup"], outputs)
         os.remove(store.path_for(key))
 
         resumed = Session(config)
-        rows = resumed.run_cells(CELLS)
+        rows = resumed.run_cells(CELLS, outputs=outputs)
         assert resumed.last_sweep["cells_scheduled"] == 1
         assert resumed.last_sweep["cells_resumed_from_store"] == 3
         executed = [row for row in rows
                     if not row.get("result_store_hit")]
         assert [(r["benchmark"], r["variant"]) for r in executed] == \
             [("mcf_06", "gshare")]
+        reference = session().run_cells(CELLS, outputs=outputs)
+        assert [payload_digest(row["payload"]) for row in rows] == \
+            [payload_digest(row["payload"]) for row in reference]
 
     def test_host_only_config_fields_still_resume(self, tmp_path):
         # job count, cache bounds and the trace-cache directory never
@@ -204,6 +211,8 @@ class TestStoreResume:
                     if e["event"] == "cell_finished"]
         assert len(finished) == len(CELLS)
         assert all(e.get("result_store_hit") for e in finished)
+        # their host timings belong to the run that stored them
+        assert all("phase_seconds" not in e for e in finished)
         (built,) = [e for e in journal["events"]
                     if e["event"] == "units_built"]
         assert built["resumed_cells"] == [0, 1, 2, 3]
@@ -378,12 +387,12 @@ class TestKillAndResume:
         cells = [tuple(cell) for cell in journal_doc["events"][0]["cells"]]
         resumed = Session(config)
         rows = resumed.run_cells(cells, outputs="mpki")
-        # only cells with no landed result executed (batch fusion may
-        # re-run a partially-landed group, so executed >= missing)
+        # every landed cell resumes; only cells with no landed result
+        # executed
         stats = resumed.last_sweep
         assert stats["cells_resumed_from_store"] + \
             stats["cells_scheduled"] == len(cells)
-        assert stats["cells_resumed_from_store"] <= landed
+        assert stats["cells_resumed_from_store"] == landed
 
         reference = Session(config.replace(result_store_dir=None))
         reference_rows = reference.run_cells(cells, outputs="mpki")

@@ -11,8 +11,6 @@ from repro.sim.results import (
     hard_branch_accuracy,
     ipc_improvement,
     mpki_improvement,
-    weighted_average,
-    ComparisonRow,
 )
 from repro.sim.simulator import simulate
 from repro.sim.variants import override_variant, variant_names
@@ -40,12 +38,6 @@ class TestMetrics:
 
     def test_arithmetic_mean(self):
         assert arithmetic_mean([1.0, 2.0, 3.0]) == 2.0
-
-    def test_weighted_average(self):
-        assert weighted_average([1.0, 3.0], [3.0, 1.0]) == pytest.approx(1.5)
-
-    def test_weighted_average_degenerate_weights(self):
-        assert weighted_average([2.0, 4.0], [0.0, 0.0]) == 3.0
 
 
 class TestSimulate:
@@ -83,15 +75,6 @@ class TestSimulate:
         b = simulate(program, instructions=3_000, warmup=1_000,
                      start_instruction=0)
         assert a.mpki == b.mpki and a.core.cycles == b.core.cycles
-
-    def test_comparison_row(self):
-        program = suite.load("sjeng_06")
-        baseline = simulate(program, instructions=4_000, warmup=2_000)
-        variant = simulate(program, instructions=4_000, warmup=2_000,
-                           br_config=mini())
-        row = ComparisonRow("sjeng_06", baseline, variant)
-        assert row.mpki_improvement > 0
-        assert "sjeng_06" in repr(row)
 
 
 @pytest.fixture(scope="module")

@@ -5,9 +5,10 @@ import json
 from repro.config import RunConfig
 from repro.observe.journal import read_journal
 from repro.observe.sweep_report import (
+    DRIFT_SEVERITY,
     SWEEP_REPORT_SCHEMA,
     build_sweep_report,
-    drift_policy,
+    exclusive_phases,
     format_sweep_report,
     format_watch_line,
     github_annotations,
@@ -82,11 +83,10 @@ class TestHealthySweepReport:
 
 class TestDriftAudit:
     def test_policy_severities(self):
-        policy = drift_policy()
-        assert policy["manifest_fingerprint"].severity == "fail"
-        assert policy["host.git_sha"].severity == "fail"
-        assert policy["host.python"].severity == "fail"
-        assert policy["host.platform"].severity == "warn"
+        assert DRIFT_SEVERITY == {"manifest_fingerprint": "fail",
+                                  "host.git_sha": "fail",
+                                  "host.python": "fail",
+                                  "host.platform": "warn"}
 
     def test_drifted_worker_manifest_is_a_fail_violation(self, tmp_path):
         path, _rows = record_journal(tmp_path)
@@ -177,22 +177,35 @@ class TestFailuresAndTruncation:
                    for line in github_annotations(report))
 
 
-class TestProfileSurfacing:
-    def test_pstats_dumps_become_top_frames(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "cprofile")
-        path, rows = record_journal(tmp_path, cells=CELLS[:2], jobs=1)
-        report = build_sweep_report(path)
-        profile = report["profile"]
-        assert profile["dumps"] == 2
-        assert profile["top_cumulative"]
-        frame = profile["top_cumulative"][0]
-        assert frame["cumulative_seconds"] > 0
-        assert "(" in frame["function"]
-        assert "profile :" in format_sweep_report(report)
+class TestPhases:
+    def test_exclusive_split_lists_timing_without_nested_phases(self):
+        phases = exclusive_phases({"setup_seconds": 0.5,
+                                   "emulation_seconds": 1.0,
+                                   "dce_seconds": 0.5,
+                                   "timing_seconds": 4.0})
+        assert phases == {"setup": 0.5, "emulation": 1.0, "dce": 0.5,
+                          "timing_self": 2.5}
+        assert exclusive_phases(None) == {}
 
-    def test_no_profile_section_without_the_env(self, tmp_path):
-        path, _rows = record_journal(tmp_path)
-        assert build_sweep_report(path)["profile"] is None
+    def test_report_sums_phases_and_names_dominant_ones(self, tmp_path):
+        path, rows = record_journal(tmp_path)
+        report = build_sweep_report(path)
+        phases = report["phases"]
+        assert set(phases) == {"setup", "emulation", "timing_self", "dce"}
+        assert all(seconds > 0 for seconds in phases.values())
+        assert len(report["slowest_cells"]) == len(rows)
+        for cell in report["slowest_cells"]:
+            assert cell["dominant_phase"] in phases
+            assert cell["phases"][cell["dominant_phase"]] == \
+                max(cell["phases"].values())
+        finished = [e for e in read_journal(path)["events"]
+                    if e["event"] == "cell_finished"]
+        for event in finished:
+            assert sum(exclusive_phases(event["phase_seconds"]).values()) \
+                <= sum(event["phase_seconds"].values())
+        line = [line for line in format_sweep_report(report).splitlines()
+                if "phases :" in line]
+        assert len(line) == 1 and "timing_self" in line[0]
 
 
 class TestWatch:
