@@ -656,6 +656,9 @@ def _cmd_sweep_resume(args) -> int:
     already landed replay from the store, only the remainder executes.
     The resumed run is itself journaled to ``JOURNAL.resume``.
     """
+    # resolving validates the flags (``--jobs 0`` is a usage error, as
+    # for compare) and supplies the fallback result store
+    resolved = _resolve_from_args(args).config
     try:
         journal = observe_journal.read_journal(args.journal)
     except (OSError, ValueError) as error:
@@ -683,7 +686,7 @@ def _cmd_sweep_resume(args) -> int:
               f"loadable: {error}", file=sys.stderr)
         return 2
     store_dir = (args.result_store_dir or config.result_store_dir
-                 or _resolve_from_args(args).config.result_store_dir)
+                 or resolved.result_store_dir)
     if store_dir is None:
         print("repro sweep: error: no result store to resume from "
               "(the sweep ran without result_store_dir and none is "

@@ -46,11 +46,11 @@ the differential reference the kernels are pinned against in
 
 Both paths reproduce ``predict → update`` per branch bit-exactly, so
 per-lane mispredicted-PC sequences — and therefore MPKI, per-PC
-breakdowns, and payload digests — match the scalar
-:func:`~repro.sim.predictor_replay.replay_mpki` for every lane.  After a
-*vectorized* lane runs, the predictor instance's own table state is NOT
-advanced (the kernel keeps the evolution in its own arrays); batch
-callers treat lane predictors as consumed.
+breakdowns, and payload digests — match a scalar predict/update loop
+(the reference ``tests/test_batch_replay.py`` keeps) for every lane.
+After a *vectorized* lane runs, the predictor instance's own table state
+is NOT advanced (the kernel keeps the evolution in its own arrays);
+batch callers treat lane predictors as consumed.
 """
 
 from __future__ import annotations
@@ -163,7 +163,8 @@ def replay_lanes(predictors: Sequence[BranchPredictor],
     practice) and ``split`` is the warmup boundary: events before it
     train only, events at or after it are measured.  Lane ``k``'s return
     value is the list of measured PCs predictor ``k`` mispredicted, in
-    stream order — exactly the list the scalar replay loop accumulates.
+    stream order — exactly the list a scalar predict/update loop
+    accumulates.
 
     ``min_lanes`` gates the columnar TAGE kernel: a geometry group with
     fewer unique lanes than this falls back to lockstep.  ``None`` and

@@ -4,7 +4,7 @@ Serves both as a standalone baseline and as the base prediction of TAGE.
 The counter table is a packed :class:`bytearray` store with precomputed
 saturating clamp tables (see :mod:`repro.predictors.storage`); the original
 list-of-ints spelling lives on as
-:class:`repro.predictors.reference.ReferenceBimodalPredictor`.
+``ReferenceBimodalPredictor`` (``tests/reference_predictors.py``).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The counter table is a packed :class:`bytearray` store with precomputed
 saturating clamp tables (see :mod:`repro.predictors.storage`); the original
 list-of-ints spelling lives on as
-:class:`repro.predictors.reference.ReferenceGSharePredictor`.
+``ReferenceGSharePredictor`` (``tests/reference_predictors.py``).
 """
 
 from __future__ import annotations

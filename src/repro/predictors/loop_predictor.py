@@ -8,7 +8,7 @@ confident, the predictor supplies "taken until iteration == trip count".
 Entry state is struct-of-arrays: six parallel packed stores (tag,
 past/current iteration, confidence, direction, age) indexed by the same
 set index, replacing the per-entry ``_LoopEntry`` objects preserved in
-:class:`repro.predictors.reference.ReferenceLoopPredictor`.
+``ReferenceLoopPredictor`` (``tests/reference_predictors.py``).
 """
 
 from __future__ import annotations

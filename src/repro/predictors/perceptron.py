@@ -10,7 +10,7 @@ Weight rows are packed signed-``array`` stores and training uses the
 precomputed clamp tables from :mod:`repro.predictors.storage` (the weight
 delta is always ±1, so a saturating step is a single table index).  The
 original list-of-lists spelling lives on as
-:class:`repro.predictors.reference.ReferencePerceptronPredictor`;
+``ReferencePerceptronPredictor`` (``tests/reference_predictors.py``);
 ``self.weights`` remains an iterable of per-perceptron rows.
 """
 

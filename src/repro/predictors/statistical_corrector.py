@@ -15,7 +15,7 @@ immediately following ``update`` of the same branch — the fold registers
 only advance at the end of ``update``, so the cached indices are exactly
 what the reference implementation recomputes.  The original list-of-ints
 spelling lives on as
-:class:`repro.predictors.reference.ReferenceStatisticalCorrector`.
+``ReferenceStatisticalCorrector`` (``tests/reference_predictors.py``).
 """
 
 from __future__ import annotations

@@ -22,8 +22,9 @@ of boxed ints (or lists of per-entry objects); they are now flat
   update path is ``tbl[i] = inc[tbl[i] - lo]``.
 
 The original list/object implementations are preserved verbatim in
-:mod:`repro.predictors.reference`; ``tests/test_predictor_packed_differential.py``
-pins bit-identity between the two spellings.
+``tests/reference_predictors.py``;
+``tests/test_predictor_packed_differential.py`` pins bit-identity between
+the two spellings.
 
 The :mod:`~repro.predictors.counters` primitives (``Lfsr``,
 ``FoldedHistory``, ``HistoryBuffer``, scalar saturate helpers) are

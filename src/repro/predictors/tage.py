@@ -21,8 +21,9 @@ mask, and PC pre-hash shift constants of the predict loop.  Saturating
 counter steps go through precomputed clamp tables and the graceful
 useful-bit reset is a C-level ``bytes.translate`` over each packed useful
 store.  The original per-object spelling is preserved in
-:class:`repro.predictors.reference.ReferenceTagePredictor` and bit-identity
-between the two is pinned by ``tests/test_predictor_packed_differential.py``.
+``ReferenceTagePredictor`` (``tests/reference_predictors.py``) and
+bit-identity between the two is pinned by
+``tests/test_predictor_packed_differential.py``.
 """
 
 from __future__ import annotations

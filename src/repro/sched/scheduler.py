@@ -11,9 +11,10 @@ benchmark, variant)`` triple in plan order, in three steps:
    dispatched.
 2. **Units** — :func:`build_units` groups the pending cells into
    benchmark-aligned dispatch units, journaled as a ``units_built``
-   scheduler event.  A unit's first cell records the region into that
-   process's in-memory trace cache and the rest replay it, with no disk
-   round trip and no dependency edges.
+   scheduler event; a benchmark's mpki-mode cells stay in one unit,
+   which replays them as one batch.  A unit's first cell records the
+   region into that process's in-memory trace cache and the rest replay
+   it, with no disk round trip and no dependency edges.
 3. **Dispatch** — with one job, or at most one unit, the units run
    inline in the calling session; otherwise they go to a
    ``multiprocessing`` pool (fork preferred, spawn fallback) and
@@ -37,8 +38,8 @@ from __future__ import annotations
 import os
 import queue
 import time
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, \
-    Tuple
+from typing import Callable, Collection, Dict, List, NamedTuple, \
+    Optional, Sequence, Tuple
 
 from repro.config import RunConfig
 from repro.sched.store import ResultStore, cell_key
@@ -101,7 +102,7 @@ def cell_row(benchmark: str, variant: str, index: Optional[int], *,
 
 
 def build_units(benchmarks: Sequence[str], pending: Sequence[int],
-                jobs: int) -> List[List[int]]:
+                jobs: int, fused: Collection[int] = ()) -> List[List[int]]:
     """Group a sweep's pending cell indices into dispatch units.
 
     ``benchmarks[i]`` names cell ``i``'s benchmark and ``pending`` lists
@@ -109,18 +110,24 @@ def build_units(benchmarks: Sequence[str], pending: Sequence[int],
     Each benchmark's pending cells form one unit, split into
     ``len(group) * jobs // len(pending)`` parts when that is at least
     two — i.e. only a benchmark holding 2/``jobs`` of the pending cells
-    splits, so its tail spreads over idle workers.  Units come back
+    splits, so its tail spreads over idle workers.  The cells in
+    ``fused`` (mpki-mode cells, which replay as one batch) never split:
+    a benchmark's fused cells move as one piece.  Units come back
     ordered by their first index.
     """
-    groups: Dict[str, List[int]] = {}
+    groups: Dict[str, Dict[Optional[int], List[int]]] = {}
     for position in pending:
-        groups.setdefault(benchmarks[position], []).append(position)
+        piece = None if position in fused else position
+        groups.setdefault(benchmarks[position], {}) \
+            .setdefault(piece, []).append(position)
     units: List[List[int]] = []
     for group in groups.values():
-        parts = min(len(group), max(1, len(group) * jobs // len(pending)))
-        size = -(-len(group) // parts)
-        units.extend(group[start:start + size]
-                     for start in range(0, len(group), size))
+        pieces = list(group.values())
+        cells = sum(map(len, pieces))
+        parts = min(len(pieces), max(1, cells * jobs // len(pending)))
+        size = -(-len(pieces) // parts)
+        units.extend(sorted(sum(pieces[start:start + size], []))
+                     for start in range(0, len(pieces), size))
     units.sort(key=lambda unit: unit[0])
     return units
 
@@ -219,8 +226,10 @@ class SweepScheduler:
         pending = [index for index, _, _ in cells if index not in rows]
         self.cells_resumed_from_store = len(rows)
         self.cells_scheduled = len(pending)
+        fused = {index for index, benchmark, variant in cells
+                 if self._cell_key(benchmark, variant)[-1] == "mpki"}
         units = build_units([benchmark for _, benchmark, _ in cells],
-                            pending, self.jobs)
+                            pending, self.jobs, fused)
         self.units = len(units)
         pooled = self.jobs > 1 and len(units) > 1
         self.executor_name = "pool" if pooled else "inline"

@@ -37,11 +37,11 @@ from repro.config import RunConfig, current_config
 from repro.sched import ResultStore, SweepContext, SweepScheduler, \
     cell_key, cell_row
 from repro.sched.scheduler import Cell
-from repro.sim.predictor_replay import replay_mpki, replay_mpki_batch
+from repro.sim.predictor_replay import replay_mpki_batch
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import simulate
 from repro.sim.trace_cache import TraceCache
-from repro.sim.variants import is_predictor_only, variant_kwargs
+from repro.sim.variants import variant_kwargs
 from repro.telemetry.timers import peak_rss_kb
 from repro.workloads import suite
 
@@ -117,32 +117,21 @@ class Session:
         result cache entirely — no lookup, no store.
 
         ``outputs="mpki"`` declares that only branch-outcome statistics
-        are wanted: predictor-only cells then take the
-        :func:`~repro.sim.predictor_replay.replay_mpki` fast path
-        (bit-identical MPKI, no timing model) and return a
+        are wanted: predictor-only cells then replay through
+        :func:`~repro.sim.predictor_replay.replay_mpki_batch` as a
+        one-lane batch (bit-identical MPKI, no timing model) and return a
         :class:`~repro.sim.predictor_replay.PredictorReplayResult`.
         Cells whose variant attaches Branch Runahead fall back to the
         full simulator — their mispredict counts depend on DCE timing.
+        This is :func:`_execute` on one cell, re-raising its error.
         """
-        instructions = instructions or self.config.instructions
-        warmup = warmup if warmup is not None else self.config.warmup
-        key = cell_key(benchmark, variant, instructions, warmup, outputs)
-        if cache:
-            cached = self._cache_get(key)
-            if cached is not None:
-                return cached
-        kwargs = variant_kwargs(variant)
-        program = suite.load(benchmark)
-        if key[-1] == "mpki":
-            result = replay_mpki(program, kwargs["predictor"],
-                                 instructions=instructions, warmup=warmup,
-                                 trace_cache=self.trace_cache)
-        else:
-            result = simulate(program, instructions=instructions,
-                              warmup=warmup, trace_cache=self.trace_cache,
-                              **kwargs)
-        if cache:
-            self._cache_put(key, result)
+        (result, _), = _execute(
+            self, benchmark, [variant],
+            instructions or self.config.instructions,
+            warmup if warmup is not None else self.config.warmup,
+            cache, outputs)
+        if isinstance(result, Exception):
+            raise result
         return result
 
     # -- direct entry points (notebook / service callers) ------------------
@@ -217,20 +206,21 @@ class Session:
         each benchmark's cells ride one dispatch unit, so the unit
         emulates the region once and replays it for the benchmark's other
         cells; only a benchmark holding a large share of the matrix
-        splits over several units.  With one job, or at most one unit,
-        the units run inline in this session; otherwise on a worker pool
-        (fork preferred, spawn fallback).  When the session has a
-        :attr:`result_store` and ``cache=True``, every landed cell is
-        written through to the store and cells that already landed there
-        — e.g. from a sweep killed partway — are resumed without
-        re-execution (their journal rows carry ``result_store_hit``).
+        splits its full-timing cells over several units.  With one job,
+        or at most one unit, the units run inline in this session;
+        otherwise on a worker pool (fork preferred, spawn fallback).
+        When the session has a :attr:`result_store` and ``cache=True``,
+        every landed cell is written through to the store and cells that
+        already landed there — e.g. from a sweep killed partway — are
+        resumed without re-execution (their journal rows carry
+        ``result_store_hit``).
 
-        When ``outputs="mpki"``, the two or more predictor-only cells of
-        one unit collapse into one batched
+        When ``outputs="mpki"``, a benchmark's predictor-only cells stay
+        in one unit and replay in one
         :func:`~repro.sim.predictor_replay.replay_mpki_batch` call (one
         region load, one stream pass for all of them) while still
-        producing one row per cell with scalar-identical payloads and
-        result-cache keys.
+        producing one row per cell, each cached under its own
+        :func:`~repro.sched.store.cell_key`.
         """
         instructions = instructions or self.config.instructions
         warmup = warmup if warmup is not None else self.config.warmup
@@ -303,16 +293,11 @@ def _session_for_config(config: RunConfig) -> Session:
     return session
 
 
-def _rss_delta(before: Optional[int]) -> Optional[int]:
-    after = peak_rss_kb()
-    return after - before if after is not None and before is not None \
-        else None
-
-
-def _error_info(exc: Exception) -> dict:
-    """A raising cell's structured error (call inside its ``except``)."""
+def _error_info(exc: BaseException) -> dict:
+    """A raising cell's structured error."""
     return {"type": type(exc).__name__, "message": str(exc),
-            "traceback": _traceback.format_exc()}
+            "traceback": "".join(_traceback.format_exception(
+                type(exc), exc, exc.__traceback__))}
 
 
 #: Sweep ids this *process* has already announced a worker manifest for.
@@ -333,104 +318,90 @@ def _announce(context: SweepContext) -> Optional[dict]:
     return run_manifest(context.config)
 
 
-def _run_cell(session: Session, context: SweepContext, index: int,
-              benchmark: str, variant: str) -> dict:
-    """One cell through :meth:`Session.run`, as a picklable row dict."""
-    trace_cache = session.trace_cache
-    hits_before = trace_cache.hits
-    result_hits_before = session.result_cache_hits
-    rss_before = peak_rss_kb()
-    started_at = time.time()
-    tick = time.perf_counter()
-    payload = error = None
-    try:
-        payload = session.run(
-            benchmark, variant, instructions=context.config.instructions,
-            warmup=context.config.warmup, cache=context.cache,
-            outputs=context.outputs).to_dict()
-    except Exception as exc:
-        error = _error_info(exc)
-    return cell_row(
-        benchmark, variant, index, payload=payload, error=error,
-        started_at=started_at, wall_seconds=time.perf_counter() - tick,
-        peak_rss_kb_delta=_rss_delta(rss_before),
-        trace_cache_hit=trace_cache.hits > hits_before,
-        result_cache_hit=session.result_cache_hits > result_hits_before)
+def _execute(session: Session, benchmark: str, variants: Sequence[str],
+             instructions: int, warmup: int, cache: bool, outputs: str
+             ) -> List[Tuple[object, dict]]:
+    """Run one benchmark's cells in ``session``: the one place a cell
+    result is computed, for :meth:`Session.run` and every sweep unit.
 
+    The result LRU serves hits under each cell's
+    :func:`~repro.sched.store.cell_key` (``cache=False``: no lookup, no
+    store).  The mpki-mode cells (predictor-only variants under
+    ``outputs="mpki"``) replay in one
+    :func:`~repro.sim.predictor_replay.replay_mpki_batch` call at the
+    position of the first of them, even a group of one; every other miss
+    runs alone through :func:`~repro.sim.simulator.simulate`.
 
-def _run_fused(session: Session, context: SweepContext,
-               cells: List[Cell]) -> Dict[int, dict]:
-    """One benchmark's predictor-only MPKI cells as one batched replay.
-
-    Cached members are served under their
-    :func:`~repro.sched.store.cell_key`; the misses replay together via
-    :func:`~repro.sim.predictor_replay.replay_mpki_batch` and are cached
-    one by one, so a later scalar ``run(..., outputs="mpki")`` of any
-    member hits.  Rows mirror :func:`_run_cell` member for member — the
-    batch's wall time is split evenly over the members
-    (``cell.batch_size`` marks the fusion), the peak-RSS delta lands on
-    the first row only (it is a process-wide measurement), and a member
-    whose variant fails to resolve errors alone while a failure of the
-    shared replay errors every non-cached member.
+    Returns ``(result, facts)`` per cell: ``result`` is the live result
+    or the exception the cell raised (a variant that fails to resolve
+    errors alone, a failing engine call errors every miss it served), and
+    ``facts`` are the host keywords of :func:`~repro.sched.cell_row`.  A
+    replay group's wall time splits evenly over its members
+    (``batch_size`` marks the group), and its peak-RSS delta, a
+    process-wide measurement, goes to the first member only.
     """
-    config = context.config
-    benchmark = cells[0][1]
+    keys = [cell_key(benchmark, variant, instructions, warmup, outputs)
+            for variant in variants]
+    group = [position for position, key in enumerate(keys)
+             if key[-1] == "mpki"]
     trace_cache = session.trace_cache
-    hits_before = trace_cache.hits
-    rss_before = peak_rss_kb()
-    started_at = time.time()
-    tick = time.perf_counter()
-    cached: Dict[int, object] = {}
-    computed: Dict[int, object] = {}
-    errors: Dict[int, dict] = {}
-    lanes: List[Tuple[int, Tuple, object]] = []
-    for index, _, variant in cells:
-        key = cell_key(benchmark, variant, config.instructions,
-                       config.warmup, context.outputs)
-        if context.cache:
-            hit = session._cache_get(key)
+    outcomes: Dict[int, Tuple[object, dict]] = {}
+    for position, key in enumerate(keys):
+        if position in outcomes:
+            continue
+        replay = key[-1] == "mpki"
+        members = group if replay else [position]
+        hits_before = trace_cache.hits
+        rss_before = peak_rss_kb()
+        started_at = time.time()
+        tick = time.perf_counter()
+        results: Dict[int, object] = {}
+        cached = set()
+        misses: List[Tuple[int, dict]] = []
+        for member in members:
+            hit = session._cache_get(keys[member]) if cache else None
             if hit is not None:
-                cached[index] = hit
+                results[member] = hit
+                cached.add(member)
                 continue
-        try:
-            lanes.append((index, key, variant_kwargs(variant)["predictor"]))
-        except Exception as exc:
-            errors[index] = _error_info(exc)
-    if lanes:
-        try:
-            program = suite.load(benchmark)
-            # through this module's global, which benchmark
-            # instrumentation rebinds
-            results = replay_mpki_batch(
-                program, [predictor for _, _, predictor in lanes],
-                instructions=config.instructions, warmup=config.warmup,
-                trace_cache=trace_cache)
-        except Exception as exc:
-            error = _error_info(exc)
-            for index, _, _ in lanes:
-                errors[index] = error
-        else:
-            for (index, key, _), result in zip(lanes, results):
-                computed[index] = result
-                if context.cache:
-                    session._cache_put(key, result)
-    wall = time.perf_counter() - tick
-    rss_delta = _rss_delta(rss_before)
-    group_hit = trace_cache.hits > hits_before
-    rows: Dict[int, dict] = {}
-    for position, (index, _, variant) in enumerate(cells):
-        error = errors.get(index)
-        result = cached.get(index, computed.get(index))
-        payload = None
-        if error is None and result is not None:
-            payload = result.to_dict()
-        rows[index] = cell_row(
-            benchmark, variant, index, payload=payload, error=error,
-            started_at=started_at, wall_seconds=wall / len(cells),
-            peak_rss_kb_delta=rss_delta if position == 0 else None,
-            trace_cache_hit=group_hit and index not in cached,
-            result_cache_hit=index in cached, batch_size=len(cells))
-    return rows
+            try:
+                misses.append((member, variant_kwargs(variants[member])))
+            except Exception as exc:
+                results[member] = exc
+        if misses:
+            try:
+                program = suite.load(benchmark)
+                if replay:
+                    # through this module's global, which benchmark
+                    # instrumentation rebinds
+                    computed = replay_mpki_batch(
+                        program,
+                        [kwargs["predictor"] for _, kwargs in misses],
+                        instructions=instructions, warmup=warmup,
+                        trace_cache=trace_cache)
+                else:
+                    computed = [simulate(
+                        program, instructions=instructions, warmup=warmup,
+                        trace_cache=trace_cache, **misses[0][1])]
+            except Exception as exc:
+                computed = [exc] * len(misses)
+            for (member, _), result in zip(misses, computed):
+                results[member] = result
+                if cache and not isinstance(result, Exception):
+                    session._cache_put(keys[member], result)
+        wall = (time.perf_counter() - tick) / len(members)
+        rss_after = peak_rss_kb()
+        rss_delta = None if None in (rss_before, rss_after) \
+            else rss_after - rss_before
+        trace_hit = trace_cache.hits > hits_before
+        for order, member in enumerate(members):
+            outcomes[member] = results[member], dict(
+                started_at=started_at, wall_seconds=wall,
+                peak_rss_kb_delta=rss_delta if order == 0 else None,
+                trace_cache_hit=trace_hit and member not in cached,
+                result_cache_hit=member in cached,
+                batch_size=len(members) if replay else None)
+    return [outcomes[position] for position in range(len(keys))]
 
 
 def _run_unit_in(session: Session, unit: Tuple[SweepContext, List[Cell]]
@@ -438,32 +409,31 @@ def _run_unit_in(session: Session, unit: Tuple[SweepContext, List[Cell]]
     """Run one dispatch unit's cells in ``session``; one row list each.
 
     A unit holds one benchmark's cells (see
-    :func:`~repro.sched.build_units`).  Under ``outputs="mpki"`` its
-    predictor-only cells, when there are two or more, replay in one
-    :func:`_run_fused` call at the position of the first of them; every
-    other cell runs alone through :func:`_run_cell`.  A raising cell
-    becomes a structured error row instead of propagating — one bad cell
-    must not abort a pool of good ones.  The first row of a worker's
-    first unit per journaled sweep ships the worker's own
-    :func:`~repro.observe.manifest.run_manifest` back.
+    :func:`~repro.sched.build_units`); they run through
+    :func:`_execute`.  A raising cell becomes a structured error row
+    instead of propagating — one bad cell must not abort a pool of good
+    ones.  The first row of a worker's first unit per journaled sweep
+    ships the worker's own :func:`~repro.observe.manifest.run_manifest`
+    back.
     """
     context, cells = unit
-    fused = [cell for cell in cells if context.outputs == "mpki"
-             and is_predictor_only(cell[2])]
-    if len(fused) < 2:
-        fused = []
-    rows: Dict[int, dict] = {}
-    for cell in cells:
-        if cell[0] in rows:
-            continue
-        if cell in fused:
-            rows.update(_run_fused(session, context, fused))
-        else:
-            rows[cell[0]] = _run_cell(session, context, *cell)
+    config = context.config
+    outcomes = _execute(session, cells[0][1],
+                        [variant for _, _, variant in cells],
+                        config.instructions, config.warmup,
+                        context.cache, context.outputs)
+    rows = []
+    for (index, benchmark, variant), (result, facts) in zip(cells,
+                                                            outcomes):
+        failed = isinstance(result, Exception)
+        rows.append([cell_row(
+            benchmark, variant, index,
+            payload=None if failed else result.to_dict(),
+            error=_error_info(result) if failed else None, **facts)])
     manifest = _announce(context)  # after the cells' peak-RSS deltas
     if manifest is not None:
-        rows[cells[0][0]]["worker"]["manifest"] = manifest
-    return [[rows[index]] for index, _, _ in cells]
+        rows[0][0]["worker"]["manifest"] = manifest
+    return rows
 
 
 def _run_unit(unit: Tuple[SweepContext, List[Cell]]) -> List[List[dict]]:

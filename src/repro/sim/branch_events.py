@@ -2,20 +2,16 @@
 
 The MPKI-only replay path (:mod:`repro.sim.predictor_replay`) consumes
 exactly one projection of a recorded region: the committed conditional
-branches as ``(region_index, pc, taken)``.  Keeping that projection as a
-list of tuples is fine for one predictor, but a K-predictor sweep wants
-the columns directly — the batched replay kernel indexes ``pcs`` and
-``takens`` as flat vectors — and re-deriving it from pickled
-:class:`~repro.emulator.trace.DynamicUop` records after every disk
-reload repays the full unpickle cost just to throw away everything but
-three fields per branch.
+branches as ``(region_index, pc, taken)``.  The batched replay kernel
+indexes ``pcs`` and ``takens`` as flat vectors, and re-deriving them from
+pickled :class:`~repro.emulator.trace.DynamicUop` records after every
+disk reload would repay the full unpickle cost just to throw away
+everything but three fields per branch.
 
 :class:`BranchColumns` is the columnar form: three parallel columns
 (``indices``/``pcs`` as ``array('I')``, ``takens`` as a ``bytearray`` of
 0/1) plus the region's total record count (the replay path needs it for
-warmup-truncation semantics).  ``events()`` materializes the classic
-tuple list lazily and memoizes it, so scalar consumers keep their exact
-shape while batch consumers never pay for it.
+warmup-truncation semantics).
 
 On disk the columns live in ``.events`` sidecar files next to the trace
 cache's ``.trace`` entries.  This module packs and unpacks the payload
@@ -35,14 +31,10 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional
 
 from repro.emulator.trace import DynamicUop
 from repro.isa.uop import KIND_COND_BRANCH
-
-#: ``(region_index, pc, taken)`` per committed conditional branch — the
-#: tuple shape the scalar replay loop and existing tests consume.
-BranchEvent = Tuple[int, int, bool]
 
 #: Sidecar format version; participates in the filename *and* the header,
 #: so old files are never found and would be rejected if renamed.
@@ -62,7 +54,7 @@ assert array(_U32).itemsize == 4, "no 4-byte unsigned array typecode"
 class BranchColumns:
     """Columnar branch events of one region, plus its record count."""
 
-    __slots__ = ("indices", "pcs", "takens", "record_count", "_events")
+    __slots__ = ("indices", "pcs", "takens", "record_count")
 
     def __init__(self, indices: array, pcs: array, takens: bytearray,
                  record_count: int):
@@ -70,17 +62,9 @@ class BranchColumns:
         self.pcs = pcs
         self.takens = takens
         self.record_count = record_count
-        self._events: Optional[List[BranchEvent]] = None
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def events(self) -> List[BranchEvent]:
-        """The classic tuple list, materialized once and memoized."""
-        if self._events is None:
-            self._events = list(zip(self.indices, self.pcs,
-                                    map(bool, self.takens)))
-        return self._events
 
 
 def extract_columns(records: Iterable[DynamicUop],

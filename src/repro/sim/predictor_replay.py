@@ -5,24 +5,25 @@ comparisons, per-branch MPKI breakdowns — needs only branch *outcomes*,
 never cycles.  For those cells the full timing model (CoreModel + memory
 hierarchy) is pure overhead: the committed branch stream is a function of
 the program alone, so once the trace cache holds a region, MPKI for any
-baseline predictor is just predict/update over that stream in a tight
-loop.
+baseline predictor is just predict/update over that stream.
 
-:func:`replay_mpki` is that loop.  It reproduces ``CoreModel.run``'s
-measurement semantics exactly — warmup instructions train but are not
-counted, stats reset at the warmup boundary, a stream that ends at or
-before the boundary reports the whole run with ``warmup_truncated`` set —
-so its MPKI, mispredict counts, and per-PC breakdowns are bit-identical
-to a full-timing run of the same cell (``tests/test_predictor_replay.py``
-pins this).  It is only valid for *predictor-only* cells: with Branch
-Runahead attached the final prediction depends on DCE timing, which this
-path does not model, so :meth:`repro.session.Session.run` falls back to
-the full simulator for those.
+:func:`replay_mpki_batch` is the one entry point: it replays the stream
+through K predictor lanes in one pass, K = 1 for a lone cell.  It
+reproduces ``CoreModel.run``'s measurement semantics exactly — warmup
+instructions train but are not counted, stats reset at the warmup
+boundary, a stream that ends at or before the boundary reports the whole
+run with ``warmup_truncated`` set — so every lane's MPKI, mispredict
+counts, and per-PC breakdowns are bit-identical to a full-timing run of
+the same cell (``tests/test_predictor_replay.py`` pins this).  It is only
+valid for *predictor-only* cells: with Branch Runahead attached the final
+prediction depends on DCE timing, which this path does not model, so
+:class:`repro.session.Session` runs those cells through the full
+simulator.
 
-Branch events are extracted once per region and cached on the
+Branch columns are extracted once per region and cached on the
 :class:`~repro.sim.trace_cache.TraceEntry` itself, so a sweep of N
 predictors over one region pays one functional emulation plus one
-extraction, then N tight loops.
+extraction.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.isa.program import Program
 from repro.predictors.base import BranchPredictor
 from repro.predictors.batched import replay_lanes
 from repro.sim.branch_events import BranchColumns, extract_columns
+from repro.sim.results import register_predictor
 from repro.sim.trace_cache import TraceCache
 from repro.telemetry import PhaseTimers, StatRegistry, Telemetry
 from repro.uarch.stats import CoreStats
@@ -85,17 +87,16 @@ class PredictorReplayResult:
     runahead = None
 
     def __init__(self, program_name: str, predictor: BranchPredictor,
-                 core: CoreStats, trace_cache: Optional[TraceCache] = None,
-                 telemetry: Optional[Telemetry] = None,
-                 lanes_deduped: Optional[int] = None):
+                 core: CoreStats, telemetry: Telemetry,
+                 trace_cache: Optional[TraceCache] = None,
+                 lanes_deduped: int = 0):
         self.program_name = program_name
         self.predictor = predictor
         self.core = core
-        self.trace_cache = trace_cache
         self.telemetry = telemetry
-        #: batched-replay only: how many sibling lanes of the same batch
-        #: call were served from another lane's result (None on the
-        #: scalar path, so scalar payloads carry no host.batch scope)
+        self.trace_cache = trace_cache
+        #: how many sibling lanes of the same batch call were served from
+        #: another lane's result
         self.lanes_deduped = lanes_deduped
         self._registry: Optional[StatRegistry] = None
 
@@ -122,9 +123,7 @@ class PredictorReplayResult:
         """
         if self._registry is not None:
             return self._registry
-        registry = self.telemetry.registry if self.telemetry \
-            else StatRegistry()
-        self._registry = registry
+        registry = self._registry = self.telemetry.registry
         core = self.core
         scope = registry.scope("core")
         scope.counter("instructions").set(core.instructions)
@@ -141,27 +140,14 @@ class PredictorReplayResult:
         misp_histogram = branches.histogram("mispredicts_per_pc")
         for pc in sorted(core.branch_mispredicts):
             misp_histogram.record(core.branch_mispredicts[pc])
-        predictor_scope = registry.scope("predictor")
-        predictor_scope.counter("lookups").set(core.cond_branches)
-        predictor_scope.counter("mispredicts").set(core.baseline_mispredicts)
-        accuracy = 1.0
-        if core.cond_branches:
-            accuracy = 1.0 - core.baseline_mispredicts / core.cond_branches
-        predictor_scope.gauge("accuracy").set(accuracy)
-        predictor_scope.gauge("storage_bits").set(
-            self.predictor.storage_bits())
-        predictor_scope.gauge("storage_kb").set(self.predictor.storage_kb())
-        if self.telemetry is not None:
-            self.telemetry.timers.register_into(
-                registry.scope("host").scope("phase"))
+        register_predictor(registry.scope("predictor"), self.predictor,
+                           core)
+        host = registry.scope("host")
+        self.telemetry.timers.register_into(host.scope("phase"))
         if self.trace_cache is not None:
-            self.trace_cache.register_into(
-                registry.scope("host").scope("trace_cache"))
-        if self.lanes_deduped is not None:
-            # host scope: diagnostic, stripped by payload-digest checks so
-            # batched and scalar documents stay byte-comparable
-            registry.scope("host").scope("batch").counter(
-                "lanes_deduped").set(self.lanes_deduped)
+            self.trace_cache.register_into(host.scope("trace_cache"))
+        # host scope: a diagnostic the payload-digest checks strip
+        host.scope("batch").counter("lanes_deduped").set(self.lanes_deduped)
         return registry
 
     def to_dict(self) -> dict:
@@ -176,65 +162,6 @@ class PredictorReplayResult:
         }
 
 
-def replay_mpki(program: Program,
-                predictor: Union[BranchPredictor, str],
-                instructions: int, warmup: int = 0,
-                start_instruction: int = 0,
-                trace_cache: Optional[TraceCache] = None,
-                telemetry: Optional[Telemetry] = None
-                ) -> PredictorReplayResult:
-    """Run one predictor-only cell over the cached committed branch stream.
-
-    Measurement semantics mirror ``CoreModel.run`` record for record:
-
-    * records ``[0, warmup)`` train the predictor but count nothing;
-    * the stats "reset" at the record whose region index equals ``warmup``
-      (here: counting simply starts there);
-    * a region of at most ``warmup`` records never crosses the boundary,
-      so the whole run is reported and ``warmup_truncated`` is set —
-      exactly the short-stream rule of the timing model.
-    """
-    if isinstance(predictor, str):
-        from repro.predictors.registry import make_predictor
-        predictor = make_predictor(predictor)
-    if telemetry is None:
-        telemetry = Telemetry()
-    total = instructions + warmup
-    with telemetry.timers.phase("setup"):
-        columns = load_branch_columns(program, start_instruction, total,
-                                      trace_cache)
-        events, record_count = columns.events(), columns.record_count
-    stats = CoreStats()
-    warmed = warmup > 0 and record_count > warmup
-    boundary = warmup if warmed else 0
-    observe = predictor.observe
-    with telemetry.timers.phase("mpki_replay"):
-        # events are region-index-ordered, so the warmup boundary is one
-        # bisect and the hot loops carry no per-event boundary test
-        split = bisect_left(events, (boundary, -1, False))
-        for _, pc, taken in events[:split]:
-            observe(pc, taken)  # warmup: train only
-        measured = events[split:]
-        mispredicted_pcs: List[int] = []
-        record_mispredict = mispredicted_pcs.append
-        for _, pc, taken in measured:
-            if observe(pc, taken) != taken:
-                record_mispredict(pc)
-    stats.cond_branches = len(measured)
-    stats.taken_branches = sum(taken for _, _, taken in measured)
-    stats.mispredicts = len(mispredicted_pcs)
-    # no prediction queue can override on this path, so the final and
-    # baseline mispredict counts coincide (as in the fused CoreModel path)
-    stats.baseline_mispredicts = stats.mispredicts
-    stats.branch_counts.update(Counter(pc for _, pc, _ in measured))
-    stats.branch_mispredicts.update(Counter(mispredicted_pcs))
-    stats.instructions = record_count - boundary
-    stats.warmup_truncated = warmup > 0 and not warmed
-    return PredictorReplayResult(program.name, predictor, stats,
-                                 trace_cache=trace_cache,
-                                 telemetry=telemetry)
-
-
 def replay_mpki_batch(program: Program,
                       predictors: Sequence[Union[BranchPredictor, str]],
                       instructions: int, warmup: int = 0,
@@ -244,21 +171,25 @@ def replay_mpki_batch(program: Program,
                       ) -> List[PredictorReplayResult]:
     """Replay one branch stream through K predictor configurations.
 
-    The batched twin of :func:`replay_mpki`: one region load, one pass of
-    the committed branch stream advancing every lane (vectorized kernels
-    per predictor family where applicable, lockstep otherwise — see
-    :mod:`repro.predictors.batched`), then one
-    :class:`PredictorReplayResult` per lane.  Every lane's MPKI,
-    mispredict counts, per-PC breakdowns, and (host-stripped) payload are
-    bit-identical to a scalar ``replay_mpki`` call with the same
-    arguments; ``tests/test_batch_replay.py`` pins this differentially
-    for every registered predictor.
+    One region load, one pass of the committed branch stream advancing
+    every lane (vectorized kernels per predictor family where applicable,
+    lockstep otherwise — see :mod:`repro.predictors.batched`), then one
+    :class:`PredictorReplayResult` per lane.  Measurement semantics mirror
+    ``CoreModel.run`` record for record:
 
-    Like the scalar path this is only valid for *predictor-only* cells.
-    One batch-specific caveat: a lane that took a vectorized kernel keeps
-    its prediction evolution in the kernel's own arrays, so the predictor
-    *instance's* table state is left unspecified — treat lane predictors
-    as consumed by this call.
+    * records ``[0, warmup)`` train the predictor but count nothing;
+    * counting starts at the record whose region index equals ``warmup``;
+    * a region of at most ``warmup`` records never crosses the boundary,
+      so the whole run is reported and ``warmup_truncated`` is set —
+      exactly the short-stream rule of the timing model.
+
+    Every lane's MPKI, mispredict counts, per-PC breakdowns, and
+    (host-stripped) payload are bit-identical to a scalar predict/update
+    loop over the same stream; ``tests/test_batch_replay.py`` pins this
+    differentially for every registered predictor.  A lane that took a
+    vectorized kernel keeps its prediction evolution in the kernel's own
+    arrays, so the predictor *instance's* table state is left
+    unspecified — treat lane predictors as consumed by this call.
 
     ``min_lanes`` is the vectorized-kernel cutover floor, forwarded to
     :func:`~repro.predictors.batched.replay_lanes`; None means the
@@ -318,6 +249,6 @@ def replay_mpki_batch(program: Program,
         stats.instructions = record_count - boundary
         stats.warmup_truncated = warmup > 0 and not warmed
         results.append(PredictorReplayResult(
-            program.name, predictor, stats, trace_cache=trace_cache,
-            telemetry=telemetry, lanes_deduped=lanes_deduped))
+            program.name, predictor, stats, telemetry,
+            trace_cache=trace_cache, lanes_deduped=lanes_deduped))
     return results

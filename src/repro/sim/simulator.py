@@ -16,7 +16,7 @@ measure against.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from repro.core.config import UARCH_CONFIGS, BranchRunaheadConfig
 from repro.core.runahead import BranchRunahead
@@ -37,12 +37,10 @@ def simulate(program: Program,
              warmup: int = 10_000,
              start_instruction: int = 0,
              predictor: Optional[Union[BranchPredictor, str]] = None,
-             predictor_factory: Optional[Callable[[], BranchPredictor]] = None,
              br_config: Optional[Union[BranchRunaheadConfig, str]] = None,
              core_config: Optional[CoreConfig] = None,
              hierarchy_config: Optional[HierarchyConfig] = None,
              track_merge_oracle: bool = False,
-             telemetry: Optional[Telemetry] = None,
              tracer: Optional[Tracer] = None,
              trace_cache: Optional[TraceCache] = None) -> SimulationResult:
     """Run one region of ``program`` and collect every statistic.
@@ -54,10 +52,10 @@ def simulate(program: Program,
     to a fresh 64KB TAGE-SC-L.  Both accept registry names as well as
     instances — ``predictor="mtage"`` and ``br_config="mini"`` resolve
     through the component registries (with near-miss suggestions on a
-    typo) and construct a fresh component.  Pass ``tracer`` (or a full ``telemetry``
-    bundle) to capture pipeline events; with neither, tracing is fully
-    disabled — each component checks the no-op sink once at construction
-    and emits nothing on the hot path.
+    typo) and construct a fresh component.  Pass ``tracer`` to capture
+    pipeline events; without one, tracing is fully disabled — each
+    component checks the no-op sink once at construction and emits
+    nothing on the hot path.
 
     ``trace_cache`` memoizes the committed dynamic-uop stream: the first
     run of a ``(program, start, length)`` region records it (fast-forward
@@ -72,15 +70,11 @@ def simulate(program: Program,
     memoizes the merge-point predictor's wrong-path walks per region the
     same way (:meth:`TraceCache.bind_wrong_paths`).
     """
-    if telemetry is None:
-        telemetry = Telemetry(tracer=tracer)
-    elif tracer is not None:
-        telemetry.tracer = tracer
+    telemetry = Telemetry(tracer=tracer)
     timers = telemetry.timers
 
     if predictor is None:
-        predictor = predictor_factory() if predictor_factory \
-            else tage_scl_64kb()
+        predictor = tage_scl_64kb()
     elif isinstance(predictor, str):
         from repro.predictors.registry import make_predictor
         predictor = make_predictor(predictor)

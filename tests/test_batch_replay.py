@@ -2,16 +2,17 @@
 
 The contract (DESIGN.md §6a.4): for any set of predictor-only lanes,
 :func:`repro.sim.predictor_replay.replay_mpki_batch` — and the Session
-grouping built on it — must produce results **bit-identical** to scalar
-:func:`~repro.sim.predictor_replay.replay_mpki` calls of the same cells:
-same MPKI, same per-PC breakdowns, same warmup semantics, same payload
-digests.  The scalar lockstep loop (``_lockstep``) is the reference the
-numpy kernels are pinned against; both are pinned against the scalar
-path here.
+grouping built on it — must produce results **bit-identical** to
+:func:`scalar_replay`, the independent one-predictor predict/update loop
+kept here as the reference: same MPKI, same per-PC breakdowns, same
+warmup semantics, same payload digests.  The lockstep loop
+(``_lockstep``) is the reference the numpy kernels are pinned against;
+both are pinned against the scalar loop here.
 """
 
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -39,8 +40,8 @@ from repro.sim.branch_events import (
     unpack_columns,
 )
 from repro.sim.predictor_replay import (
+    PredictorReplayResult,
     load_branch_columns,
-    replay_mpki,
     replay_mpki_batch,
 )
 from repro.sim.trace_cache import (
@@ -48,6 +49,8 @@ from repro.sim.trace_cache import (
     program_fingerprint,
     read_framed,
 )
+from repro.telemetry import Telemetry
+from repro.uarch.stats import CoreStats
 from repro.workloads import suite
 
 REGION = dict(instructions=1_200, warmup=600)
@@ -117,6 +120,46 @@ def session(**overrides):
         **overrides))
 
 
+def scalar_replay(program, predictor, instructions, warmup=0,
+                  trace_cache=None):
+    """The scalar reference: one predictor driven event by event.
+
+    Mirrors ``CoreModel.run``'s measurement rules — events below the
+    warmup boundary train only, counting starts at the record whose
+    region index equals ``warmup``, and a stream that never crosses the
+    boundary reports the whole run with ``warmup_truncated`` set.
+    """
+    if isinstance(predictor, str):
+        predictor = make_predictor(predictor)
+    columns = load_branch_columns(program, 0, instructions + warmup,
+                                  trace_cache)
+    warmed = warmup > 0 and columns.record_count > warmup
+    boundary = warmup if warmed else 0
+    measured, mispredicted = [], []
+    for index, pc, taken in zip(columns.indices, columns.pcs,
+                                map(bool, columns.takens)):
+        prediction = predictor.observe(pc, taken)
+        if index >= boundary:
+            measured.append((pc, taken))
+            if prediction != taken:
+                mispredicted.append(pc)
+    stats = CoreStats()
+    stats.cond_branches = len(measured)
+    stats.taken_branches = sum(taken for _, taken in measured)
+    stats.mispredicts = stats.baseline_mispredicts = len(mispredicted)
+    stats.branch_counts.update(Counter(pc for pc, _ in measured))
+    stats.branch_mispredicts.update(Counter(mispredicted))
+    stats.instructions = columns.record_count - boundary
+    stats.warmup_truncated = warmup > 0 and not warmed
+    return PredictorReplayResult(program.name, predictor, stats,
+                                 Telemetry(), trace_cache=trace_cache)
+
+
+def columns_of(columns):
+    return (columns.indices, columns.pcs, columns.takens,
+            columns.record_count)
+
+
 class TestReplayLanesDifferential:
     def test_mixed_lanes_match_lockstep(self, backend):
         pcs, takens = synthetic_stream()
@@ -175,8 +218,8 @@ class TestBatchIdentity:
     @pytest.mark.parametrize("name", sorted(PREDICTORS.names()))
     def test_every_registered_predictor(self, name, backend):
         program = suite.load("sjeng_06")
-        scalar = replay_mpki(program, make_predictor(name),
-                             trace_cache=TraceCache(), **REGION)
+        scalar = scalar_replay(program, make_predictor(name),
+                               trace_cache=TraceCache(), **REGION)
         batch, = replay_mpki_batch(program, [name],
                                    trace_cache=TraceCache(), **REGION)
         assert branch_fields(batch.core) == branch_fields(scalar.core)
@@ -186,8 +229,8 @@ class TestBatchIdentity:
     def test_bench_lane_set_matches_scalar(self, backend):
         program = suite.load("mcf_17")
         cache = TraceCache()
-        scalars = [replay_mpki(program, predictor, trace_cache=cache,
-                               **REGION)
+        scalars = [scalar_replay(program, predictor, trace_cache=cache,
+                                 **REGION)
                    for predictor in batch_replay_predictors()]
         batches = replay_mpki_batch(program, batch_replay_predictors(),
                                     trace_cache=cache, **REGION)
@@ -207,8 +250,8 @@ class TestBatchIdentity:
         deduped = {result.to_dict()["stats"]["host"]["batch"]
                    ["lanes_deduped"] for result in results}
         assert deduped == {1}
-        scalar = replay_mpki(program, make_predictor("tage64"),
-                             trace_cache=TraceCache(), **REGION)
+        scalar = scalar_replay(program, make_predictor("tage64"),
+                               trace_cache=TraceCache(), **REGION)
         for result in results:
             assert payload_digest(result.to_dict()) == \
                 payload_digest(scalar.to_dict())
@@ -237,9 +280,9 @@ class TestBatchIdentity:
 
 class TestWarmupBoundary:
     def batch_vs_scalar(self, program, warmup, instructions=10_000):
-        scalar = replay_mpki(program, BimodalPredictor(size_log2=6),
-                             instructions=instructions, warmup=warmup,
-                             trace_cache=TraceCache())
+        scalar = scalar_replay(program, BimodalPredictor(size_log2=6),
+                               instructions=instructions, warmup=warmup,
+                               trace_cache=TraceCache())
         batch, = replay_mpki_batch(program,
                                    [BimodalPredictor(size_log2=6)],
                                    instructions=instructions, warmup=warmup,
@@ -299,11 +342,6 @@ class TestBranchEventsFormat:
         assert loaded.pcs == columns.pcs
         assert loaded.takens == columns.takens
         assert loaded.record_count == columns.record_count
-        assert loaded.events() == columns.events()
-
-    def test_events_view_memoized(self):
-        _, columns = self.build_columns()
-        assert columns.events() is columns.events()
 
     @pytest.mark.parametrize("damage", [
         "magic", "version", "payload", "truncate", "fingerprint", "taken"])
@@ -370,7 +408,7 @@ class TestEventSidecar:
         loaded = load_branch_columns(program, 0, 1_800, trace_cache=reader)
         assert reader.event_disk_hits == 1
         assert reader.disk_hits == 0  # the pickle was never touched
-        assert loaded.events() == first.events()
+        assert columns_of(loaded) == columns_of(first)
 
     def test_columns_memoized_across_lookups(self, tmp_path):
         program = suite.load("sjeng_06")
@@ -380,16 +418,15 @@ class TestEventSidecar:
         first = reader.branch_columns(program, 0, 1_800)
         second = reader.branch_columns(program, 0, 1_800)
         assert first is second  # memoized, not re-read from disk
-        assert first.events() is second.events()
         assert reader.event_disk_hits == 1
 
     def test_entry_branch_events_memoized(self):
         program = suite.load("sjeng_06")
         cache = TraceCache()
-        load_branch_columns(program, 0, 1_800, trace_cache=cache)
+        columns = load_branch_columns(program, 0, 1_800, trace_cache=cache)
         entry = cache.lookup(program, 0, 1_800, count=False)
-        assert entry.branch_columns.events() is \
-            entry.branch_columns.events()
+        assert entry.branch_columns is columns
+        assert cache.branch_columns(program, 0, 1_800) is columns
 
     def test_corrupt_sidecar_falls_back_to_trace_entry(self, tmp_path):
         program = suite.load("sjeng_06")
@@ -399,7 +436,7 @@ class TestEventSidecar:
         sidecar.write_bytes(b"RPBEgarbage")
         reader = TraceCache(disk_dir=str(tmp_path))
         loaded = load_branch_columns(program, 0, 1_800, trace_cache=reader)
-        assert loaded.events() == good.events()
+        assert columns_of(loaded) == columns_of(good)
         assert reader.event_disk_hits == 0
         assert reader.disk_hits == 1  # served by the full .trace entry
 
@@ -413,7 +450,8 @@ class TestSessionBatching:
         batched = session().run_cells(self.CELLS, outputs="mpki")
         assert [(row["benchmark"], row["variant"]) for row in batched] \
             == list(self.CELLS)
-        # a fresh session per cell: no batch group, no shared result cache
+        # a fresh session per cell: a one-lane replay, no shared result
+        # cache
         for row, (benchmark, variant) in zip(batched, self.CELLS):
             scalar = session().run(benchmark, variant, outputs="mpki")
             assert payload_digest(row["payload"]) \

@@ -1,7 +1,7 @@
 """Differential suite: packed predictors vs their reference twins.
 
 Every predictor family runs in lockstep with the preserved reference
-implementation (:mod:`repro.predictors.reference`) over randomized branch
+implementation (``tests/reference_predictors.py``) over randomized branch
 streams that mix biased, random, fixed-trip-loop, and history-correlated
 branches.  Bit-identity is required at two levels:
 
@@ -24,6 +24,13 @@ from repro.predictors import (
     GSharePredictor,
     LoopPredictor,
     PerceptronPredictor,
+    StatisticalCorrector,
+    TageConfig,
+    TagePredictor,
+    TageSCL,
+)
+from repro.predictors.tage_scl import tage_scl_64kb
+from tests.reference_predictors import (
     ReferenceBimodalPredictor,
     ReferenceGSharePredictor,
     ReferenceLoopPredictor,
@@ -31,13 +38,7 @@ from repro.predictors import (
     ReferenceStatisticalCorrector,
     ReferenceTagePredictor,
     ReferenceTageSCL,
-    StatisticalCorrector,
-    TageConfig,
-    TagePredictor,
-    TageSCL,
 )
-from repro.predictors.reference import ReferenceLoopPredictor as _RefLoop
-from repro.predictors.tage_scl import tage_scl_64kb
 
 SEEDS = [11, 4242]
 
@@ -128,7 +129,7 @@ def tage_state(p):
 
 
 def loop_state(p):
-    if isinstance(p, _RefLoop):
+    if isinstance(p, ReferenceLoopPredictor):
         return {
             "tag": [e.tag for e in p.entries],
             "past": [e.past_iter for e in p.entries],

@@ -1,35 +1,32 @@
 """Drift tests for the MPKI-only replay fast path.
 
-The contract pinned here is the one DESIGN.md §6a states: for any
-predictor-only cell, :func:`repro.sim.predictor_replay.replay_mpki` must
-produce branch statistics **bit-identical** to a full-timing
-:func:`repro.sim.simulator.simulate` run of the same cell — same MPKI,
-same per-PC mispredict breakdown, same warmup semantics, including the
-short-stream ``warmup_truncated`` edge.  Any divergence is a bug in the
-fast path, never an acceptable approximation.
+The contract pinned here is the one DESIGN.md §6a.2 states: for any
+predictor-only cell, :func:`repro.sim.predictor_replay.replay_mpki_batch`
+must produce branch statistics **bit-identical** to a full-timing
+:func:`repro.sim.simulator.simulate` run of the same cell, lane by lane —
+same MPKI, same per-PC mispredict breakdown, same warmup semantics,
+including the short-stream ``warmup_truncated`` edge.  A lone cell is a
+one-lane batch; every registered predictor is pinned both ways.  Any
+divergence is a bug in the fast path, never an acceptable approximation.
 """
 
 import pytest
 
 from repro.isa.program import ProgramBuilder
-from repro.predictors.mtage import mtage_sc
-from repro.predictors.tage_scl import tage_scl_64kb, tage_scl_80kb
+from repro.predictors.tage_scl import tage_scl_64kb
 from repro.config import RunConfig
-from repro.predictors.registry import make_predictor
+from repro.predictors.registry import PREDICTORS, make_predictor
 from repro.session import Session
 from repro.sim.predictor_replay import (PredictorReplayResult,
-                                        load_branch_columns, replay_mpki)
+                                        load_branch_columns,
+                                        replay_mpki_batch)
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import simulate
 from repro.sim.trace_cache import TraceCache
 from repro.sim.variants import spec_variant
 from repro.workloads import suite
 
-PREDICTORS = {
-    "tage64": tage_scl_64kb,
-    "tage80": tage_scl_80kb,
-    "mtage": mtage_sc,
-}
+NAMES = sorted(PREDICTORS.names())
 
 
 def halting_countdown(iterations=40):
@@ -60,47 +57,51 @@ def branch_fields(core):
     }
 
 
-def assert_no_drift(benchmark, factory, instructions, warmup):
+def replay_one(program, predictor, **region):
+    """One cell through the replay path: a one-lane batch."""
+    result, = replay_mpki_batch(program, [predictor], **region)
+    return result
+
+
+def assert_no_drift(benchmark, name, instructions, warmup):
     program = suite.load(benchmark)
     full = simulate(program, instructions=instructions, warmup=warmup,
-                    predictor=factory(), trace_cache=TraceCache())
-    fast = replay_mpki(program, factory(), instructions=instructions,
-                       warmup=warmup, trace_cache=TraceCache())
+                    predictor=make_predictor(name), trace_cache=TraceCache())
+    fast = replay_one(program, make_predictor(name),
+                      instructions=instructions, warmup=warmup,
+                      trace_cache=TraceCache())
     assert branch_fields(fast.core) == branch_fields(full.core)
     return full, fast
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("name", sorted(PREDICTORS))
+    @pytest.mark.parametrize("name", NAMES)
     def test_predictor_sweep_matches_full_timing(self, name):
-        assert_no_drift("sjeng_06", PREDICTORS[name],
-                        instructions=1_500, warmup=700)
+        assert_no_drift("sjeng_06", name, instructions=1_500, warmup=700)
 
     @pytest.mark.parametrize("workload", ["mcf_17", "leela_17", "bfs"])
     def test_across_benchmarks(self, workload):
-        assert_no_drift(workload, tage_scl_64kb,
-                        instructions=1_200, warmup=600)
+        assert_no_drift(workload, "tage64", instructions=1_200, warmup=600)
 
     @pytest.mark.parametrize("start", [2_500, 10_000])
     @pytest.mark.parametrize("workload", ["sjeng_06", "mcf_17", "bfs"])
     def test_mid_stream_start_matches_full_timing(self, workload, start):
         # a region that starts mid-stream (perfbench's predictor sweep
-        # replays starts of 10k-40k) must still replay bit-identically
+        # replays starts of 10k-40k) must still replay bit-identically,
+        # every registered predictor as one lane of one batch
         program = suite.load(workload)
-        for name in ("tage64", "bimodal", "perceptron"):
-            full = simulate(program, instructions=3_000, warmup=1_500,
-                            start_instruction=start,
-                            predictor=make_predictor(name),
-                            trace_cache=TraceCache())
-            fast = replay_mpki(program, make_predictor(name),
-                               instructions=3_000, warmup=1_500,
-                               start_instruction=start,
-                               trace_cache=TraceCache())
+        region = dict(instructions=3_000, warmup=1_500,
+                      start_instruction=start)
+        lanes = replay_mpki_batch(program, NAMES, trace_cache=TraceCache(),
+                                  **region)
+        for name, fast in zip(NAMES, lanes):
+            full = simulate(program, predictor=make_predictor(name),
+                            trace_cache=TraceCache(), **region)
             assert branch_fields(fast.core) == branch_fields(full.core), \
                 name
 
     def test_zero_warmup(self):
-        full, fast = assert_no_drift("sjeng_06", tage_scl_64kb,
+        full, fast = assert_no_drift("sjeng_06", "tage64",
                                      instructions=1_000, warmup=0)
         assert not fast.core.warmup_truncated
 
@@ -110,19 +111,24 @@ class TestBitIdentity:
         program = halting_countdown()
         full = simulate(program, instructions=100, warmup=5_000,
                         predictor=tage_scl_64kb(), trace_cache=TraceCache())
-        fast = replay_mpki(program, tage_scl_64kb(), instructions=100,
-                           warmup=5_000, trace_cache=TraceCache())
+        fast = replay_one(program, tage_scl_64kb(), instructions=100,
+                          warmup=5_000, trace_cache=TraceCache())
         assert branch_fields(fast.core) == branch_fields(full.core)
         assert fast.core.warmup_truncated
         assert fast.core.instructions > 0
 
     def test_without_trace_cache(self):
         program = suite.load("sjeng_06")
-        cached = replay_mpki(program, tage_scl_64kb(), instructions=1_000,
-                             warmup=500, trace_cache=TraceCache())
-        direct = replay_mpki(program, tage_scl_64kb(), instructions=1_000,
-                             warmup=500, trace_cache=None)
+        cached = replay_one(program, tage_scl_64kb(), instructions=1_000,
+                            warmup=500, trace_cache=TraceCache())
+        direct = replay_one(program, tage_scl_64kb(), instructions=1_000,
+                            warmup=500, trace_cache=None)
         assert branch_fields(direct.core) == branch_fields(cached.core)
+
+
+def columns_of(columns):
+    return (columns.indices, columns.pcs, columns.takens,
+            columns.record_count)
 
 
 class TestBranchEvents:
@@ -131,26 +137,23 @@ class TestBranchEvents:
         direct = load_branch_columns(program, 0, 1_000, trace_cache=None)
         cached = load_branch_columns(program, 0, 1_000,
                                      trace_cache=TraceCache())
-        assert direct.events() == cached.events()
-        assert direct.record_count == cached.record_count
+        assert columns_of(direct) == columns_of(cached)
 
     def test_events_memoized_on_entry(self):
         program = suite.load("mcf_17")
         cache = TraceCache()
-        events = load_branch_columns(program, 0, 1_000,
-                                     trace_cache=cache).events()
+        columns = load_branch_columns(program, 0, 1_000, trace_cache=cache)
         entry = cache.lookup(program, 0, 1_000, count=False)
-        assert entry.branch_columns.events() is events
-        again = load_branch_columns(program, 0, 1_000,
-                                    trace_cache=cache).events()
-        assert again is events  # second sweep pays no re-extraction
+        assert entry.branch_columns is columns
+        again = load_branch_columns(program, 0, 1_000, trace_cache=cache)
+        assert again is columns  # second sweep pays no re-extraction
 
 
 class TestReplayResult:
     def run_one(self):
-        return replay_mpki(suite.load("sjeng_06"), tage_scl_64kb(),
-                           instructions=1_000, warmup=500,
-                           trace_cache=TraceCache())
+        return replay_one(suite.load("sjeng_06"), tage_scl_64kb(),
+                          instructions=1_000, warmup=500,
+                          trace_cache=TraceCache())
 
     def test_payload_shape(self):
         payload = self.run_one().to_dict()

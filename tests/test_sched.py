@@ -63,6 +63,18 @@ class TestBuildUnits:
         assert build_units(["a", "a", "b", "b"], [1, 2, 3], 2) == \
             [[1], [2, 3]]
 
+    def test_fused_cells_stay_in_one_unit(self):
+        # a benchmark's mpki-mode cells replay as one batch: splitting
+        # them would record the region once per worker
+        assert build_units(["a"] * 4, range(4), 2, {0, 1, 2, 3}) == \
+            [[0, 1, 2, 3]]
+        # an all-full-timing benchmark still splits
+        assert build_units(["a"] * 4, range(4), 2) == [[0, 1], [2, 3]]
+        # full-timing cells split around the fused piece, which counts
+        # as one piece and lands whole
+        assert build_units(["a"] * 6, range(6), 2, {1, 3}) == \
+            [[0, 1, 2, 3], [4, 5]]
+
 
 class TestSchedulerJournal:
     def test_units_built_event_records_structure(self, tmp_path):
@@ -104,6 +116,25 @@ class TestSchedulerJournal:
         reference = session().run_cells(CELLS)
         assert [payload_digest(row["payload"]) for row in rows] == \
             [payload_digest(row["payload"]) for row in reference]
+
+
+    def test_one_benchmark_mpki_sweep_is_one_inline_unit(self, tmp_path):
+        cells = [("sjeng_06", predictor)
+                 for predictor in ("tage64", "gshare", "bimodal",
+                                   "perceptron")]
+        path = str(tmp_path / "sweep.jsonl")
+        sess = session(jobs=2)
+        rows = sess.run_cells(cells, outputs="mpki", jobs=2, journal=path)
+        events = read_journal(path)["events"]
+        (built,) = [e for e in events if e["event"] == "units_built"]
+        assert (built["units"], built["executor"]) == (1, "inline")
+        assert sess.last_sweep["executor"] == "inline"
+        assert len([e for e in events
+                    if e["event"] == "worker_started"]) == 1
+        assert [row["cell"]["batch_size"] for row in rows] == [4] * 4
+        serial = session().run_cells(cells, outputs="mpki", jobs=1)
+        assert [payload_digest(row["payload"]) for row in rows] == \
+            [payload_digest(row["payload"]) for row in serial]
 
 
 class TestStoreResume:
@@ -339,6 +370,17 @@ class TestSweepCliExitCodes:
         _truncate_journal(path)
         assert cli_main(["sweep", "resume", path]) == 2
         assert "no result store" in capsys.readouterr().err
+
+    def test_resume_rejects_out_of_range_jobs(self, tmp_path, capsys):
+        # a usage error, as for compare: nothing runs, no resume journal
+        path = str(tmp_path / "sweep.jsonl")
+        session(result_store_dir=str(tmp_path / "store")).run_cells(
+            CELLS[:2], journal=path)
+        _truncate_journal(path)
+        assert cli_main(["sweep", "resume", path, "--jobs", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "repro: error: jobs must be >= 1, got 0\n"
+        assert not os.path.exists(f"{path}.resume")
 
     def test_resume_rejects_non_journal(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.jsonl"

@@ -3,10 +3,9 @@
 The contract (DESIGN.md §6a.5): for pristine TAGE / TAGE-SC-L lanes,
 :func:`repro.predictors.batched.replay_lanes` with the columnar kernel
 engaged must return mispredicted-PC sequences **bit-identical** to the
-reference per-object predictor spellings
-(:class:`~repro.predictors.reference.ReferenceTagePredictor`,
-:class:`~repro.predictors.reference.ReferenceTageSCL`) driven one event
-at a time.  The scenarios below deliberately provoke the corners where a
+reference per-object predictor spellings (``ReferenceTagePredictor``,
+``ReferenceTageSCL`` in ``tests/reference_predictors.py``) driven one
+event at a time.  The scenarios below deliberately provoke the corners where a
 vectorized reimplementation drifts first:
 
 * graceful useful-reset boundaries (tiny ``useful_reset_period`` so the
@@ -31,15 +30,15 @@ import pytest
 from repro.predictors import batched, tage_batch
 from repro.predictors.batched import _lockstep, replay_lanes
 from repro.predictors.loop_predictor import LoopPredictor
-from repro.predictors.reference import (
+from repro.predictors.statistical_corrector import StatisticalCorrector
+from repro.predictors.tage import TageConfig, TagePredictor
+from repro.predictors.tage_scl import TageSCL
+from tests.reference_predictors import (
     ReferenceLoopPredictor,
     ReferenceStatisticalCorrector,
     ReferenceTagePredictor,
     ReferenceTageSCL,
 )
-from repro.predictors.statistical_corrector import StatisticalCorrector
-from repro.predictors.tage import TageConfig, TagePredictor
-from repro.predictors.tage_scl import TageSCL
 
 SEEDS = [0, 1042]
 
