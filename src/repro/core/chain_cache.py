@@ -82,17 +82,22 @@ class ChainCache:
             self.misses += 1
             return []
         outcome_bit = 1 if outcome else 0
-        found = [(key, chain) for key, chain in bucket.items()
-                 if key[1][1] == outcome_bit or key[1][1] == WILDCARD]
+        keys = []
+        found = []
+        for key, chain in bucket.items():
+            tag_bit = key[1][1]
+            if tag_bit == outcome_bit or tag_bit == WILDCARD:
+                keys.append(key)
+                found.append(chain)
         if not found:
             self.misses += 1
-            return []
+            return found
         chains = self._chains
-        for key, _ in found:
+        for key in keys:
             bucket.move_to_end(key)  # LRU refresh
             chains.move_to_end(key)
         self.hits += 1
-        return [chain for _, chain in found]
+        return found
 
     def tagged_length(self, trigger_pc: int, outcome_bit: int) -> int:
         """Total length of the chains tagged exactly ``<trigger_pc,

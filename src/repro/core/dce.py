@@ -250,7 +250,9 @@ class DependenceChainEngine:
                 # periodically retries (energy control, see Figure 14)
                 stats.suppressed_instances += 1
                 continue
-            ahead_cap = min(queue.capacity, runahead_limit)
+            ahead_cap = queue.capacity
+            if runahead_limit < ahead_cap:
+                ahead_cap = runahead_limit
             slot = (-1 if queue.push_ptr - queue.retire_ptr >= ahead_cap
                     else queue.allocate())
             if slot < 0:
@@ -291,8 +293,7 @@ class DependenceChainEngine:
             elif mode == INDEPENDENT_EARLY:
                 all_early, wildcards_early = False, True
             else:  # PREDICTIVE
-                predicted = self.init_predictor.predict(branch_pc)
-                self.init_predictor.update(branch_pc, outcome)
+                predicted = self.init_predictor.observe(branch_pc, outcome)
                 all_early, wildcards_early = predicted == outcome, True
                 if not all_early:
                     # the wrong-direction exact-tag chains were issued,

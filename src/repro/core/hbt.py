@@ -63,16 +63,25 @@ class HardBranchTable:
         if taken:
             entry.taken_count += 1
         if mispredicted and entry.misp_counter < cfg.misp_counter_max:
-            entry.misp_counter = min(cfg.misp_counter_max,
-                                     entry.misp_counter + 1)
+            entry.misp_counter += 1
         # bias tracking (7-bit counter per the paper, kept for structure)
-        if taken == entry.bias_direction:
-            entry.bias_counter = min(cfg.bias_counter_max,
-                                     entry.bias_counter + 1)
-        if entry.occurrences % cfg.bias_decay_period == 0:
+        if taken == entry.bias_direction \
+                and entry.bias_counter < cfg.bias_counter_max:
+            entry.bias_counter += 1
+        occurrences = entry.occurrences
+        if occurrences % cfg.bias_decay_period == 0:
             entry.bias_counter = max(0, entry.bias_counter
                                      - cfg.bias_decay_amount)
-        if self.is_unsuitable_trigger(pc):
+        # is_unsuitable_trigger(pc), on the entry in hand
+        if occurrences >= 64 and entry.misp_counter == 0:
+            unsuitable = True
+        elif occurrences >= 32:
+            taken_count = entry.taken_count
+            majority = max(taken_count, occurrences - taken_count)
+            unsuitable = majority >= cfg.bias_ratio * occurrences
+        else:
+            unsuitable = False
+        if unsuitable:
             self._refresh_bias_filtering(entry)
         # periodic global decay of misprediction counters
         self._retired_branches += 1

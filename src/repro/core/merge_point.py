@@ -120,6 +120,9 @@ class MergePointPredictor:
         self.config = config or BranchRunaheadConfig()
         self.wpb = WrongPathBuffer(self.config.wpb_entries,
                                    self.config.wpb_ways)
+        #: Whether a merge search is open (a plain attribute: the retire
+        #: hook reads it on every watched retirement).
+        self.active = False
         # active search state
         self._branch_pc = -1
         self._branch_uop: Optional[Uop] = None
@@ -135,10 +138,6 @@ class MergePointPredictor:
         self.searches = 0
         self.merges_found = 0
         self.searches_failed = 0
-
-    @property
-    def active(self) -> bool:
-        return self._branch_pc >= 0
 
     # -- training -------------------------------------------------------------
 
@@ -201,6 +200,7 @@ class MergePointPredictor:
                 if copied == limit:
                     break
         wpb.valid = copied > 0
+        self.active = True
         self._branch_pc = record.pc
         self._branch_uop = record.uop
         self._trigger_seq = record.seq
@@ -257,6 +257,7 @@ class MergePointPredictor:
         self._deactivate()
 
     def _deactivate(self) -> None:
+        self.active = False
         self._branch_pc = -1
         self._branch_uop = None
         self.wpb.invalidate()

@@ -77,7 +77,7 @@ class PredictionQueue:
 
     def allocate(self) -> int:
         """Allocate the next slot at chain initiation; -1 if full."""
-        if self.occupancy() >= self.capacity:
+        if self.push_ptr - self.retire_ptr >= self.capacity:
             return -1
         slot = self.push_ptr
         self._entries[slot] = PredictionEntry()
@@ -106,7 +106,7 @@ class PredictionQueue:
         self.fetch_ptr += 1
         self.total_consumed += 1
         category = READY
-        if not entry.filled or entry.available_cycle > cycle:
+        if entry.value is None or entry.available_cycle > cycle:
             category = LATE
         if self._tracing:
             self.tracer.emit("pq_pop", "pq", cycle, pc=self.branch_pc,
@@ -191,8 +191,9 @@ class PredictionQueueFile:
         (no outstanding entries) is reassigned; with every queue busy the
         branch goes uncovered, matching the fixed 16-queue budget.
         """
-        queue = self.get(branch_pc)
+        queue = self._queues.get(branch_pc)
         if queue is not None:
+            self._queues.move_to_end(branch_pc)
             return queue
         if len(self._queues) < self.num_queues:
             queue = PredictionQueue(self.entries_per_queue, branch_pc,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict, deque
-from itertools import islice
+from itertools import chain as iter_chain, islice
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.ceb import ChainExtractionBuffer
@@ -54,19 +54,6 @@ from repro.predictors.counters import Lfsr
 from repro.telemetry import NULL_TRACER
 from repro.uarch.core import RunaheadHooks
 from repro.uarch.resources import FuTracker
-
-
-class _PendingValidation:
-    """Fetch-time context carried to the branch's resolution."""
-
-    __slots__ = ("category", "value", "tage_pred", "used")
-
-    def __init__(self, category: str, value: Optional[bool],
-                 tage_pred: bool, used: bool):
-        self.category = category
-        self.value = value
-        self.tage_pred = tage_pred
-        self.used = used
 
 
 class RunaheadStats:
@@ -161,8 +148,12 @@ class BranchRunahead(RunaheadHooks):
             OracleMergeTracker() if track_merge_oracle else None)
         self.stats = RunaheadStats()
         self._poison: Optional[PoisonPass] = None
-        self._pending: Dict[int, Deque[_PendingValidation]] = \
-            defaultdict(deque)
+        #: Per branch pc, the fetch-time context each queue-consuming fetch
+        #: carries to its resolution: ``(value, tage_pred, used)``, where
+        #: ``value`` is the queue's prediction (None when the queue was
+        #: inactive) and ``used`` whether it overrode the baseline.
+        self._pending: Dict[int, Deque[Tuple[Optional[bool], bool, bool]]] \
+            = defaultdict(deque)
         self._lfsr = Lfsr(seed=0x1234)
         #: chains not yet usable: (ready_cycle, chain) installed with latency
         self._install_delay: List[Tuple[int, object]] = []
@@ -176,9 +167,13 @@ class BranchRunahead(RunaheadHooks):
         self.wrong_path_memo_hits = 0
         self.wrong_path_memo_misses = 0
         self._pc_typecode = pc_typecode(program)
-        #: Whether a retirement may matter beyond the CEB: a merge search,
-        #: poison pass or oracle search is open.
-        self._watching = False
+        #: The idle-retire contract (see RunaheadHooks): ``watching`` is
+        #: whether a retirement may matter beyond the CEB — a merge search,
+        #: poison pass or oracle search is open — and, while it is not, a
+        #: retiring uop that is not a conditional branch only enters the
+        #: CEB, so the core appends it there without calling on_retire.
+        self.watching = False
+        self.idle_retire = self.ceb.on_retire
 
     # -- RunaheadHooks: fetch ------------------------------------------------
 
@@ -190,22 +185,18 @@ class BranchRunahead(RunaheadHooks):
         category, value = queue.consume(fetch_cycle)
         if category == INACTIVE:
             self.stats.pred_inactive += 1
-            self._pending[pc].append(
-                _PendingValidation("inactive", None, tage_pred, False))
+            self._pending[pc].append((None, tage_pred, False))
             return tage_pred, "tage"
         if category == LATE:
             self.stats.pred_late += 1
-            self._pending[pc].append(
-                _PendingValidation("late", value, tage_pred, False))
+            self._pending[pc].append((value, tage_pred, False))
             return tage_pred, "tage"
         # READY
-        if queue.throttled:
+        if queue.throttle < 0:
             self.stats.pred_throttled += 1
-            self._pending[pc].append(
-                _PendingValidation("throttled", value, tage_pred, False))
+            self._pending[pc].append((value, tage_pred, False))
             return tage_pred, "tage"
-        self._pending[pc].append(
-            _PendingValidation("used", value, tage_pred, True))
+        self._pending[pc].append((value, tage_pred, True))
         if self._tracing:
             self.tracer.emit("pq_override", "pq", fetch_cycle, pc=pc,
                              value=bool(value), tage=tage_pred)
@@ -223,17 +214,17 @@ class BranchRunahead(RunaheadHooks):
 
         pending_queue = self._pending.get(pc)
         if pending_queue:
-            pending = pending_queue.popleft()
-            if pending.value is not None:
-                dce_correct = pending.value == actual
-                tage_correct = pending.tage_pred == actual
+            value, tage_pred, used = pending_queue.popleft()
+            if value is not None:
+                dce_correct = value == actual
+                tage_correct = tage_pred == actual
                 self.stats.value_checks[pc] += 1
                 if dce_correct:
                     self.stats.value_correct[pc] += 1
                 queue = self.queues.get(pc)
                 if queue is not None:
                     queue.update_throttle(dce_correct, tage_correct)
-                if pending.used:
+                if used:
                     if dce_correct:
                         self.stats.pred_correct += 1
                     else:
@@ -248,7 +239,7 @@ class BranchRunahead(RunaheadHooks):
             self._release_installed(resolve_cycle)
             if self.config.enable_affector_guard:
                 self._train_merge_point(record, regs, wrong_path_budget)
-                self._watching = True
+                self.watching = True
                 if self.oracle is not None:
                     long_shadow = wrong_path_walk(
                         self.program, regs, self.memory, pc, not actual,
@@ -284,12 +275,21 @@ class BranchRunahead(RunaheadHooks):
                        wrong_taken: bool) -> Iterator[Uop]:
         """The wrong path's static uops: the recorded prefix, then — only
         if the consumer pulls past an unfinished prefix — a fresh walk that
-        re-executes the prefix and records every uop pulled after it."""
-        uops = self.program.uops
-        pcs = prefix.pcs
-        yield from map(uops.__getitem__, pcs)
+        re-executes the prefix and records every uop pulled after it.
+
+        The prefix is a C-level ``map`` over its PCs, so a fill that stays
+        within it runs no generator frame per uop."""
+        recorded = map(self.program.uops.__getitem__, prefix.pcs)
         if prefix.ended:
-            return
+            return recorded
+        return iter_chain(recorded, self._walk_past(prefix, regs,
+                                                    branch_pc, wrong_taken))
+
+    def _walk_past(self, prefix: WalkPrefix, regs, branch_pc: int,
+                   wrong_taken: bool) -> Iterator[Uop]:
+        """Re-execute the walk through the recorded prefix, then yield and
+        record each uop pulled beyond it."""
+        pcs = prefix.pcs
         steps = wrong_path_steps(self.program, regs, self.memory, branch_pc,
                                  wrong_taken)
         if pcs:
@@ -332,32 +332,31 @@ class BranchRunahead(RunaheadHooks):
 
     def on_retire(self, record: DynamicUop, retire_cycle: int,
                   mispredicted: bool, regs) -> None:
-        op = record.uop
-        if not (self._watching or op.is_cond_branch):
-            self.ceb.on_retire(record)  # nothing else sees this retirement
+        if not record.uop.is_cond_branch:
+            if self.watching:
+                self._watch_retirement(record)
+            self.idle_retire(record)
             return
         pc = record.pc
-
-        if op.is_cond_branch:
-            queue = self.queues.get(pc)
-            if queue is not None:
-                queue.retire_one()
-                self.dce.on_queue_slot_freed(pc, retire_cycle)
-            self.hbt.on_branch_retired(pc, record.taken, mispredicted)
-
-        if self._watching:
+        queue = self.queues.get(pc)
+        if queue is not None:
+            queue.retire_one()
+            self.dce.on_queue_slot_freed(pc, retire_cycle)
+        hbt = self.hbt
+        hbt.on_branch_retired(pc, record.taken, mispredicted)
+        if self.watching:
             self._watch_retirement(record)
-
-        self.ceb.on_retire(record)
+        self.idle_retire(record)
 
         # chain extraction trigger (§4.3)
-        if op.is_cond_branch and self.hbt.contains(pc):
-            saturated = self.hbt.is_hard(pc)
+        entry = hbt.entries.get(pc)
+        if entry is not None:
+            config = self.config
+            saturated = entry.misp_counter >= config.misp_counter_max
             lucky = (self._lfsr.bits(7) <
-                     int(self.config.random_extract_chance * 128))
-            if saturated or (lucky and self.hbt.entries[pc].misp_counter > 0):
-                needs_chain = not self.chain_cache.covers(pc)
-                if needs_chain or self.hbt.agc(pc):
+                     int(config.random_extract_chance * 128))
+            if saturated or (lucky and entry.misp_counter > 0):
+                if not self.chain_cache.covers(pc) or entry.agc:
                     self._extract(pc, retire_cycle)
 
     def _watch_retirement(self, record: DynamicUop) -> None:
@@ -380,9 +379,9 @@ class BranchRunahead(RunaheadHooks):
                     self.hbt.add_affector_guard(affectee_pc,
                                                 self._poison.affector_pc)
                 self._poison = None
-        self._watching = (self.merge_predictor.active
-                          or self._poison is not None
-                          or (self.oracle is not None and self.oracle.active))
+        self.watching = (self.merge_predictor.active
+                         or self._poison is not None
+                         or (self.oracle is not None and self.oracle.active))
 
     def _extract(self, branch_pc: int, retire_cycle: int) -> None:
         chain, latency = self.ceb.extract(branch_pc)

@@ -93,32 +93,28 @@ class MemoryHierarchy:
         else:
             self.core_accesses += 1
 
-        mshrs = self.dce_mshrs if from_dce else self.mshrs
-        if self.l1d.access(line, is_write):
-            # the tag may be present while the fill is still in flight
-            # (MshrFile.lookup inlined — two calls per L1D hit otherwise)
-            core_mshrs = self.mshrs
-            pending = core_mshrs._outstanding.get(line, -1)
-            if pending > cycle:
-                core_mshrs.merges += 1
-                return pending
+        hit = self.l1d.access(line, is_write)
+        if not hit and self._tracing:
+            self.tracer.emit("cache_miss", "memsys", cycle, level="L1D",
+                             line=line, from_dce=from_dce, write=is_write)
+        # a hit's tag may be present while its fill is still in flight, and
+        # a miss merges with an outstanding fill in either file
+        # (MshrFile.lookup inlined: two calls per access otherwise)
+        core_mshrs = self.mshrs
+        pending = core_mshrs._outstanding.get(line, -1)
+        if pending > cycle:
+            core_mshrs.merges += 1
+        else:
             dce_mshrs = self.dce_mshrs
             pending = dce_mshrs._outstanding.get(line, -1)
             if pending > cycle:
                 dce_mshrs.merges += 1
-                return pending
+        if pending > cycle:
+            if not hit:
+                self.l1d.fill(line, is_write)
+            return pending
+        if hit:
             return cycle + cfg.l1_latency
-
-        # L1 miss: merge with an outstanding fill if possible (either file)
-        if self._tracing:
-            self.tracer.emit("cache_miss", "memsys", cycle, level="L1D",
-                             line=line, from_dce=from_dce, write=is_write)
-        merged_ready = self.mshrs.lookup(line, cycle)
-        if merged_ready < 0:
-            merged_ready = self.dce_mshrs.lookup(line, cycle)
-        if merged_ready >= 0:
-            self.l1d.fill(line, is_write)
-            return merged_ready
 
         l2_start = cycle + cfg.l1_latency
         if self.l2.access(line, is_write=False):
@@ -130,6 +126,7 @@ class MemoryHierarchy:
             self._train_prefetcher(line)
             ready = self.dram.access(line, l2_start + cfg.l2_latency)
             self.l2.fill(line)
+        mshrs = self.dce_mshrs if from_dce else core_mshrs
         ready = mshrs.allocate(line, cycle, ready)
         self.l1d.fill(line, is_write)
         return ready

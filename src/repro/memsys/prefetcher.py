@@ -7,21 +7,31 @@ last-level cache.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 
 class _Stream:
-    __slots__ = ("last_line", "direction", "confidence", "lru")
+    __slots__ = ("last_line", "direction", "confidence", "slot")
 
-    def __init__(self, line: int, lru: int):
+    def __init__(self, line: int, slot: int):
         self.last_line = line
         self.direction = 0
         self.confidence = 0
-        self.lru = lru
+        #: Position in allocation order: the first stream in this order
+        #: whose last line is within the window takes an access.
+        self.slot = slot
 
 
 class StreamPrefetcher:
-    """Classic multi-stream next-line-run detector."""
+    """Classic multi-stream next-line-run detector.
+
+    An access goes to the first stream, in allocation order, whose last
+    line lies within ``window`` lines of it; with none, it allocates a
+    stream, replacing the least recently touched one when all are in use.
+    Both searches are indexed: streams are found by their last line over
+    the ``2 * window + 1`` candidate lines, and the victim is the head of
+    an LRU order, so no access scans the streams.
+    """
 
     TRAIN_THRESHOLD = 2
 
@@ -32,43 +42,71 @@ class StreamPrefetcher:
         self.degree = degree
         self.window = window  # how close a miss must be to extend a stream
         self._streams: List[_Stream] = []
-        self._clock = 0
+        #: last line -> the streams that end there
+        self._by_line: Dict[int, List[_Stream]] = {}
+        #: streams from least to most recently touched (values unused)
+        self._lru: Dict[_Stream, None] = {}
         self.issued = 0
 
     def train(self, line: int) -> List[int]:
         """Observe a demand access; return lines to prefetch (maybe empty)."""
-        self._clock += 1
-        for stream in self._streams:
-            delta = line - stream.last_line
-            if delta == 0:
-                stream.lru = self._clock
-                return []
-            if 0 < abs(delta) <= self.window:
-                direction = 1 if delta > 0 else -1
-                if direction == stream.direction:
-                    stream.confidence = min(stream.confidence + 1, 7)
-                else:
-                    stream.direction = direction
-                    stream.confidence = 1
-                stream.last_line = line
-                stream.lru = self._clock
-                if stream.confidence >= self.TRAIN_THRESHOLD:
-                    prefetches = [
-                        line + direction * (self.distance + i)
-                        for i in range(self.degree)
-                    ]
-                    self.issued += len(prefetches)
-                    return prefetches
-                return []
-        self._allocate(line)
+        by_line = self._by_line
+        found = None
+        for candidate in range(line - self.window, line + self.window + 1):
+            streams = by_line.get(candidate)
+            if streams is not None:
+                for stream in streams:
+                    if found is None or stream.slot < found.slot:
+                        found = stream
+        if found is None:
+            self._allocate(line)
+            return []
+        lru = self._lru
+        del lru[found]
+        lru[found] = None
+        delta = line - found.last_line
+        if delta == 0:
+            return []
+        direction = 1 if delta > 0 else -1
+        if direction == found.direction:
+            if found.confidence < 7:
+                found.confidence += 1
+        else:
+            found.direction = direction
+            found.confidence = 1
+        self._move(found, line)
+        if found.confidence >= self.TRAIN_THRESHOLD:
+            prefetches = [line + direction * (self.distance + i)
+                          for i in range(self.degree)]
+            self.issued += len(prefetches)
+            return prefetches
         return []
 
+    def _move(self, stream: _Stream, line: int) -> None:
+        """Re-key ``stream`` from its last line to ``line``."""
+        by_line = self._by_line
+        streams = by_line[stream.last_line]
+        if len(streams) == 1:
+            del by_line[stream.last_line]
+        else:
+            streams.remove(stream)
+        stream.last_line = line
+        streams = by_line.get(line)
+        if streams is None:
+            by_line[line] = [stream]
+        else:
+            streams.append(stream)
+
     def _allocate(self, line: int) -> None:
+        lru = self._lru
         if len(self._streams) < self.num_streams:
-            self._streams.append(_Stream(line, self._clock))
-            return
-        victim = min(self._streams, key=lambda s: s.lru)
-        victim.last_line = line
-        victim.direction = 0
-        victim.confidence = 0
-        victim.lru = self._clock
+            stream = _Stream(line, len(self._streams))
+            self._streams.append(stream)
+            self._by_line.setdefault(line, []).append(stream)
+        else:
+            stream = next(iter(lru))
+            del lru[stream]
+            self._move(stream, line)
+            stream.direction = 0
+            stream.confidence = 0
+        lru[stream] = None

@@ -101,8 +101,9 @@ def exclusive_phases(phase_seconds: Optional[dict]) -> Dict[str, float]:
 
     Names drop the gauges' ``_seconds`` suffix.  ``timing`` contains the
     :data:`NESTED_IN_TIMING` phases, so it is listed as ``timing_self``:
-    the timing phase without them (the core model, memory hierarchy and
-    Branch Runahead hooks).  The split sums to at most the journaled
+    the timing phase without them (the core model, memory hierarchy,
+    Branch Runahead hooks and, in a cell that replayed its region from
+    the trace cache, the replay, which books no ``emulation``).  The split sums to at most the journaled
     phases' total.
     """
     phases = {name.removesuffix("_seconds"): seconds

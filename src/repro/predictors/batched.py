@@ -173,6 +173,14 @@ def replay_lanes(predictors: Sequence[BranchPredictor],
     """
     if len(pcs) == 0:
         return _lockstep(predictors, pcs, takens, split)
+    if len(predictors) == 1 \
+            and type(predictors[0]) not in (BimodalPredictor,
+                                            GSharePredictor) \
+            and tage_min_lanes(min_lanes) > 1:
+        # a lone lane no counter scan takes would reach lockstep through
+        # _numpy_lanes anyway (a perceptron or TAGE lane alone is below
+        # its kernel's cutover): skip the numpy set-up
+        return _lockstep(predictors, pcs, takens, split)
     return _numpy_lanes(np, predictors, pcs, takens, split,
                         tage_min_lanes(min_lanes))
 

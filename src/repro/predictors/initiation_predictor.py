@@ -32,5 +32,16 @@ class InitiationPredictor(BranchPredictor):
         elif value > 0:
             self._counters[pc] = value - 1
 
+    def observe(self, pc: int, taken: bool) -> bool:
+        """``predict`` then ``update`` in one call (the DCE's per-instance
+        path)."""
+        value = self._counters.get(pc, 4)
+        if taken:
+            if value < 7:
+                self._counters[pc] = value + 1
+        elif value > 0:
+            self._counters[pc] = value - 1
+        return value >= 4
+
     def storage_bits(self) -> int:
         return len(self._counters) * 3

@@ -118,16 +118,19 @@ def simulate(program: Program,
         with timers.phase("fast_forward"):
             machine.fast_forward(start_instruction)
 
-    stream_source = machine.stream(total)
-    if trace_cache is not None and not replaying:
-        # snapshot happens here, after the fast-forward: the recorded
-        # region replays from its entry state
-        stream_source = trace_cache.record(machine, start_instruction,
-                                           total, stream_source)
-    # with no runahead attached nothing reads machine state mid-stream, so
-    # the emulation timer may drive the producer in C-level chunks
-    stream = timers.wrap_iter("emulation", stream_source,
-                              buffer=0 if runahead is not None else 64)
+    stream = machine.stream(total)
+    if not replaying:
+        if trace_cache is not None:
+            # snapshot happens here, after the fast-forward: the recorded
+            # region replays from its entry state
+            stream = trace_cache.record(machine, start_instruction, total,
+                                        stream)
+        # with no runahead attached nothing reads machine state
+        # mid-stream, so the emulation timer may drive the producer in
+        # C-level chunks.  A replay books no emulation phase: walking the
+        # recorded records is part of the timing phase.
+        stream = timers.wrap_iter("emulation", stream,
+                                  buffer=0 if runahead is not None else 64)
     with timers.phase("timing"):
         core_stats = core.run(stream, warmup=warmup,
                               initial_regs=machine.regs if start_instruction
@@ -137,7 +140,8 @@ def simulate(program: Program,
     if finish_walks is not None:
         finish_walks()
     # the DCE self-times its cascades; surface it as a first-class phase
-    # (a subset of "timing", which also contains "emulation")
+    # (a subset of "timing", which also contains "emulation" when the
+    # region was emulated rather than replayed)
     if runahead is not None:
         timers.add("dce", runahead.dce.host_seconds)
 

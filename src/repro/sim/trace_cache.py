@@ -65,10 +65,12 @@ import hashlib
 import os
 import pickle
 from collections import OrderedDict
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.emulator.machine import Machine
-from repro.emulator.memory import Memory
+from repro.emulator.memory import Memory, wrap64
 from repro.emulator.shadow import WalkPrefix
 from repro.emulator.trace import DynamicUop
 from repro.isa import uop as U
@@ -156,10 +158,34 @@ def program_fingerprint(program: Program) -> str:
         digest.update(repr((op.opcode, op.dst, op.srcs, op.imm, op.base,
                             op.index, op.scale, op.disp, op.cond,
                             op.target)).encode())
-    digest.update(repr(sorted(program.initial_memory.items())).encode())
+    _hash_memory(digest, program.initial_memory)
     fingerprint = digest.hexdigest()
     program._content_fingerprint = fingerprint
     return fingerprint
+
+
+def _hash_memory(digest, memory: Dict[int, int]) -> None:
+    """Feed a memory image to ``digest`` in address order.
+
+    The addresses and the values go in as two little-endian int64
+    arrays, the values as the machine holds them (``wrap64``).  An
+    address outside int64 makes the image hash as the ``repr`` of its
+    sorted items instead.
+    """
+    count = len(memory)
+    try:
+        addresses = np.fromiter(memory, dtype=np.int64, count=count)
+    except OverflowError:
+        digest.update(repr(sorted(memory.items())).encode())
+        return
+    try:
+        values = np.fromiter(memory.values(), dtype=np.int64, count=count)
+    except OverflowError:
+        values = np.fromiter(map(wrap64, memory.values()), dtype=np.int64,
+                             count=count)
+    order = np.argsort(addresses, kind="stable")
+    digest.update(addresses[order].astype("<i8").tobytes())
+    digest.update(values[order].astype("<i8").tobytes())
 
 
 class TraceEntry:
@@ -402,16 +428,18 @@ class TraceCache:
 
     def bind_baseline(self, program: Program, start: int, total: int,
                       predictor: BranchPredictor
-                      ) -> Tuple[Callable[[int, bool], bool],
+                      ) -> Tuple[Union[bytes, Callable[[int, bool], bool]],
                                  Optional[Callable[[], None]]]:
         """Bind the baseline predictor for one run of a region.
 
-        Returns ``(baseline, finish)``.  ``baseline(pc, taken)`` is what the
-        core calls once per conditional branch.  When the region's entry
-        holds a prediction column for the predictor's
-        :func:`~repro.predictors.tage_batch.stream_signature`, it reads the
-        column and never touches the predictor, which stays untrained, and
-        ``finish`` is None.  Otherwise it is the predictor's ``observe``.
+        Returns ``(baseline, finish)``, ``baseline`` being what
+        :class:`~repro.uarch.core.CoreModel` takes as its baseline.  When
+        the region's entry holds a prediction column for the predictor's
+        :func:`~repro.predictors.tage_batch.stream_signature`, it is that
+        column (``bytes``, which the core reads in region order), the
+        predictor is never touched and stays untrained, and ``finish`` is
+        None.  Otherwise it is ``baseline(pc, taken)``, which the core
+        calls once per conditional branch: the predictor's ``observe``.
         For a predictor that has a signature it also records each
         prediction, and ``finish()``, called once the run has consumed the
         whole region, stores the column on the region's entry.
@@ -426,12 +454,7 @@ class TraceCache:
             column = entry.prediction_columns.get(signature)
         if column is not None:
             self.prediction_hits += 1
-            next_prediction = map(bool, column).__next__
-
-            def read(pc: int, taken: bool) -> bool:
-                return next_prediction()
-
-            return read, None
+            return column, None
         self.prediction_misses += 1
         observe = predictor.observe
         if signature is None:

@@ -15,11 +15,17 @@ the DCE alongside (not inside) the pipeline.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple, Union
 
 from repro.emulator.trace import DynamicUop
 from repro.isa.registers import NUM_ARCH_REGS
-from repro.isa.uop import KIND_COND_BRANCH, KIND_JUMP, KIND_LOAD, KIND_STORE
+from repro.isa.uop import (
+    KIND_ALU,
+    KIND_COND_BRANCH,
+    KIND_JUMP,
+    KIND_LOAD,
+    KIND_STORE,
+)
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.memsys.port import PortTracker
 from repro.predictors.base import BranchPredictor
@@ -46,7 +52,19 @@ class RunaheadHooks:
     (already trained on the branch's outcome) before it calls the hooks,
     and ``simulate()`` may serve those predictions from a recorded column
     without running the predictor at all.
+
+    The idle-retire contract lets a hook skip the per-uop call where it
+    would do almost nothing.  ``idle_retire`` is None, or a callable that
+    takes one retired record.  While ``watching`` is false, the core hands
+    each retiring uop that is not a conditional branch to ``idle_retire``
+    instead of calling :meth:`on_retire`, so ``idle_retire`` must do
+    exactly what :meth:`on_retire` would do with that uop, and a hook that
+    sets it keeps ``watching`` true whenever that is not so.  With the
+    default None every retirement reaches :meth:`on_retire`.
     """
+
+    idle_retire: Optional[Callable[[DynamicUop], None]] = None
+    watching = True
 
     def fetch_prediction(self, pc: int, fetch_cycle: int,
                          tage_pred: bool) -> Tuple[bool, str]:
@@ -80,15 +98,18 @@ class CoreModel:
                  predictor: Optional[BranchPredictor] = None,
                  runahead: Optional[RunaheadHooks] = None,
                  tracer=None,
-                 baseline: Optional[Callable[[int, bool], bool]] = None):
+                 baseline: Union[bytes, Callable[[int, bool], bool],
+                                 None] = None):
         self.config = config or CoreConfig()
         self.hierarchy = hierarchy or MemoryHierarchy()
         self._l1_latency = self.hierarchy.config.l1_latency
         #: ``baseline(pc, taken)``: the baseline predictor's direction for
         #: one committed conditional branch, trained on ``taken`` before it
         #: returns.  Defaults to ``predictor.observe`` (a perfect baseline
-        #: when there is no predictor); ``simulate()`` may pass a reader
-        #: over a recorded prediction column instead.
+        #: when there is no predictor).  ``simulate()`` may pass a recorded
+        #: prediction column instead (``bytes``, one prediction per
+        #: conditional branch in region order), which ``run`` reads
+        #: without a call per branch.
         if baseline is None:
             baseline = predictor.observe if predictor is not None \
                 else _perfect_baseline
@@ -132,7 +153,7 @@ class CoreModel:
         self._on_retire = (None if type(hooks) is RunaheadHooks
                            else hooks.on_retire)
 
-    # -- public entry -----------------------------------------------------
+    # -- the timing loop ---------------------------------------------------
 
     def run(self, stream: Iterable[DynamicUop], warmup: int = 0,
             initial_regs=None) -> CoreStats:
@@ -151,199 +172,303 @@ class CoreModel:
         ``stats.warmup_truncated`` is set.  Stats are only ever reset once
         a post-warmup record actually arrives, so a region that is exactly
         ``warmup`` long cannot report zeroed counters.
+
+        This is the one per-uop loop of the timing phase.  It inlines the
+        fetch / dispatch / issue / retire skeleton for every uop kind,
+        with the fetch and retire state, the ROB/RS rings, the register
+        scoreboards, the store-forwarding table and the ALU and D-cache
+        port fast paths held in locals: at tens of thousands of dynamic
+        uops per region even a helper call per uop is a measurable slice
+        of the timing phase.  The precomputed ``Uop.kind`` tag selects the
+        per-kind work at three points only: branch prediction at fetch,
+        issue to completion, and the store's D-cache write at retire.
+        Counters that nothing reads mid-run (core statistics, ROB/RS
+        stalls, fast-path ALU and port uses, same-line L1I hits, store
+        forwards) are summed locally and written back once when the
+        stream ends.  The ALU and port usage maps stay live: Branch
+        Runahead's engine books the same trackers between two uops.
         """
         if initial_regs is not None:
             self.retired_regs = list(initial_regs)
-        process = self._process
+        cfg = self.config
+        fetch_width = cfg.fetch_width
+        frontend_depth = cfg.frontend_depth
+        retire_width = cfg.retire_width
+        mispredict_penalty = cfg.mispredict_penalty
+        wpb_max_distance = cfg.wpb_max_distance
+        l1_latency = self._l1_latency
+        hierarchy = self.hierarchy
+        access_insn = hierarchy.access_insn
+        access_data = hierarchy.access_data
+        # only access_insn moves the hierarchy's last fetched line, and only
+        # this loop calls it while the stream runs
+        last_insn_line = hierarchy._last_insn_line
+        baseline = self.baseline
+        column = (map(bool, baseline).__next__
+                  if isinstance(baseline, bytes) else None)
+        tracing = self._tracing
+        emit = self.tracer.emit
+        hooks = self._runahead
+        on_retire = self._on_retire
+        attached = on_retire is not None
+        fetch_prediction = hooks.fetch_prediction
+        on_branch_resolved = hooks.on_branch_resolved
+        idle_retire = hooks.idle_retire
+        forwarder = self.forwarder
+        forwarded = forwarder._stores
+        forward_get = forwarded.get
+        forward_capacity = forwarder.capacity
+        forward_latency = forwarder.forward_latency
+        alus = self.alus
+        alu_count = alus.count
+        alu_usage = alus._usage
+        alu_acquire = alus.acquire
+        ports = self.dcache_ports
+        port_usage = ports._usage
+        rob = self.rob
+        rob_release = rob._release
+        rob_next = rob._next
+        rob_capacity = rob.capacity
+        rs = self.rs
+        rs_release = rs._release
+        rs_next = rs._next
+        rs_capacity = rs.capacity
+        reg_ready = self._reg_ready
+        retired_regs = self.retired_regs
+        next_fetch = self._next_fetch_cycle
+        slots_used = self._fetch_slots_used
+        last_retire = self._last_retire_cycle
+        retired_in_cycle = self._retired_in_cycle
+        stats = self.stats
+        branch_counts = stats.branch_counts
+        branch_mispredicts = stats.branch_mispredicts
+        cond_branches = taken_branches = mispredicts = 0
+        baseline_mispredicts = dce_used = loads = stores = 0
+        rob_stalls = rs_stalls = alu_fast = port_uses = 0
+        l1i_hits = forwards = 0
         count = 0
         warmup_end_cycle = 0
         warmed_up = False
-        for record in stream:
-            if count == warmup and warmup:
-                warmup_end_cycle = self._last_retire_cycle
-                self._reset_stats()
-                warmed_up = True
-            process(record)
-            count += 1
+        try:
+            for record in stream:
+                if count == warmup and warmup:
+                    warmup_end_cycle = last_retire
+                    self.stats = stats = CoreStats()
+                    branch_counts = stats.branch_counts
+                    branch_mispredicts = stats.branch_mispredicts
+                    cond_branches = taken_branches = mispredicts = 0
+                    baseline_mispredicts = dce_used = loads = stores = 0
+                    warmed_up = True
+                count += 1
+                op = record.uop
+                kind = op.kind
+                pc = record.pc
+                # ---- fetch ---------------------------------------------------
+                if slots_used >= fetch_width:
+                    next_fetch += 1
+                    slots_used = 0
+                fetch_cycle = next_fetch
+                if pc >> 3 == last_insn_line:
+                    l1i_hits += 1  # same-line fetch: guaranteed hit
+                else:
+                    icache_done = access_insn(pc, fetch_cycle)
+                    last_insn_line = pc >> 3
+                    if icache_done > fetch_cycle + l1_latency:
+                        fetch_cycle = next_fetch = icache_done
+                        slots_used = 0
+                slots_used += 1
+                if tracing:
+                    emit("fetch", "core", fetch_cycle, pc=pc, seq=record.seq)
+                mispredicted = False
+                if kind == KIND_COND_BRANCH:
+                    # ---- branch prediction at fetch --------------------------
+                    taken = record.taken
+                    cond_branches += 1
+                    branch_counts[pc] += 1
+                    if taken:
+                        taken_branches += 1
+                    # predict and train in one call: no hook reads the
+                    # baseline, so training it before fetch_prediction
+                    # changes nothing
+                    if column is None:
+                        tage_pred = baseline(pc, taken)
+                    else:
+                        tage_pred = column()
+                    mispredicted = tage_pred != taken
+                    if mispredicted:
+                        baseline_mispredicts += 1
+                    source = "tage"
+                    if attached:
+                        # default no-op hooks would return (tage_pred,
+                        # "tage"): skipped
+                        final_pred, source = fetch_prediction(
+                            pc, fetch_cycle, tage_pred)
+                        if source == "dce":
+                            dce_used += 1
+                        mispredicted = final_pred != taken
+                    if mispredicted:
+                        mispredicts += 1
+                        branch_mispredicts[pc] += 1
+                # ---- dispatch / issue ----------------------------------------
+                ready = fetch_cycle + frontend_depth
+                oldest = rob_release[rob_next]
+                if oldest > ready:
+                    rob_stalls += 1
+                    ready = oldest
+                oldest = rs_release[rs_next]
+                if oldest > ready:
+                    rs_stalls += 1
+                    ready = oldest
+                for src in op.src_regs:
+                    src_ready = reg_ready[src]
+                    if src_ready > ready:
+                        ready = src_ready
+                used = alu_usage.get(ready, 0)
+                if used < alu_count:
+                    # FuTracker.acquire's fast path: the cycle has a free ALU
+                    alu_usage[ready] = used + 1
+                    alu_fast += 1
+                    issue = ready
+                else:
+                    issue = alu_acquire(ready)
+                # ---- issue to completion -------------------------------------
+                # a register result is written to the retired register file
+                # here, not at retire: nothing between the two reads it
+                if kind == KIND_ALU:
+                    complete = issue + op.latency
+                    value = record.dst_value
+                    for dst in op.dst_regs:
+                        reg_ready[dst] = complete
+                        retired_regs[dst] = value
+                elif kind == KIND_LOAD:
+                    loads += 1
+                    port_usage[issue] = port_usage.get(issue, 0) + 1
+                    port_uses += 1
+                    addr = record.addr
+                    store_ready = forward_get(addr, -1)
+                    if store_ready < 0:
+                        complete = access_data(addr, issue)
+                    else:
+                        forwards += 1
+                        complete = (issue if issue > store_ready
+                                    else store_ready) + forward_latency
+                    value = record.dst_value
+                    for dst in op.dst_regs:
+                        reg_ready[dst] = complete
+                        retired_regs[dst] = value
+                else:
+                    if kind == KIND_COND_BRANCH:
+                        complete = issue + op.latency
+                        # ---- branch resolution / redirect --------------------
+                        if tracing:
+                            emit("branch_resolve", "core", complete, pc=pc,
+                                 taken=taken, mispredicted=mispredicted,
+                                 source=source)
+                        if mispredicted:
+                            resume = complete + mispredict_penalty
+                            if resume > next_fetch:
+                                next_fetch = resume
+                                slots_used = 0
+                        if attached:
+                            budget = (complete - fetch_cycle) * fetch_width
+                            if budget < 8:
+                                budget = 8
+                            if budget > wpb_max_distance:
+                                budget = wpb_max_distance
+                            on_branch_resolved(record, complete, mispredicted,
+                                               retired_regs, budget)
+                        if taken and not mispredicted:
+                            # a predicted-taken branch ends the fetch group
+                            if next_fetch <= fetch_cycle:
+                                next_fetch = fetch_cycle + 1
+                            slots_used = fetch_width
+                    elif kind == KIND_STORE:
+                        stores += 1
+                        complete = issue + 1
+                        addr = record.addr
+                        if addr in forwarded:
+                            del forwarded[addr]
+                        elif len(forwarded) >= forward_capacity:
+                            forwarded.popitem(last=False)
+                        forwarded[addr] = complete
+                    elif kind == KIND_JUMP:
+                        complete = issue + op.latency
+                        # an unconditional (always taken, never mispredicted)
+                        # branch ends the fetch group
+                        if next_fetch <= fetch_cycle:
+                            next_fetch = fetch_cycle + 1
+                        slots_used = fetch_width
+                    else:  # KIND_HALT never reaches the committed stream
+                        complete = issue + op.latency
+                    for dst in op.dst_regs:
+                        retired_regs[dst] = record.dst_value
+                # ---- retire --------------------------------------------------
+                retire = complete + 1
+                if retire > last_retire:
+                    retired_in_cycle = 1
+                elif retired_in_cycle >= retire_width:
+                    retire = last_retire + 1
+                    retired_in_cycle = 1
+                else:
+                    retire = last_retire
+                    retired_in_cycle += 1
+                last_retire = retire
+                rob_release[rob_next] = retire
+                rob_next += 1
+                if rob_next == rob_capacity:
+                    rob_next = 0
+                rs_release[rs_next] = issue + 1
+                rs_next += 1
+                if rs_next == rs_capacity:
+                    rs_next = 0
+                if kind == KIND_STORE:
+                    # stores write the D-cache at retire
+                    port_usage[retire] = port_usage.get(retire, 0) + 1
+                    port_uses += 1
+                    access_data(record.addr, retire, True)
+                if tracing:
+                    emit("retire", "core", retire, pc=pc, seq=record.seq)
+                if attached:
+                    if idle_retire is None or kind == KIND_COND_BRANCH \
+                            or hooks.watching:
+                        on_retire(record, retire, mispredicted, retired_regs)
+                    else:
+                        idle_retire(record)
+                # periodic pruning of per-cycle trackers
+                if record.seq & 0x3FF == 0:
+                    low_water = fetch_cycle - 512
+                    if low_water < 0:
+                        low_water = 0
+                    alus.prune(low_water)
+                    ports.prune(low_water)
+                    alu_usage = alus._usage
+                    port_usage = ports._usage
+        finally:
+            self._next_fetch_cycle = next_fetch
+            self._fetch_slots_used = slots_used
+            self._last_retire_cycle = last_retire
+            self._retired_in_cycle = retired_in_cycle
+            rob._next = rob_next
+            rob.stall_events += rob_stalls
+            rs._next = rs_next
+            rs.stall_events += rs_stalls
+            alus.total_acquired += alu_fast
+            ports.core_uses += port_uses
+            hierarchy.l1i.stats.hits += l1i_hits
+            forwarder.forwards += forwards
+            stats.cond_branches += cond_branches
+            stats.taken_branches += taken_branches
+            stats.mispredicts += mispredicts
+            stats.baseline_mispredicts += baseline_mispredicts
+            stats.dce_predictions_used += dce_used
+            stats.loads += loads
+            stats.stores += stores
         if warmed_up:
-            self.stats.instructions = count - warmup
-            self.stats.cycles = max(1, self._last_retire_cycle
-                                    - warmup_end_cycle)
+            stats.instructions = count - warmup
+            stats.cycles = max(1, last_retire - warmup_end_cycle)
         else:
-            self.stats.instructions = count
-            self.stats.cycles = max(1, self._last_retire_cycle)
-            self.stats.warmup_truncated = warmup > 0
-        self.runahead.end_region(self._last_retire_cycle)
-        return self.stats
-
-    def _reset_stats(self) -> None:
-        preserved_regs = self.retired_regs
-        self.stats = CoreStats()
-        self.retired_regs = preserved_regs
-
-    # -- per-instruction pipeline -------------------------------------------
-    #
-    # One handler for every uop kind.  It inlines the fetch / dispatch /
-    # issue / retire skeleton — including the bodies of
-    # ``RingTracker.earliest_free``/``allocate`` and the hierarchy's
-    # same-line I-fetch fast path — because at tens of thousands of dynamic
-    # uops per region even the helper-call overhead is a measurable slice of
-    # the timing phase.  The precomputed ``Uop.kind`` tag selects the
-    # per-kind work at three points only: branch prediction at fetch, issue
-    # to completion, and the store's D-cache write at retire.
-
-    def _process(self, record: DynamicUop) -> None:
-        cfg = self.config
-        op = record.uop
-        kind = op.kind
-        pc = record.pc
-        # ---- fetch -------------------------------------------------------
-        if self._fetch_slots_used >= cfg.fetch_width:
-            self._next_fetch_cycle += 1
-            self._fetch_slots_used = 0
-        fetch_cycle = self._next_fetch_cycle
-        hierarchy = self.hierarchy
-        if pc >> 3 == hierarchy._last_insn_line:
-            hierarchy.l1i.stats.hits += 1  # same-line fetch: guaranteed hit
-        else:
-            icache_done = hierarchy.access_insn(pc, fetch_cycle)
-            if icache_done > fetch_cycle + self._l1_latency:
-                fetch_cycle = icache_done
-                self._next_fetch_cycle = fetch_cycle
-                self._fetch_slots_used = 0
-        self._fetch_slots_used += 1
-        if self._tracing:
-            self.tracer.emit("fetch", "core", fetch_cycle,
-                             pc=pc, seq=record.seq)
-        mispredicted = False
-        if kind == KIND_COND_BRANCH:
-            # ---- branch prediction at fetch ------------------------------
-            stats = self.stats
-            taken = record.taken
-            stats.cond_branches += 1
-            stats.branch_counts[pc] += 1
-            if taken:
-                stats.taken_branches += 1
-            # predict and train in one call: no hook reads the baseline, so
-            # training it before fetch_prediction changes nothing
-            tage_pred = self.baseline(pc, taken)
-            mispredicted = tage_pred != taken
-            if mispredicted:
-                stats.baseline_mispredicts += 1
-            source = "tage"
-            if self._on_retire is not None:
-                # default no-op hooks would return (tage_pred, "tage"): skip
-                final_pred, source = self._runahead.fetch_prediction(
-                    pc, fetch_cycle, tage_pred)
-                if source == "dce":
-                    stats.dce_predictions_used += 1
-                mispredicted = final_pred != taken
-            if mispredicted:
-                stats.mispredicts += 1
-                stats.branch_mispredicts[pc] += 1
-        # ---- dispatch / issue --------------------------------------------
-        dispatch = fetch_cycle + cfg.frontend_depth
-        rob = self.rob
-        oldest = rob._release[rob._next]
-        if oldest > dispatch:
-            rob.stall_events += 1
-            dispatch = oldest
-        rs = self.rs
-        oldest = rs._release[rs._next]
-        if oldest > dispatch:
-            rs.stall_events += 1
-            dispatch = oldest
-        ready = dispatch
-        reg_ready = self._reg_ready
-        for src in op.src_regs:
-            src_ready = reg_ready[src]
-            if src_ready > ready:
-                ready = src_ready
-        issue = self.alus.acquire(ready)
-        # ---- issue to completion -----------------------------------------
-        if kind == KIND_LOAD:
-            self.stats.loads += 1
-            self.dcache_ports.use_core(issue)
-            complete = self.forwarder.try_forward(record.addr, issue)
-            if complete < 0:
-                complete = hierarchy.access_data(record.addr, issue)
-            for dst in op.dst_regs:
-                reg_ready[dst] = complete
-        elif kind == KIND_STORE:
-            self.stats.stores += 1
-            complete = issue + 1
-            self.forwarder.record_store(record.addr, complete)
-        elif kind == KIND_COND_BRANCH:
-            complete = issue + op.latency
-            # ---- branch resolution / redirect ----------------------------
-            if self._tracing:
-                self.tracer.emit("branch_resolve", "core", complete,
-                                 pc=pc, taken=taken,
-                                 mispredicted=mispredicted, source=source)
-            if mispredicted:
-                resume = complete + cfg.mispredict_penalty
-                if resume > self._next_fetch_cycle:
-                    self._next_fetch_cycle = resume
-                    self._fetch_slots_used = 0
-            if self._on_retire is not None:
-                budget = min(cfg.wpb_max_distance,
-                             max(8, (complete - fetch_cycle)
-                                 * cfg.fetch_width))
-                self._runahead.on_branch_resolved(
-                    record, complete, mispredicted, self.retired_regs,
-                    budget)
-            if taken and not mispredicted:
-                # a predicted-taken branch ends the fetch group
-                if self._next_fetch_cycle < fetch_cycle + 1:
-                    self._next_fetch_cycle = fetch_cycle + 1
-                self._fetch_slots_used = cfg.fetch_width
-        elif kind == KIND_JUMP:
-            complete = issue + op.latency
-            # an unconditional (always taken, never mispredicted) branch
-            # ends the fetch group
-            if self._next_fetch_cycle < fetch_cycle + 1:
-                self._next_fetch_cycle = fetch_cycle + 1
-            self._fetch_slots_used = cfg.fetch_width
-        else:  # KIND_ALU; KIND_HALT never reaches the committed stream
-            complete = issue + op.latency
-            for dst in op.dst_regs:
-                reg_ready[dst] = complete
-        # ---- retire ------------------------------------------------------
-        retire = complete + 1
-        last = self._last_retire_cycle
-        if retire < last:
-            retire = last
-        if retire == last:
-            if self._retired_in_cycle >= cfg.retire_width:
-                retire += 1
-                self._retired_in_cycle = 0
-        else:
-            self._retired_in_cycle = 0
-        self._retired_in_cycle += 1
-        self._last_retire_cycle = retire
-        index = rob._next
-        rob._release[index] = retire
-        rob._next = (index + 1) % rob.capacity
-        index = rs._next
-        rs._release[index] = issue + 1
-        rs._next = (index + 1) % rs.capacity
-        if kind == KIND_STORE:
-            # stores write the D-cache at retire
-            self.dcache_ports.use_core(retire)
-            hierarchy.access_data(record.addr, retire, is_write=True)
-        retired_regs = self.retired_regs
-        for dst in op.dst_regs:
-            retired_regs[dst] = record.dst_value
-        if self._tracing:
-            self.tracer.emit("retire", "core", retire,
-                             pc=pc, seq=record.seq)
-        on_retire = self._on_retire
-        if on_retire is not None:
-            on_retire(record, retire, mispredicted, retired_regs)
-        # periodic pruning of per-cycle trackers
-        if record.seq & 0x3FF == 0:
-            low_water = fetch_cycle - 512
-            if low_water < 0:
-                low_water = 0
-            self.alus.prune(low_water)
-            self.dcache_ports.prune(low_water)
+            stats.instructions = count
+            stats.cycles = max(1, last_retire)
+            stats.warmup_truncated = warmup > 0
+        hooks.end_region(last_retire)
+        return stats

@@ -21,6 +21,7 @@ from repro.cli import main as cli_main
 from repro.config import RunConfig
 from repro.isa.program import ProgramBuilder
 from repro.observe.journal import read_journal
+from repro.predictors import batched
 from repro.predictors.batched import (
     MIN_PERCEPTRON_LANES,
     _lockstep,
@@ -225,6 +226,20 @@ class TestBatchIdentity:
         assert branch_fields(batch.core) == branch_fields(scalar.core)
         assert payload_digest(batch.to_dict()) == \
             payload_digest(scalar.to_dict())
+
+    @pytest.mark.parametrize("name", ["tage64", "perceptron"])
+    def test_lone_lane_skips_numpy_set_up(self, name, monkeypatch):
+        program = suite.load("mcf_17")
+        scalar = scalar_replay(program, make_predictor(name),
+                               trace_cache=TraceCache(), **REGION)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lone lane entered _numpy_lanes")
+
+        monkeypatch.setattr(batched, "_numpy_lanes", refuse)
+        batch, = replay_mpki_batch(program, [name],
+                                   trace_cache=TraceCache(), **REGION)
+        assert branch_fields(batch.core) == branch_fields(scalar.core)
 
     def test_bench_lane_set_matches_scalar(self, backend):
         program = suite.load("mcf_17")

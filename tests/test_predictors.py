@@ -300,3 +300,13 @@ class TestInitiationPredictor:
         for _ in range(100):
             predictor.update(0x10, False)
         assert predictor._counters[0x10] == 0
+
+    def test_observe_is_predict_then_update(self):
+        fused, split = InitiationPredictor(), InitiationPredictor()
+        outcomes = [(i * 7) % 5 < 2 for i in range(200)]
+        for index, taken in enumerate(outcomes):
+            pc = 0x10 + index % 3
+            expected = split.predict(pc)
+            split.update(pc, taken)
+            assert fused.observe(pc, taken) is expected
+        assert fused._counters == split._counters

@@ -135,6 +135,25 @@ class TestReplayMemorySemantics:
                    for addr in program.initial_memory)
 
 
+class TestReplayPhases:
+    """A replay is a walk over recorded records, not emulation: it books
+    no ``emulation`` phase, and its time is part of ``timing``."""
+
+    @pytest.mark.parametrize("br", [None, "mini"])
+    def test_only_the_recording_run_books_emulation(self, br):
+        cache = TraceCache()
+        program = suite.load("sjeng_06")
+        phases = []
+        for _ in range(2):
+            result = simulate(program, instructions=600, warmup=300,
+                              br_config=br, trace_cache=cache)
+            phases.append(result.to_dict()["stats"]["host"]["phase"])
+        recorded, replayed = phases
+        assert recorded["emulation_seconds"] > 0.0
+        assert "emulation_seconds" not in replayed
+        assert replayed["timing_seconds"] > 0.0
+
+
 class TestCacheMechanics:
     def _record(self, cache, program, total):
         machine = Machine(program)

@@ -65,6 +65,38 @@ class TestFingerprint:
         assert program_fingerprint(store_loop_program()) != \
             program_fingerprint(suite.load("sjeng_06"))
 
+    @staticmethod
+    def data_program(values):
+        b = ProgramBuilder(name="data")
+        b.data("arr", values)
+        b.halt()
+        return b.build()
+
+    def test_one_memory_word_changes_the_fingerprint(self):
+        words = list(range(100))
+        changed = list(words)
+        changed[57] += 1
+        assert program_fingerprint(self.data_program(words)) != \
+            program_fingerprint(self.data_program(changed))
+
+    def test_memory_insertion_order_does_not_matter(self):
+        forward, backward = self.data_program([3, 1, 4, 1, 5]), \
+            self.data_program([3, 1, 4, 1, 5])
+        backward.initial_memory = dict(
+            reversed(list(backward.initial_memory.items())))
+        assert program_fingerprint(forward) == program_fingerprint(backward)
+
+    def test_words_beyond_int64_do_not_raise(self):
+        # a value of 2**63 is the word the machine holds as -2**63
+        high = program_fingerprint(self.data_program([1, 2 ** 63]))
+        assert high == program_fingerprint(self.data_program([1, -2 ** 63]))
+        assert high != program_fingerprint(self.data_program([1, 2 ** 62]))
+        # an address outside int64 still fingerprints, by its repr
+        far = self.data_program([1, 2])
+        far.initial_memory[2 ** 64] = 5
+        assert program_fingerprint(far) != \
+            program_fingerprint(self.data_program([1, 2]))
+
 
 class TestDiskRoundTrip:
     def test_fresh_cache_warm_starts_from_disk(self, tmp_path):
