@@ -341,7 +341,7 @@ def _cmd_list(args) -> int:
             print(f"{'name':14s} {'mpki-replay':>11s}  description")
             for name in PREDICTORS.names(sort=True):
                 meta = PREDICTORS.meta(name)
-                replay = "yes" if meta.get("predictor_only") else "no"
+                replay = "yes" if is_predictor_only(name) else "no"
                 print(f"{name:14s} {replay:>11s}  "
                       f"{meta.get('description', '')}")
         elif kind == "configs":

@@ -79,11 +79,6 @@ class DependenceChain:
         """Whether extraction terminated at an affector/guard (Figure 5)."""
         return self.terminated_by == TERMINATED_AFFECTOR_GUARD
 
-    @property
-    def num_loads(self) -> int:
-        return sum(1 for op, timed in zip(self.exec_uops, self.timed_flags)
-                   if timed and op.is_load)
-
     def key(self) -> Tuple[int, Tuple[int, int]]:
         """Identity in the chain cache: (predicted branch, trigger tag)."""
         return (self.branch_pc, self.tag)

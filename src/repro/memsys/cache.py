@@ -107,9 +107,6 @@ class Cache:
             self.stats.prefetch_fills += 1
         return victim
 
-    def reset_stats(self) -> None:
-        self.stats = CacheStats()
-
 
 def word_to_line(word_address: int, line_bytes: int = 64,
                  word_bytes: int = 8) -> Tuple[int, int]:

@@ -8,16 +8,6 @@ prediction-queue throttles).
 from __future__ import annotations
 
 
-def saturate_up(value: int, maximum: int) -> int:
-    """Increment ``value`` saturating at ``maximum``."""
-    return value + 1 if value < maximum else maximum
-
-
-def saturate_down(value: int, minimum: int) -> int:
-    """Decrement ``value`` saturating at ``minimum``."""
-    return value - 1 if value > minimum else minimum
-
-
 def update_signed(value: int, taken: bool, bits: int) -> int:
     """Update a signed saturating counter of width ``bits`` toward ``taken``.
 
@@ -29,11 +19,6 @@ def update_signed(value: int, taken: bool, bits: int) -> int:
     if taken:
         return value + 1 if value < high else high
     return value - 1 if value > low else low
-
-
-def counter_predicts_taken(value: int) -> bool:
-    """Direction encoded by a signed counter (>= 0 means taken)."""
-    return value >= 0
 
 
 class Lfsr:

@@ -6,14 +6,14 @@ tokens, eponymous predictor-only variants) is an entry here.  Adding a
 predictor to the whole stack — experiment matrix, MPKI replay fast path,
 CLI choices, ``repro list`` — is one decorated definition:
 
-    @register_predictor("mytage", predictor_only=True)
+    @register_predictor("mytage")
     def mytage():
         return MyTagePredictor()
 
-``predictor_only=True`` (the default) declares that a cell running this
-predictor with no Branch Runahead attachment has branch outcomes that are
-a pure function of the committed stream, so ``outputs="mpki"`` cells may
-take the :mod:`repro.sim.predictor_replay` fast path.
+A cell running a registered predictor with no Branch Runahead attachment
+has branch outcomes that are a pure function of the committed stream, so
+``outputs="mpki"`` cells take the :mod:`repro.sim.predictor_replay` fast
+path (see :func:`repro.sim.variants.is_predictor_only`).
 """
 
 from __future__ import annotations
@@ -32,14 +32,9 @@ from repro.registry import Registry
 PREDICTORS = Registry("predictor")
 
 
-def register_predictor(name: str, *, predictor_only: bool = True,
-                       **meta: Any) -> Callable[..., Any]:
+def register_predictor(name: str, **meta: Any) -> Callable[..., Any]:
     """Decorator registering a zero-argument predictor factory."""
-    return PREDICTORS.register(name, predictor_only=predictor_only, **meta)
-
-
-def predictor_factory(name: str) -> Callable[[], BranchPredictor]:
-    return PREDICTORS.get(name)
+    return PREDICTORS.register(name, **meta)
 
 
 def make_predictor(name: str) -> BranchPredictor:
@@ -49,15 +44,15 @@ def make_predictor(name: str) -> BranchPredictor:
 
 # -- built-in registrations (paper baselines) ------------------------------
 
-PREDICTORS.register("tage64", tage_scl_64kb, predictor_only=True,
+PREDICTORS.register("tage64", tage_scl_64kb,
                     description="64KB TAGE-SC-L (paper baseline)")
-PREDICTORS.register("tage80", tage_scl_80kb, predictor_only=True,
+PREDICTORS.register("tage80", tage_scl_80kb,
                     description="80KB TAGE-SC-L (Figure 10 iso-storage)")
-PREDICTORS.register("mtage", mtage_sc, predictor_only=True,
+PREDICTORS.register("mtage", mtage_sc,
                     description="MTAGE-SC (unlimited-storage champion)")
-PREDICTORS.register("bimodal", BimodalPredictor, predictor_only=True,
+PREDICTORS.register("bimodal", BimodalPredictor,
                     description="16K-entry 2-bit bimodal table")
-PREDICTORS.register("gshare", GSharePredictor, predictor_only=True,
+PREDICTORS.register("gshare", GSharePredictor,
                     description="16K-entry gshare, 12 bits of history")
-PREDICTORS.register("perceptron", PerceptronPredictor, predictor_only=True,
+PREDICTORS.register("perceptron", PerceptronPredictor,
                     description="512-row perceptron, 24 bits of history")

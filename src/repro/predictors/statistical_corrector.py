@@ -22,11 +22,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.predictors.storage import (
-    HistoryBuffer,
-    clamp_tables,
-    signed_store,
-)
+from repro.predictors.counters import HistoryBuffer
+from repro.predictors.storage import clamp_tables, signed_store
 
 
 class StatisticalCorrector:

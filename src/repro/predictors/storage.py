@@ -25,10 +25,6 @@ The original list/object implementations are preserved verbatim in
 ``tests/reference_predictors.py``;
 ``tests/test_predictor_packed_differential.py`` pins bit-identity between
 the two spellings.
-
-The :mod:`~repro.predictors.counters` primitives (``Lfsr``,
-``FoldedHistory``, ``HistoryBuffer``, scalar saturate helpers) are
-re-exported here so predictor modules have a single storage import.
 """
 
 from __future__ import annotations
@@ -36,37 +32,6 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from typing import List, Tuple
-
-from repro.predictors.counters import (  # noqa: F401  (re-exports)
-    FoldedHistory,
-    HistoryBuffer,
-    Lfsr,
-    counter_predicts_taken,
-    saturate_down,
-    saturate_up,
-    update_signed,
-)
-
-__all__ = [
-    "FoldedHistory",
-    "HistoryBuffer",
-    "Lfsr",
-    "counter_predicts_taken",
-    "saturate_down",
-    "saturate_up",
-    "update_signed",
-    "signed_typecode",
-    "unsigned_typecode",
-    "signed_store",
-    "unsigned_store",
-    "tag_store",
-    "clamp_tables",
-    "signed_clamp_tables",
-    "mask_translation",
-    "stacked_store",
-    "stacked_from_stores",
-]
-
 
 def signed_typecode(bits: int) -> str:
     """Smallest ``array`` typecode holding a signed ``bits``-wide counter."""
@@ -128,36 +93,6 @@ def clamp_tables(lo: int, hi: int) -> Tuple[List[int], List[int]]:
 def signed_clamp_tables(bits: int) -> Tuple[List[int], List[int]]:
     """:func:`clamp_tables` for a signed ``bits``-wide counter."""
     return clamp_tables(-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
-
-
-def stacked_store(np, lanes: int, entries: int, fill: int = 0,
-                  dtype=None):
-    """A ``(lanes, entries)`` stacked counter store for batched kernels.
-
-    The lane-stacked twin of :func:`signed_store`/:func:`unsigned_store`:
-    K lanes' flat tables become the rows of one matrix so per-event
-    gather/scatter amortizes numpy call overhead across every lane.
-    ``np`` is the array module the calling kernel runs on.
-    """
-    if fill:
-        return np.full((lanes, entries), fill, dtype=dtype or np.int64)
-    return np.zeros((lanes, entries), dtype=dtype or np.int64)
-
-
-def stacked_from_stores(np, stores, dtype=None):
-    """Pack per-lane flat stores (equal length) into one stacked matrix.
-
-    Accepts the ``array``/``bytearray`` stores predictors export via
-    ``export_state()``; each becomes one row.  Lets batched kernels (and
-    their tests) lift live scalar state into the stacked layout.
-    """
-    rows = [np.frombuffer(bytes(store), dtype=np.uint8)
-            if isinstance(store, (bytes, bytearray))
-            else np.asarray(store) for store in stores]
-    out = np.stack(rows)
-    if dtype is not None:
-        out = out.astype(dtype)
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -32,9 +32,8 @@ from struct import unpack
 from typing import List, Optional
 
 from repro.predictors.base import BranchPredictor
+from repro.predictors.counters import HistoryBuffer, Lfsr
 from repro.predictors.storage import (
-    HistoryBuffer,
-    Lfsr,
     clamp_tables,
     mask_translation,
     signed_clamp_tables,

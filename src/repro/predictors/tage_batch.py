@@ -28,12 +28,11 @@ Structure
 * **Stacked divergent state.**  Everything that differs per lane —
   counters, tags, useful bits, bimodal base, use_alt_on_na, loop entries,
   corrector weights, adaptive thresholds, the allocation LFSR — lives in
-  ``(lanes, entries)``-shaped (or lane-offset flat) numpy arrays from
-  :func:`repro.predictors.storage.stacked_store`, updated with one
-  gather/scatter per field per event across all lanes at once.  Allocation
-  itself is the one inherently scalar step (a data-dependent chain of LFSR
-  draws); it runs per *mispredicting* lane only, driving a real
-  :class:`~repro.predictors.storage.Lfsr` so the draw sequence is
+  ``(lanes, entries)``-shaped (or lane-offset flat) numpy arrays, updated
+  with one gather/scatter per field per event across all lanes at once.
+  Allocation itself is the one inherently scalar step (a data-dependent
+  chain of LFSR draws); it runs per *mispredicting* lane only, driving a
+  real :class:`~repro.predictors.counters.Lfsr` so the draw sequence is
   bit-identical.
 
 * **LUT automata.**  Saturating/branchy per-lane state machines — the
@@ -58,9 +57,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.predictors.counters import Lfsr
 from repro.predictors.loop_predictor import LoopPredictor
 from repro.predictors.statistical_corrector import StatisticalCorrector
-from repro.predictors.storage import Lfsr, stacked_store
 from repro.predictors.tage import TagePredictor
 from repro.predictors.tage_scl import TageSCL
 
@@ -163,7 +164,7 @@ def _dedupe_key(predictor) -> tuple:
 
 # -- entry point -------------------------------------------------------------
 
-def run_tage_lanes(np, predictors, lanes: Sequence[int], pcs_v, taken_v,
+def run_tage_lanes(predictors, lanes: Sequence[int], pcs_v, taken_v,
                    split: int, min_lanes: int
                    ) -> Tuple[Dict[int, List[int]], Dict[int, int],
                               List[int]]:
@@ -190,10 +191,10 @@ def run_tage_lanes(np, predictors, lanes: Sequence[int], pcs_v, taken_v,
     results: Dict[int, List[int]] = {}
     declined: List[int] = []
     for members in groups.values():
-        if len(members) < max(min_lanes, 1):
+        if len(members) < min_lanes:
             declined.extend(members)
             continue
-        lists = _run_group(np, [predictors[lane] for lane in members],
+        lists = _run_group([predictors[lane] for lane in members],
                            pcs_v, taken_v, split)
         for lane, mispredicts in zip(members, lists):
             results[lane] = mispredicts
@@ -202,7 +203,7 @@ def run_tage_lanes(np, predictors, lanes: Sequence[int], pcs_v, taken_v,
 
 # -- transition LUTs ---------------------------------------------------------
 
-def _use_alt_lut(np):
+def _use_alt_lut():
     """use_alt_on_na step on the premultiplied state ``(ua + 8) << 2``.
 
     ``LUT[scaled | (train << 1) | alt_correct]`` yields the next scaled
@@ -231,7 +232,7 @@ def _sc_state(threshold: int, counter: int) -> int:
     return (threshold - 4) * 7 + (counter + 3)
 
 
-def _sc_threshold_luts(np):
+def _sc_threshold_luts():
     """Premultiplied adaptive-threshold automaton tables.
 
     States are stored as ``sid * 4`` so the transition index is
@@ -270,7 +271,7 @@ def _sc_threshold_luts(np):
     return step, thr_of, thr2_of, thr4_of
 
 
-def _loop_ca_lut(np):
+def _loop_ca_lut():
     """Loop predictor (confidence, age) automaton.
 
     Entry state is packed ``ca = age | (confidence << 3)`` (so the
@@ -308,7 +309,7 @@ def _loop_ca_lut(np):
     return lut
 
 
-def _useful_luts(np, useful_maxes):
+def _useful_luts(useful_maxes):
     """Useful-counter train step, one 512-entry class per distinct max.
 
     ``LUT[class | (u << 2) | (active << 1) | provider_correct]`` yields
@@ -337,7 +338,7 @@ def _useful_luts(np, useful_maxes):
 
 # -- the kernel --------------------------------------------------------------
 
-def _run_group(np, reps, pcs_v, taken_v, split: int) -> List[List[int]]:
+def _run_group(reps, pcs_v, taken_v, split: int) -> List[List[int]]:
     """Advance one geometry group's lanes over the whole stream."""
     scl = type(reps[0]) is TageSCL
     tages = [p.tage if scl else p for p in reps]
@@ -351,11 +352,11 @@ def _run_group(np, reps, pcs_v, taken_v, split: int) -> List[List[int]]:
 
     # stacked divergent TAGE state (construction fill values: the pristine
     # gate in supported() guarantees the instances still hold them)
-    ctr = stacked_store(np, lane_count, stride, dtype=np.int8).ravel()
-    useful = stacked_store(np, lane_count, stride, dtype=np.uint8).ravel()
-    tags = stacked_store(np, lane_count, num_tables * size,
-                         dtype=np.uint16 if t0.config.tag_bits <= 16
-                         else np.uint32)
+    ctr = np.zeros(lane_count * stride, dtype=np.int8)
+    useful = np.zeros(lane_count * stride, dtype=np.uint8)
+    tags = np.zeros((lane_count, num_tables * size),
+                    dtype=np.uint16 if t0.config.tag_bits <= 16
+                    else np.uint32)
     base_sizes = [1 << t.config.base_size_log2 for t in tages]
     base = np.ones(sum(base_sizes), dtype=np.int8)
     base_off = np.zeros(lane_count, dtype=np.int64)
@@ -365,8 +366,8 @@ def _run_group(np, reps, pcs_v, taken_v, split: int) -> List[List[int]]:
     lane_off_list = lane_off.tolist()
     ctr_max = np.asarray([t._ctr_max for t in tages], dtype=np.int8)
     ctr_min = np.asarray([t._ctr_min for t in tages], dtype=np.int8)
-    ua_lut = _use_alt_lut(np)
-    u_lut, u_lane_off = _useful_luts(np, [t._useful_max for t in tages])
+    ua_lut = _use_alt_lut()
+    u_lut, u_lane_off = _useful_luts([t._useful_max for t in tages])
     # premultiplied use_alt_on_na state, (0 + 8) << 2 at construction
     use_alt = np.full(lane_count, 32, dtype=np.int64)
     lfsrs = [Lfsr() for _ in lane_range]
@@ -408,7 +409,7 @@ def _run_group(np, reps, pcs_v, taken_v, split: int) -> List[List[int]]:
                                 dtype=np.int64)
         loop_tag_mask = np.asarray([loop._tag_mask for loop in loops],
                                    dtype=np.int64)
-        loop_lut = _loop_ca_lut(np)
+        loop_lut = _loop_ca_lut()
         c24_64 = np.full(lane_count, 24, dtype=np.int64)
         c64_64 = np.full(lane_count, 64, dtype=np.int64)
         c128_64 = np.full(lane_count, 128, dtype=np.int64)
@@ -425,7 +426,7 @@ def _run_group(np, reps, pcs_v, taken_v, split: int) -> List[List[int]]:
         bias_mask = sc0._bias_mask
         sc_t_off = np.arange(n_sc, dtype=np.int64) * sc_size
         sc_step_lut, sc_thr_of, sc_thr2_of, sc_thr4_of = \
-            _sc_threshold_luts(np)
+            _sc_threshold_luts()
         sc_state = np.full(lane_count, _sc_state(6, 0) << 2,
                            dtype=np.int64)
         ones_sc = np.ones(n_sc, dtype=np.int64)

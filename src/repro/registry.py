@@ -7,7 +7,7 @@ benchmarks.  Each family keeps a
 replacing the hand-maintained literal dicts the harness grew up with
 (``PREDICTOR_FACTORIES``, ``VARIANTS``, the ``BENCHMARKS`` list):
 
-    @register_predictor("tage64", predictor_only=True)
+    @register_predictor("tage64")
     def tage64():
         return tage_scl_64kb()
 

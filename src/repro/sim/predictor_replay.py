@@ -51,25 +51,25 @@ def load_branch_columns(program: Program, start: int, total: int,
     With a trace cache the chain is: memoized columns on a warm entry, the
     compact ``.events`` disk sidecar (no unpickling), the full ``.trace``
     entry, and finally one functional emulation recorded for next time.
-    Without a cache a throwaway emulation feeds a one-shot extraction.
+    Without a cache the emulation's records stream straight into the
+    extraction and none is held (a throwaway entry would hold them all:
+    +32 MB of peak memory against +1.6 MB on a 200k-instruction
+    ``mcf_17`` region).
     """
+    if trace_cache is not None:
+        columns = trace_cache.branch_columns(program, start, total)
+        if columns is not None:
+            return columns
+    machine = Machine(program)
+    if start:
+        machine.fast_forward(start)
+    stream = machine.stream(total)
     if trace_cache is None:
-        machine = Machine(program)
-        if start:
-            machine.fast_forward(start)
-        return extract_columns(machine.stream(total))
-    columns = trace_cache.branch_columns(program, start, total)
-    if columns is None:
-        machine = Machine(program)
-        if start:
-            machine.fast_forward(start)
-        # drain at C speed: nothing consumes the records here, the
-        # recording generator stores them as its side effect
-        deque(trace_cache.record(machine, start, total,
-                                 machine.stream(total)), maxlen=0)
-        columns = trace_cache.branch_columns(program, start, total,
-                                             count=False)
-    return columns
+        return extract_columns(stream)
+    # drain at C speed: nothing consumes the records here, the recording
+    # generator stores them as its side effect
+    deque(trace_cache.record(machine, start, total, stream), maxlen=0)
+    return trace_cache.branch_columns(program, start, total, count=False)
 
 
 class PredictorReplayResult:
@@ -166,8 +166,7 @@ def replay_mpki_batch(program: Program,
                       predictors: Sequence[Union[BranchPredictor, str]],
                       instructions: int, warmup: int = 0,
                       start_instruction: int = 0,
-                      trace_cache: Optional[TraceCache] = None,
-                      min_lanes: Optional[int] = None
+                      trace_cache: Optional[TraceCache] = None
                       ) -> List[PredictorReplayResult]:
     """Replay one branch stream through K predictor configurations.
 
@@ -191,13 +190,9 @@ def replay_mpki_batch(program: Program,
     arrays, so the predictor *instance's* table state is left
     unspecified — treat lane predictors as consumed by this call.
 
-    ``min_lanes`` is the vectorized-kernel cutover floor, forwarded to
-    :func:`~repro.predictors.batched.replay_lanes`; None means the
-    calibrated, else static, default (see
-    :func:`~repro.predictors.batched.tage_min_lanes`).  Each result
-    additionally reports ``host.batch.lanes_deduped`` — how many lanes
-    were satisfied by an equivalent sibling's replay rather than their
-    own.
+    Each result additionally reports ``host.batch.lanes_deduped`` — how
+    many lanes were satisfied by an equivalent sibling's replay rather
+    than their own.
     """
     resolved: List[BranchPredictor] = []
     for predictor in predictors:
@@ -219,8 +214,7 @@ def replay_mpki_batch(program: Program,
     boundary = warmup if warmed else 0
     with shared.phase("mpki_replay"):
         split = bisect_left(columns.indices, boundary)
-        lanes = replay_lanes(resolved, columns.pcs, columns.takens,
-                             split, min_lanes=min_lanes)
+        lanes = replay_lanes(resolved, columns.pcs, columns.takens, split)
     for telemetry in telemetries:
         for phase, seconds in shared.to_dict().items():
             telemetry.timers.add(phase, seconds / len(telemetries))

@@ -22,11 +22,8 @@ from repro.config import RunConfig
 from repro.isa.program import ProgramBuilder
 from repro.observe.journal import read_journal
 from repro.predictors import batched
-from repro.predictors.batched import (
-    MIN_PERCEPTRON_LANES,
-    _lockstep,
-    replay_lanes,
-)
+from repro.predictors.batched import _lockstep, replay_lanes
+from repro.predictors.base import AlwaysTakenPredictor
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.perceptron import PerceptronPredictor
@@ -76,7 +73,11 @@ def synthetic_stream(events=4_000, pcs=48, seed=0x2545F491):
 
 
 def mixed_lane_factories():
-    """Lane set spanning every kernel family plus the lockstep fallback."""
+    """Lane set spanning every kernel family plus the lockstep fallback.
+
+    The 3-bit bimodal and the perceptrons have no kernel: they replay on
+    lockstep beside the stacked counter scan.
+    """
     lanes = [lambda: BimodalPredictor(size_log2=4),
              lambda: BimodalPredictor(size_log2=8),
              lambda: BimodalPredictor(size_log2=6, counter_bits=3),
@@ -85,7 +86,7 @@ def mixed_lane_factories():
              lambda: GSharePredictor(size_log2=6, history_bits=12),
              lambda: make_predictor("tage64")]
     lanes += [lambda bits=bits: PerceptronPredictor(history_bits=bits)
-              for bits in (8, 12, 16)][:MIN_PERCEPTRON_LANES]
+              for bits in (8, 12, 16)]
     return lanes
 
 
@@ -254,14 +255,14 @@ class TestBatchIdentity:
             assert payload_digest(batch.to_dict()) == \
                 payload_digest(scalar.to_dict())
 
-    def test_duplicate_lanes_dedupe_stat(self, backend):
+    def test_duplicate_lanes_dedupe_stat(self, backend, monkeypatch):
         # equivalent lanes replay once in the kernels; the count is
         # reported under host.batch (host scope, so the digest the drift
         # gate compares stays identical to the scalar document)
+        monkeypatch.setattr(batched, "TAGE_MIN_LANES", 1)
         program = suite.load("sjeng_06")
         results = replay_mpki_batch(program, ["tage64", "tage64"],
-                                    trace_cache=TraceCache(),
-                                    min_lanes=1, **REGION)
+                                    trace_cache=TraceCache(), **REGION)
         deduped = {result.to_dict()["stats"]["host"]["batch"]
                    ["lanes_deduped"] for result in results}
         assert deduped == {1}
@@ -283,6 +284,29 @@ class TestBatchIdentity:
         booked = sum(sum(result.to_dict()["stats"]["host"]["phase"]
                          .values()) for result in results)
         assert 0 < booked <= wall
+
+    @pytest.mark.parametrize("case", ["mid_stream", "countdown"])
+    def test_no_cache_matches_cached(self, case):
+        # without a trace cache the records stream straight into the
+        # extraction: the payloads match a cached call's, and none
+        # reports a trace-cache scope
+        if case == "mid_stream":
+            program, start = suite.load("mcf_17"), 2_000
+        else:
+            program, start = halting_countdown(40), 0
+
+        def replay(trace_cache):
+            lanes = [AlwaysTakenPredictor(), BimodalPredictor(),
+                     GSharePredictor(), make_predictor("tage64")]
+            return [result.to_dict() for result in replay_mpki_batch(
+                program, lanes, start_instruction=start,
+                trace_cache=trace_cache, **REGION)]
+
+        uncached = replay(None)
+        assert [payload_digest(payload) for payload in uncached] == \
+            [payload_digest(payload) for payload in replay(TraceCache())]
+        assert not any("trace_cache" in payload["stats"]["host"]
+                       for payload in uncached)
 
     def test_string_lanes_resolve_via_registry(self, backend):
         program = suite.load("sjeng_06")

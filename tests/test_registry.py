@@ -102,10 +102,14 @@ class TestRegistryBasics:
 
 
 class TestBuiltinCatalogues:
-    def test_predictors_present(self):
+    def test_predictors_present(self, capsys):
         assert {"tage64", "tage80", "mtage"} <= set(PREDICTORS.names())
-        for name in PREDICTORS:
-            assert PREDICTORS.meta(name)["predictor_only"] is True
+        # `repro list` reports the MPKI fast path the session really takes
+        assert cli.main(["list", "--kind", "predictors"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        listed = {row.split()[0]: row.split()[1] for row in rows}
+        assert listed == {name: "yes" if is_predictor_only(name) else "no"
+                          for name in PREDICTORS}
 
     def test_benchmark_registry_matches_suite_order(self):
         figure_names = [b.name for b in suite.BENCHMARKS]

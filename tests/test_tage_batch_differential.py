@@ -116,9 +116,15 @@ def scl_lanes(cfg_builder):
 class TestTageBatchDifferential:
     """Batched lanes vs reference objects, one replay_lanes call per case."""
 
-    def run_case(self, lane_specs, pcs, takens, split, min_lanes=1):
+    @pytest.fixture(autouse=True)
+    def kernel_on_every_group(self, monkeypatch):
+        # the cases replay one- and two-lane geometry groups: engage the
+        # kernel on groups of any size
+        monkeypatch.setattr(batched, "TAGE_MIN_LANES", 1)
+
+    def run_case(self, lane_specs, pcs, takens, split):
         batch = replay_lanes([packed() for packed, _ in lane_specs],
-                             pcs, takens, split, min_lanes=min_lanes)
+                             pcs, takens, split)
         expected = reference_lanes([ref() for _, ref in lane_specs],
                                    pcs, takens, split)
         assert batch == expected
@@ -209,8 +215,8 @@ class TestTageBatchDifferential:
 
 
 class TestMinLanesCutover:
-    """The TAGE kernel cutover: an explicit ``min_lanes`` wins, else the
-    ``warm_backend()`` calibration, else the static default.
+    """The TAGE kernel cutover: a geometry group of ``TAGE_MIN_LANES``
+    distinct lanes engages the kernel, one lane fewer stays on lockstep.
 
     Whether the kernel engaged is observable from the outside: the
     columnar kernel keeps lane evolution in its own arrays (the instance
@@ -218,27 +224,22 @@ class TestMinLanesCutover:
     own tables (``_tick`` advances every update).
     """
 
-    def replay(self, min_lanes):
+    def replay(self, lane_count):
         pcs, takens = loopy_stream(400, seed=11)
-        predictor = TagePredictor(tiny_cfg())
-        result, = replay_lanes([predictor], pcs, takens, split=100,
-                               min_lanes=min_lanes)
-        expected, = _lockstep([TagePredictor(tiny_cfg())],
-                              pcs, takens, split=100)
+        # one geometry group of distinct lanes: the reset period is in
+        # the dedupe key, not in the group key
+        configs = [tiny_cfg(useful_reset_period=64 * (lane + 1))
+                   for lane in range(lane_count)]
+        predictors = [TagePredictor(cfg) for cfg in configs]
+        result = replay_lanes(predictors, pcs, takens, split=100)
+        expected = _lockstep([TagePredictor(cfg) for cfg in configs],
+                             pcs, takens, split=100)
         assert result == expected
-        return predictor._tick
+        return [predictor._tick for predictor in predictors]
 
-    def test_explicit_floor_engages_kernel(self):
-        assert self.replay(min_lanes=1) == 0
+    def test_floor_lane_count_engages_kernel(self):
+        lanes = batched.TAGE_MIN_LANES
+        assert self.replay(lanes) == [0] * lanes
 
     def test_below_floor_stays_lockstep(self):
-        assert self.replay(min_lanes=99) > 0
-
-    def test_auto_takes_calibration_else_default(self, monkeypatch):
-        monkeypatch.setattr(batched, "_calibrated_tage_min", None)
-        assert batched.tage_min_lanes(None) == \
-            batched.DEFAULT_TAGE_MIN_LANES
-        assert batched.tage_min_lanes(0) == batched.DEFAULT_TAGE_MIN_LANES
-        monkeypatch.setattr(batched, "_calibrated_tage_min", 5)
-        assert batched.tage_min_lanes(None) == 5
-        assert batched.tage_min_lanes(3) == 3
+        assert all(self.replay(batched.TAGE_MIN_LANES - 1))
