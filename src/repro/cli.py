@@ -38,7 +38,8 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.config import RunConfig, ResolvedConfig, resolve_config
+from repro.config import ENV_VARS, INT_FIELDS, ResolvedConfig, \
+    RunConfig, resolve_config
 from repro.core.config import UARCH_CONFIGS
 from repro.observe import baseline as observe_baseline
 from repro.observe import journal as observe_journal
@@ -79,16 +80,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     config_cmd = sub.add_parser(
         "config", help="print the resolved effective configuration")
-    config_cmd.add_argument("--instructions", type=int, default=None)
-    config_cmd.add_argument("--warmup", type=int, default=None)
-    config_cmd.add_argument("--jobs", type=int, default=None)
-    config_cmd.add_argument("--result-cache-size", type=int, default=None)
-    config_cmd.add_argument("--trace-cache-size", type=int, default=None)
-    config_cmd.add_argument("--trace-cache-dir", default=None)
-    config_cmd.add_argument("--variant", default=None)
-    config_cmd.add_argument("--result-store-dir", default=None,
-                            help="content-addressed result store "
-                            "directory (enables sweep resume)")
+    for field in RunConfig.field_names():
+        config_cmd.add_argument(
+            "--" + field.replace("_", "-"), default=None,
+            type=int if field in INT_FIELDS else str,
+            help=f"override {field} (env {ENV_VARS[field]})")
     config_cmd.add_argument("--json", action="store_true",
                             help="emit config + provenance as JSON")
 
@@ -127,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar="PREDICTOR",
                          help="sweep mode: one MPKI column per predictor "
                          "(no BR side; implies --mpki-only, so grouped "
-                         "cells ride the batched replay kernel)")
+                         "cells share one batched replay)")
     compare.add_argument("--instructions", type=int, default=None)
     compare.add_argument("--warmup", type=int, default=None)
     compare.add_argument("--jobs", type=int, default=None,
@@ -289,10 +285,8 @@ def _resolve_from_args(args) -> ResolvedConfig:
     An out-of-range flag or file value, an unknown config-file key and
     an unreadable config file raise :class:`_ConfigError`.
     """
-    flag_fields = ("instructions", "warmup", "jobs", "result_cache_size",
-                   "trace_cache_size", "trace_cache_dir", "variant",
-                   "result_store_dir")
-    flags = {field: getattr(args, field, None) for field in flag_fields}
+    flags = {field: getattr(args, field, None)
+             for field in RunConfig.field_names()}
     try:
         return resolve_config(flags=flags,
                               config_file=getattr(args, "config_file", None))

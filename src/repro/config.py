@@ -1,14 +1,15 @@
 """Layered run configuration (``repro.config``).
 
 One frozen, hashable :class:`RunConfig` holds every harness-level knob —
-region length, warmup, worker count, cache bounds, trace-cache spill
-directory, default variant token.  Values are resolved with explicit
-layered precedence, **lowest to highest**:
+region length, warmup, worker count, trace-cache spill directory,
+default variant token, result-store directory.  Values are resolved with
+explicit layered precedence, **lowest to highest**:
 
 1. built-in defaults (the dataclass field defaults);
 2. an optional TOML/JSON config file (``--config-file`` or the
    ``REPRO_CONFIG`` env var);
-3. ``REPRO_*`` environment variables;
+3. ``REPRO_*`` environment variables, one per field: ``REPRO_`` plus the
+   upper-cased field name;
 4. explicit CLI flags / keyword arguments.
 
 Resolution happens *per invocation*, never at import time: setting
@@ -39,18 +40,6 @@ except ImportError:  # pragma: no cover - depends on interpreter version
 #: Environment variable naming the config file (lowest-but-one layer).
 CONFIG_FILE_ENV = "REPRO_CONFIG"
 
-#: field name -> REPRO_* environment variable.
-ENV_VARS: Dict[str, str] = {
-    "instructions": "REPRO_INSTRUCTIONS",
-    "warmup": "REPRO_WARMUP",
-    "jobs": "REPRO_JOBS",
-    "result_cache_size": "REPRO_CACHE_SIZE",
-    "trace_cache_size": "REPRO_TRACE_CACHE",
-    "trace_cache_dir": "REPRO_TRACE_CACHE_DIR",
-    "variant": "REPRO_VARIANT",
-    "result_store_dir": "REPRO_RESULT_STORE_DIR",
-}
-
 #: Provenance labels, lowest precedence first.
 SOURCES = ("default", "file", "env", "flag")
 
@@ -71,10 +60,6 @@ class RunConfig:
     warmup: int = 6_000
     #: Parallel experiment-runner worker processes (1 = serial).
     jobs: int = 1
-    #: Bound on per-session result-cache entries.
-    result_cache_size: int = 256
-    #: Bound on per-session trace-cache regions.
-    trace_cache_size: int = 32
     #: Directory for persistent trace-cache spills (None = memory only).
     trace_cache_dir: Optional[str] = None
     #: Default variant/BR-config token for single-run CLI flows.
@@ -91,12 +76,6 @@ class RunConfig:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.result_cache_size < 1:
-            raise ValueError("result_cache_size must be >= 1, "
-                             f"got {self.result_cache_size}")
-        if self.trace_cache_size < 1:
-            raise ValueError("trace_cache_size must be >= 1, "
-                             f"got {self.trace_cache_size}")
         return self
 
     def replace(self, **changes: Any) -> "RunConfig":
@@ -132,19 +111,25 @@ class ResolvedConfig(NamedTuple):
     config_file: Optional[str]
 
 
-_INT_FIELDS = frozenset({"instructions", "warmup", "jobs",
-                         "result_cache_size", "trace_cache_size"})
+#: field name -> REPRO_* environment variable.
+ENV_VARS: Dict[str, str] = {field: f"REPRO_{field.upper()}"
+                            for field in RunConfig.field_names()}
+
+#: Fields with an integer default take integers; the rest take strings
+#: (None where the default is None).
+INT_FIELDS = frozenset(field for field in RunConfig.field_names()
+                       if isinstance(getattr(RunConfig, field), int))
 
 
 def _coerce(field: str, value: Any, source: str) -> Any:
     """Coerce a raw layer value to the field's type with a clear error."""
     try:
-        if field in _INT_FIELDS:
+        if field in INT_FIELDS:
             if isinstance(value, bool):
                 raise ValueError("boolean is not an integer")
             return int(value)
-        if field in ("trace_cache_dir", "result_store_dir"):
-            return str(value) if value is not None else None
+        if value is None and getattr(RunConfig, field) is None:
+            return None
         return str(value)
     except (TypeError, ValueError) as error:
         raise ValueError(

@@ -12,8 +12,8 @@ list indexes and one :class:`~repro.emulator.trace.DynamicUop` construction.
 
 The closures are semantically identical to ``execute_uop`` by construction;
 ``tests/test_dispatch_differential.py`` asserts it uop-for-uop over
-randomized programs.  ``execute_uop`` remains the reference (and the
-fallback for uops that were never placed in a program).
+randomized programs.  ``execute_uop`` remains the reference; the
+simulator never falls back to it.
 """
 
 from __future__ import annotations

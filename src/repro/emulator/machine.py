@@ -36,9 +36,9 @@ def execute_uop(op: Uop, regs: List[int], memory) -> DynamicUop:
     (either :class:`Memory` or :class:`OverlayMemory`).  The returned record's
     ``seq`` is left at -1; callers stamp it.
 
-    This function is shared by the committed-path emulator, the wrong-path
-    shadow walker, and the Dependence Chain Engine's functional execution, so
-    all three see identical semantics by construction.
+    This is the readable statement of the ISA's semantics.  The simulator
+    itself runs the compiled closures of :mod:`repro.emulator.dispatch`;
+    the tests pin those closures, record for record, against this function.
     """
     opcode = op.opcode
     next_pc = op.pc + 1

@@ -24,7 +24,6 @@ from array import array
 from itertools import islice
 from typing import Iterator, List
 
-from repro.emulator.machine import execute_uop
 from repro.emulator.memory import Memory, OverlayMemory
 from repro.emulator.trace import DynamicUop
 from repro.isa import uop as U
@@ -58,7 +57,9 @@ def wrong_path_steps(program: Program, regs: List[int], memory: Memory,
     uop after the branch; each uop executes only when its record is pulled,
     so a consumer that stops early pays for nothing beyond.  The walk ends
     at HALT or where it would leave the program.  It reads ``regs`` and
-    ``memory`` as it runs, so consume it before either changes.
+    ``memory`` as it runs, so consume it before either changes.  Each uop
+    runs its compiled closure: building a ``Machine`` for the program, or
+    loading one of its regions from a trace-cache spill, binds them.
     """
     uops = program.uops
     branch_uop = uops[branch_pc]
@@ -72,11 +73,7 @@ def wrong_path_steps(program: Program, regs: List[int], memory: Memory,
         op = uops[pc]
         if op.opcode == U.HALT:
             return
-        run = op.execute
-        if run is not None:
-            record = run(shadow_regs, shadow_memory)
-        else:
-            record = execute_uop(op, shadow_regs, shadow_memory)
+        record = op.execute(shadow_regs, shadow_memory)
         yield record
         pc = record.next_pc
 

@@ -183,8 +183,9 @@ class Uop:
         self.kind = _compute_kind(opcode)
         #: Compiled execution closure ``(regs, memory) -> DynamicUop``.
         #: Bound by :func:`repro.emulator.dispatch.ensure_compiled` once the
-        #: uop's final ``pc``/``target`` are known (at Machine construction);
-        #: ``None`` until then.  Semantically identical to
+        #: uop's final ``pc``/``target`` are known (at Machine construction,
+        #: or when a trace-cache spill of the program loads); ``None`` until
+        #: then.  Semantically identical to
         #: :func:`repro.emulator.machine.execute_uop` by construction (and by
         #: the differential test suite).
         self.execute = None

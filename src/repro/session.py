@@ -45,6 +45,9 @@ from repro.sim.variants import variant_kwargs
 from repro.telemetry.timers import peak_rss_kb
 from repro.workloads import suite
 
+#: Bound on a session's result-cache LRU entries.
+RESULT_CACHE_SIZE = 256
+
 
 class Session:
     """One experiment context: a config plus the caches it governs."""
@@ -55,8 +58,7 @@ class Session:
         self.config = config.validate()
         #: Shared committed-trace cache: one functional emulation per
         #: benchmark region, replayed by every variant of this session.
-        self.trace_cache = TraceCache(capacity=config.trace_cache_size,
-                                      disk_dir=config.trace_cache_dir)
+        self.trace_cache = TraceCache(disk_dir=config.trace_cache_dir)
         #: Bounded result-cache LRU of live results, keyed by
         #: :func:`~repro.sched.store.cell_key` (``simulate`` adds its own
         #: kwargs-keyed entries).
@@ -93,7 +95,7 @@ class Session:
         if key in self._results:
             self._results.move_to_end(key)
         self._results[key] = result
-        while len(self._results) > self.config.result_cache_size:
+        while len(self._results) > RESULT_CACHE_SIZE:
             self._results.popitem(last=False)
 
     def clear_caches(self) -> None:

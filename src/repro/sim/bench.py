@@ -7,10 +7,9 @@ on any host.  The committed ``baselines/*.json``, sweep journals,
 ``repro sweep resume`` and ``perfbench/digests.json`` all pin results by
 it.
 
-:func:`batch_replay_predictors` (40 bimodal/gshare lanes) and
 :func:`tage_batch_predictors` (24 TAGE-SC-L lanes sharing one index
-geometry) build the fixed multi-predictor sweeps the batched-replay
-differential tests and ``perfbench``'s ``predictor_sweep`` workload run.
+geometry) builds the fixed multi-predictor sweep ``perfbench``'s
+``predictor_sweep`` workload runs through the batched TAGE kernel.
 """
 
 from __future__ import annotations
@@ -18,21 +17,10 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.predictors.bimodal import BimodalPredictor
-from repro.predictors.gshare import GSharePredictor
 from repro.predictors.loop_predictor import LoopPredictor
 from repro.predictors.statistical_corrector import StatisticalCorrector
 from repro.predictors.tage import TageConfig
 from repro.predictors.tage_scl import TageSCL
-
-
-def batch_replay_predictors() -> list:
-    """Fresh instances of the 40-lane bimodal/gshare sweep."""
-    lanes = [BimodalPredictor(size_log2=size) for size in (10, 12, 14, 16)]
-    lanes.extend(GSharePredictor(size_log2=size, history_bits=history)
-                 for size in (10, 12, 13, 14, 15, 16)
-                 for history in (4, 6, 8, 10, 12, 16))
-    return lanes
 
 
 def tage_batch_predictors() -> list:

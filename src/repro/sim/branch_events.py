@@ -2,7 +2,7 @@
 
 The MPKI-only replay path (:mod:`repro.sim.predictor_replay`) consumes
 exactly one projection of a recorded region: the committed conditional
-branches as ``(region_index, pc, taken)``.  The batched replay kernel
+branches as ``(region_index, pc, taken)``.  The batched replay
 indexes ``pcs`` and ``takens`` as flat vectors, and re-deriving them from
 pickled :class:`~repro.emulator.trace.DynamicUop` records after every
 disk reload would repay the full unpickle cost just to throw away

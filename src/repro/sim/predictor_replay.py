@@ -171,8 +171,8 @@ def replay_mpki_batch(program: Program,
     """Replay one branch stream through K predictor configurations.
 
     One region load, one pass of the committed branch stream advancing
-    every lane (vectorized kernels per predictor family where applicable,
-    lockstep otherwise — see :mod:`repro.predictors.batched`), then one
+    every lane (the TAGE kernel for large same-geometry groups, lockstep
+    otherwise — see :mod:`repro.predictors.batched`), then one
     :class:`PredictorReplayResult` per lane.  Measurement semantics mirror
     ``CoreModel.run`` record for record:
 
@@ -185,8 +185,8 @@ def replay_mpki_batch(program: Program,
     Every lane's MPKI, mispredict counts, per-PC breakdowns, and
     (host-stripped) payload are bit-identical to a scalar predict/update
     loop over the same stream; ``tests/test_batch_replay.py`` pins this
-    differentially for every registered predictor.  A lane that took a
-    vectorized kernel keeps its prediction evolution in the kernel's own
+    differentially for every registered predictor.  A lane that took the
+    TAGE kernel keeps its prediction evolution in the kernel's own
     arrays, so the predictor *instance's* table state is left
     unspecified — treat lane predictors as consumed by this call.
 
@@ -222,9 +222,8 @@ def replay_mpki_batch(program: Program,
     cond_branches = len(columns.pcs) - split
     taken_branches = int(sum(columns.takens[split:]))
     shared_counts = Counter(columns.pcs[split:].tolist())
-    # equivalent lanes (the kernel dedupes configurations that induce the
-    # same table partition) return the same mispredict-list object, so
-    # the per-PC count is built once per unique list
+    # duplicate TAGE lanes of a kernel-sized batch return the same
+    # mispredict-list object, so the per-PC count is built once per list
     counted: dict = {}
     lanes_deduped = len(lanes) - len({id(m) for m in lanes})
     results: List[PredictorReplayResult] = []

@@ -28,10 +28,9 @@ object (whose uops were re-placed) can never alias a stale entry.
 **Disk persistence.**  With a ``disk_dir``, entries additionally spill to
 disk so spawn-start multiprocessing workers and repeat CLI invocations
 start warm.  The cache itself reads no environment: a session passes its
-``RunConfig.trace_cache_size``/``trace_cache_dir``, which
-:func:`~repro.config.resolve_config` layers from ``REPRO_TRACE_CACHE``/
-``REPRO_TRACE_CACHE_DIR``, so only sessions built from the resolved config
-(``Session()``, the CLI's) follow those variables.  Identity keys do not
+``RunConfig.trace_cache_dir``, which :func:`~repro.config.resolve_config`
+layers from ``REPRO_TRACE_CACHE_DIR``, so only sessions built from the
+resolved config (``Session()``, the CLI's) follow it.  Identity keys do not
 survive a process boundary, so on-disk entries are keyed by a *content*
 fingerprint: the sha256 over the program's name, every static uop's
 architectural fields, and the initial memory image (memoized per Program
@@ -69,6 +68,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.emulator.dispatch import ensure_compiled
 from repro.emulator.machine import Machine
 from repro.emulator.memory import Memory, wrap64
 from repro.emulator.shadow import WalkPrefix
@@ -87,9 +87,8 @@ from repro.sim.branch_events import (
     unpack_columns,
 )
 
-#: Default LRU capacity (regions, not uops), matching
-#: ``RunConfig.trace_cache_size``.  A full benchmark suite sweep touches
-#: one region per benchmark.
+#: Default LRU capacity (regions, not uops), the one a session uses.  A
+#: full benchmark suite sweep touches one region per benchmark.
 DEFAULT_CAPACITY = 32
 
 #: On-disk format version; bumped whenever the payload layout changes.
@@ -617,14 +616,19 @@ class TraceCache:
 
     def _load_from_disk(self, program: Program, start: int,
                         total: int) -> Optional[TraceEntry]:
-        """Deserialize an entry; any damage is a clean miss, not a crash."""
+        """Deserialize an entry; any damage is a clean miss, not a crash.
+
+        The entry's records reach a consumer that may never build a
+        :class:`Machine` for the program — Branch Runahead's wrong-path
+        walks run their uops' closures — so the load binds them.
+        """
 
         def decode(payload: bytes) -> TraceEntry:
             data = pickle.loads(payload)
             if (data["fingerprint"] != program_fingerprint(program)
                     or data["start"] != start or data["total"] != total):
                 raise ValueError("key mismatch")
-            uops = program.uops
+            uops = ensure_compiled(program).uops
             records = [DynamicUop(uops[pc], seq, next_pc, taken, addr,
                                   value, dst_value)
                        for pc, seq, next_pc, taken, addr, value, dst_value

@@ -6,8 +6,8 @@ grouping built on it — must produce results **bit-identical** to
 :func:`scalar_replay`, the independent one-predictor predict/update loop
 kept here as the reference: same MPKI, same per-PC breakdowns, same
 warmup semantics, same payload digests.  The lockstep loop
-(``_lockstep``) is the reference the numpy kernels are pinned against;
-both are pinned against the scalar loop here.
+(``_lockstep``) is the reference the TAGE kernel is pinned against; both
+are pinned against the scalar loop here.
 """
 
 import json
@@ -21,15 +21,16 @@ from repro.cli import main as cli_main
 from repro.config import RunConfig
 from repro.isa.program import ProgramBuilder
 from repro.observe.journal import read_journal
-from repro.predictors import batched
+from repro.predictors import batched, tage_batch
 from repro.predictors.batched import _lockstep, replay_lanes
 from repro.predictors.base import AlwaysTakenPredictor
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.perceptron import PerceptronPredictor
 from repro.predictors.registry import PREDICTORS, make_predictor
+from repro.predictors.tage import TagePredictor
 from repro.session import Session
-from repro.sim.bench import batch_replay_predictors, payload_digest
+from repro.sim.bench import payload_digest
 from repro.sim.branch_events import (
     EVENT_FORMAT_VERSION,
     EVENT_MAGIC,
@@ -50,6 +51,7 @@ from repro.sim.trace_cache import (
 from repro.telemetry import Telemetry
 from repro.uarch.stats import CoreStats
 from repro.workloads import suite
+from tests.test_tage_batch_differential import tiny_cfg
 
 REGION = dict(instructions=1_200, warmup=600)
 
@@ -73,10 +75,10 @@ def synthetic_stream(events=4_000, pcs=48, seed=0x2545F491):
 
 
 def mixed_lane_factories():
-    """Lane set spanning every kernel family plus the lockstep fallback.
+    """Ten lanes of every non-kernel kind, replayed on one lockstep pass.
 
-    The 3-bit bimodal and the perceptrons have no kernel: they replay on
-    lockstep beside the stacked counter scan.
+    Bimodal (2- and 3-bit), gshare and perceptron lanes have no kernel,
+    and a lone TAGE lane is a geometry group below the kernel's cutover.
     """
     lanes = [lambda: BimodalPredictor(size_log2=4),
              lambda: BimodalPredictor(size_log2=8),
@@ -87,6 +89,15 @@ def mixed_lane_factories():
              lambda: make_predictor("tage64")]
     lanes += [lambda bits=bits: PerceptronPredictor(history_bits=bits)
               for bits in (8, 12, 16)]
+    return lanes
+
+
+def batch_replay_predictors():
+    """Fresh instances of a 40-lane bimodal/gshare sweep."""
+    lanes = [BimodalPredictor(size_log2=size) for size in (10, 12, 14, 16)]
+    lanes.extend(GSharePredictor(size_log2=size, history_bits=history)
+                 for size in (10, 12, 13, 14, 15, 16)
+                 for history in (4, 6, 8, 10, 12, 16))
     return lanes
 
 
@@ -172,45 +183,57 @@ class TestReplayLanesDifferential:
                               pcs, takens, split=800)
         assert batch == reference
 
-    def test_trained_lane_falls_back_to_instance_state(self, backend):
-        # a lane with prior history is not pristine: the batch must keep
-        # driving the instance's own tables, bit-for-bit
+    def test_trained_lane_falls_back_to_instance_state(self, backend,
+                                                       monkeypatch):
+        # a lane with prior history is not pristine: the kernel declines
+        # it, and the batch keeps driving the instance's own tables
+        monkeypatch.setattr(batched, "TAGE_MIN_LANES", 1)
         pcs, takens = synthetic_stream(events=1_000)
-        trained, twin = BimodalPredictor(size_log2=6), \
-            BimodalPredictor(size_log2=6)
+        trained, twin = TagePredictor(tiny_cfg()), TagePredictor(tiny_cfg())
         for predictor in (trained, twin):
             for pc in range(0, 256, 4):
                 predictor.observe(pc, True)
+        assert not tage_batch.supported(trained)
         batch = replay_lanes([trained], pcs, takens, split=100)
         reference = _lockstep([twin], pcs, takens, split=100)
         assert batch == reference
 
-    def test_subclass_falls_back_to_instance_behaviour(self, backend):
-        class Contrarian(GSharePredictor):
+    def test_subclass_falls_back_to_instance_behaviour(self, backend,
+                                                       monkeypatch):
+        # the kernel takes exact types only: a subclass may override any
+        # step, so it replays on lockstep through its own observe
+        class Contrarian(TagePredictor):
             def predict(self, pc):
                 return not super().predict(pc)
 
+        monkeypatch.setattr(batched, "TAGE_MIN_LANES", 1)
         pcs, takens = synthetic_stream(events=1_000)
-        batch = replay_lanes(
-            [Contrarian(size_log2=6, history_bits=6)], pcs, takens, 200)
-        reference = _lockstep(
-            [Contrarian(size_log2=6, history_bits=6)], pcs, takens, 200)
+        batch = replay_lanes([Contrarian(tiny_cfg())], pcs, takens, 200)
+        reference = _lockstep([Contrarian(tiny_cfg())], pcs, takens, 200)
         assert batch == reference
 
-    def test_equivalent_lanes_share_result_object(self):
-        # two gshare geometries inducing the same event partition must be
-        # deduped to one scan and hand back the same list object
-        pcs = [0x400] * 600  # one static PC: partition is history-only
-        takens = [(i * 7) & 1 for i in range(600)]
-        lanes = [GSharePredictor(size_log2=10, history_bits=4),
-                 GSharePredictor(size_log2=12, history_bits=4)]
-        batch = replay_lanes(lanes, pcs, takens, split=100)
-        assert batch[0] is batch[1]
-        reference = _lockstep(
-            [GSharePredictor(size_log2=10, history_bits=4),
-             GSharePredictor(size_log2=12, history_bits=4)],
-            pcs, takens, split=100)
-        assert batch == reference
+    def test_kernel_group_beside_lockstep_lanes(self):
+        # eight distinct lanes of one TAGE geometry reach the kernel (the
+        # reset period is in the dedupe key, not the group key); the
+        # bimodal, gshare and perceptron lanes share one lockstep pass
+        pcs, takens = synthetic_stream()
+
+        def lanes():
+            tages = [TagePredictor(tiny_cfg(
+                useful_reset_period=64 * (lane + 1)))
+                for lane in range(batched.TAGE_MIN_LANES)]
+            return tages + [BimodalPredictor(size_log2=6),
+                            GSharePredictor(size_log2=8, history_bits=8),
+                            PerceptronPredictor(history_bits=12)]
+
+        predictors = lanes()
+        batch = replay_lanes(predictors, pcs, takens, split=800)
+        assert batch == _lockstep(lanes(), pcs, takens, split=800)
+        # the kernel keeps lane state in its own arrays: the TAGE
+        # instances stay pristine
+        assert [predictor._tick for predictor
+                in predictors[:batched.TAGE_MIN_LANES]] == \
+            [0] * batched.TAGE_MIN_LANES
 
     def test_empty_stream(self, backend):
         assert replay_lanes([BimodalPredictor()], [], [], 0) == [[]]
@@ -228,19 +251,24 @@ class TestBatchIdentity:
         assert payload_digest(batch.to_dict()) == \
             payload_digest(scalar.to_dict())
 
-    @pytest.mark.parametrize("name", ["tage64", "perceptron"])
-    def test_lone_lane_skips_numpy_set_up(self, name, monkeypatch):
+    def test_registered_variants_skip_kernel_gating(self, monkeypatch):
+        # a batch of every registered predictor is below the cutover: it
+        # replays on lockstep without gating a lane for the TAGE kernel
         program = suite.load("mcf_17")
-        scalar = scalar_replay(program, make_predictor(name),
-                               trace_cache=TraceCache(), **REGION)
+        names = sorted(PREDICTORS.names())
+        scalars = [scalar_replay(program, name, trace_cache=TraceCache(),
+                                 **REGION) for name in names]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a lone lane entered _numpy_lanes")
+            raise AssertionError("a small batch reached the TAGE kernel")
 
-        monkeypatch.setattr(batched, "_numpy_lanes", refuse)
-        batch, = replay_mpki_batch(program, [name],
-                                   trace_cache=TraceCache(), **REGION)
-        assert branch_fields(batch.core) == branch_fields(scalar.core)
+        monkeypatch.setattr(tage_batch, "supported", refuse)
+        monkeypatch.setattr(tage_batch, "run_tage_lanes", refuse)
+        batches = replay_mpki_batch(program, names,
+                                    trace_cache=TraceCache(), **REGION)
+        assert len(batches) == len(names) < batched.TAGE_MIN_LANES
+        for scalar, batch in zip(scalars, batches):
+            assert branch_fields(batch.core) == branch_fields(scalar.core)
 
     def test_bench_lane_set_matches_scalar(self, backend):
         program = suite.load("mcf_17")
@@ -256,7 +284,7 @@ class TestBatchIdentity:
                 payload_digest(scalar.to_dict())
 
     def test_duplicate_lanes_dedupe_stat(self, backend, monkeypatch):
-        # equivalent lanes replay once in the kernels; the count is
+        # equivalent lanes replay once in the kernel; the count is
         # reported under host.batch (host scope, so the digest the drift
         # gate compares stays identical to the scalar document)
         monkeypatch.setattr(batched, "TAGE_MIN_LANES", 1)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.config import RunConfig
 from repro.observe.journal import read_journal
 from repro.sim.results import ipc_improvement, mpki_improvement
 
@@ -30,10 +31,24 @@ class TestConfigCommand:
         assert document["config"]["jobs"] == 2             # flag
         assert document["provenance"] == {
             "instructions": "env", "warmup": "file", "jobs": "flag",
-            "result_cache_size": "default", "trace_cache_size": "default",
             "trace_cache_dir": "default", "variant": "default",
             "result_store_dir": "default"}
         assert document["config_file"] == str(path)
+
+    def test_every_field_has_a_flag(self, capsys):
+        flags = {"instructions": "900", "warmup": "90", "jobs": "3",
+                 "trace_cache_dir": "traces", "variant": "big",
+                 "result_store_dir": "store"}
+        assert set(flags) == set(RunConfig.field_names())
+        argv = ["config", "--json"]
+        for field, value in flags.items():
+            argv += ["--" + field.replace("_", "-"), value]
+        assert cli_main(argv) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["provenance"] == dict.fromkeys(flags, "flag")
+        assert document["config"] == {
+            field: int(value) if value.isdigit() else value
+            for field, value in flags.items()}
 
     def test_config_file_env_var(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "cfg.json"

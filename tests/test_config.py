@@ -1,5 +1,6 @@
 """Layered RunConfig resolution: precedence, provenance, env semantics."""
 
+import json
 import pickle
 
 import pytest
@@ -72,7 +73,8 @@ class TestPrecedence:
         assert resolved.provenance["instructions"] == "default"
 
     def test_every_field_has_an_env_var(self):
-        assert set(ENV_VARS) == set(RunConfig.field_names())
+        assert ENV_VARS == {field: "REPRO_" + field.upper()
+                            for field in RunConfig.field_names()}
 
     def test_unknown_flag_field_rejected(self):
         with pytest.raises(ValueError, match="unknown config field"):
@@ -104,6 +106,15 @@ class TestConfigFiles:
         path = tmp_path / "cfg.json"
         path.write_text('{"instrs": 1}')
         with pytest.raises(ValueError, match="instrs"):
+            resolve_config(config_file=str(path), environ={})
+
+    @pytest.mark.parametrize("key", ["result_cache_size",
+                                     "trace_cache_size"])
+    def test_removed_cache_size_keys_are_unknown(self, tmp_path, key):
+        # the cache bounds are module constants now, not config fields
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: 64}))
+        with pytest.raises(ValueError, match="unknown config file key"):
             resolve_config(config_file=str(path), environ={})
 
     def test_non_object_file_is_an_error(self, tmp_path):
@@ -182,9 +193,9 @@ class TestEnvReadAtResolutionTime:
         assert Session().config.instructions == before + 777
         assert current_config().instructions == before + 777
 
-    def test_warmup_and_cache_size_follow_env(self, monkeypatch):
+    def test_warmup_and_variant_follow_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WARMUP", "41")
-        monkeypatch.setenv("REPRO_CACHE_SIZE", "5")
+        monkeypatch.setenv("REPRO_VARIANT", "big")
         config = Session().config
         assert config.warmup == 41
-        assert config.result_cache_size == 5
+        assert config.variant == "big"

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from repro import session as session_mod
 from repro.config import RunConfig
 from repro.session import Session
 from repro.sim import bench
@@ -117,16 +118,14 @@ class TestOverrideVariants:
 
 class TestResultCacheLru:
     def test_cache_is_bounded(self, monkeypatch):
-        # Session() reads the bound from the environment when it is
-        # built, not at import
-        monkeypatch.setenv("REPRO_CACHE_SIZE", "2")
+        monkeypatch.setattr(session_mod, "RESULT_CACHE_SIZE", 2)
         session = Session()
         for variant in ("tage64", "tage80", "mtage", "core_only"):
             session.run("sjeng_06", variant, **REGION)
         assert len(session.result_cache) == 2
 
     def test_eviction_is_lru_ordered(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_SIZE", "2")
+        monkeypatch.setattr(session_mod, "RESULT_CACHE_SIZE", 2)
         session = Session()
         first = session.run("sjeng_06", "tage64", **REGION)
         session.run("sjeng_06", "tage80", **REGION)

@@ -180,13 +180,11 @@ class TestStoreResume:
             [payload_digest(row["payload"]) for row in reference]
 
     def test_host_only_config_fields_still_resume(self, tmp_path):
-        # job count, cache bounds and the trace-cache directory never
-        # change a payload, so a rerun that changes them resumes every
-        # landed cell
+        # the job count and the trace-cache directory never change a
+        # payload, so a rerun that changes them resumes every landed cell
         store_dir = str(tmp_path / "store")
         rows = session(result_store_dir=store_dir).run_cells(CELLS)
         rerun = session(result_store_dir=store_dir, jobs=2,
-                        result_cache_size=64,
                         trace_cache_dir=str(tmp_path / "traces"))
         again = rerun.run_cells(CELLS)
         assert rerun.last_sweep["cells_resumed_from_store"] == len(CELLS)
@@ -359,6 +357,32 @@ class TestSweepCliExitCodes:
         summary = json.loads(capsys.readouterr().out)
         assert summary["cells_resumed_from_store"] == 3
         assert summary["cells_executed"] == 1
+        assert summary["cells_failed"] == 0
+        assert summary["digests"] == {
+            f"{row['benchmark']}/{row['variant']}":
+            payload_digest(row["payload"]) for row in rows}
+
+    def test_resume_journal_with_retired_config_fields(self, tmp_path,
+                                                        capsys):
+        # a journal written while RunConfig still carried the two cache
+        # bounds resumes: the manifest's unknown keys are dropped
+        store_dir = str(tmp_path / "store")
+        config = repro_config.current_config().replace(
+            result_store_dir=store_dir, **REGION)
+        path = str(tmp_path / "sweep.jsonl")
+        rows = Session(config).run_cells(CELLS, journal=path)
+        _truncate_journal(path)
+        lines = open(path).read().splitlines()
+        header = json.loads(lines[0])
+        header["manifest"]["config"].update(result_cache_size=256,
+                                            trace_cache_size=32)
+        with open(path, "w") as handle:
+            handle.write("\n".join([json.dumps(header)] + lines[1:])
+                         + "\n")
+
+        assert cli_main(["sweep", "resume", path, "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["cells_resumed_from_store"] == len(CELLS)
         assert summary["cells_failed"] == 0
         assert summary["digests"] == {
             f"{row['benchmark']}/{row['variant']}":

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import session as session_mod
 from repro.config import RunConfig
 from repro.session import Session, _session_for_config
 from repro.sim import sweeps
@@ -17,12 +18,12 @@ def strip(payload: dict) -> dict:
 
 
 class TestSessionBasics:
-    def test_binds_the_given_config(self):
+    def test_binds_the_given_config(self, tmp_path):
         config = RunConfig(instructions=900, warmup=300,
-                           trace_cache_size=4)
+                           trace_cache_dir=str(tmp_path))
         session = Session(config)
         assert session.config == config
-        assert session.trace_cache.capacity == 4
+        assert session.trace_cache.disk_dir == str(tmp_path)
 
     def test_defaults_to_the_environment_config(self, monkeypatch):
         monkeypatch.setenv("REPRO_INSTRUCTIONS", "4321")
@@ -37,9 +38,9 @@ class TestSessionBasics:
         result = session.run("sjeng_06", "tage64")
         assert result.core.instructions == 800
 
-    def test_result_cache_is_lru_bounded_by_config(self):
-        session = Session(RunConfig(instructions=800, warmup=400,
-                                    result_cache_size=2))
+    def test_result_cache_is_lru_bounded_by_config(self, monkeypatch):
+        monkeypatch.setattr(session_mod, "RESULT_CACHE_SIZE", 2)
+        session = Session(RunConfig(instructions=800, warmup=400))
         for variant in ("tage64", "tage80", "mtage", "core_only"):
             session.run("sjeng_06", variant)
         assert len(session.result_cache) == 2

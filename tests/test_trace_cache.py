@@ -17,7 +17,7 @@ from repro.emulator.machine import Machine
 from repro.isa.program import ProgramBuilder
 from repro.session import Session
 from repro.sim.simulator import simulate
-from repro.sim.trace_cache import TraceCache
+from repro.sim.trace_cache import DEFAULT_CAPACITY, TraceCache
 from repro.workloads import suite
 
 
@@ -212,8 +212,9 @@ class TestCacheMechanics:
         with pytest.raises(ValueError):
             TraceCache(capacity=0)
 
-    def test_capacity_from_environment(self, monkeypatch):
-        # the config layer reads REPRO_TRACE_CACHE; the cache never does
+    def test_capacity_ignores_the_environment(self, monkeypatch):
+        # the capacity is a module constant: the retired REPRO_TRACE_CACHE
+        # knob, left set in a shell, changes nothing
         monkeypatch.setenv("REPRO_TRACE_CACHE", "7")
-        assert TraceCache().capacity == 32
-        assert Session().trace_cache.capacity == 7
+        assert TraceCache().capacity == DEFAULT_CAPACITY
+        assert Session().trace_cache.capacity == DEFAULT_CAPACITY

@@ -10,9 +10,11 @@ import json
 import pytest
 
 from repro.config import RunConfig, current_config
-from repro.emulator.machine import Machine
+from repro.core import config as br_config
+from repro.emulator.machine import Machine, execute_uop
 from repro.isa.program import ProgramBuilder
 from repro.session import Session
+from repro.sim.bench import payload_digest
 from repro.sim.simulator import simulate
 from repro.sim.trace_cache import (
     FORMAT_VERSION,
@@ -136,6 +138,32 @@ class TestDiskRoundTrip:
         assert reader.disk_hits == 1
         assert recorded == fresh
         assert replayed == fresh
+
+    def test_spilled_region_runs_compiled_closures(self, tmp_path,
+                                                   monkeypatch):
+        # a process replaying a spill never builds a Machine for the
+        # program: the load binds the uops' closures, and Branch
+        # Runahead's wrong-path walks run those, never execute_uop
+        program = suite.load("mcf_06")
+
+        def run(trace_cache):
+            return simulate(program, instructions=3_000, warmup=1_500,
+                            br_config=br_config.mini(),
+                            trace_cache=trace_cache)
+
+        live = run(TraceCache(disk_dir=str(tmp_path)))
+        for op in program.uops:
+            op.execute = None
+
+        def refuse(op, regs, memory):
+            raise AssertionError("execute_uop ran")
+
+        monkeypatch.setattr(execute_uop, "__code__", refuse.__code__)
+        reader = TraceCache(disk_dir=str(tmp_path))
+        replayed = run(reader)
+        assert reader.disk_hits == 1
+        assert payload_digest(replayed.to_dict()) == \
+            payload_digest(live.to_dict())
 
     def test_env_var_activates_disk(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path))
