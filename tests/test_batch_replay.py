@@ -251,6 +251,28 @@ class TestBatchIdentity:
         assert payload_digest(batch.to_dict()) == \
             payload_digest(scalar.to_dict())
 
+    @pytest.mark.parametrize("name", ["tage64", "perceptron"])
+    def test_lone_lane_skips_numpy_set_up(self, name, monkeypatch):
+        # a lone lane is below the cutover: it replays on lockstep without
+        # converting the stream to arrays or gating for the TAGE kernel
+        program = suite.load("mcf_17")
+        scalar = scalar_replay(program, make_predictor(name),
+                               trace_cache=TraceCache(), **REGION)
+
+        class NoNumpy:
+            def __getattr__(self, attr):
+                raise AssertionError("a lone lane reached numpy set-up")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lone lane reached the TAGE kernel")
+
+        monkeypatch.setattr(batched, "np", NoNumpy())
+        monkeypatch.setattr(tage_batch, "supported", refuse)
+        monkeypatch.setattr(tage_batch, "run_tage_lanes", refuse)
+        batch, = replay_mpki_batch(program, [name],
+                                   trace_cache=TraceCache(), **REGION)
+        assert branch_fields(batch.core) == branch_fields(scalar.core)
+
     def test_registered_variants_skip_kernel_gating(self, monkeypatch):
         # a batch of every registered predictor is below the cutover: it
         # replays on lockstep without gating a lane for the TAGE kernel
