@@ -13,7 +13,7 @@ Commands
   one committed JSON regression baseline per benchmark (``baselines/``).
 * ``sweep report`` / ``sweep watch`` / ``sweep resume`` — merge a
   ``repro-journal-v1`` sweep journal (``compare --journal``)
-  into a drift-audited ``repro-sweep-report-v1``, tail a growing
+  into a ``repro-sweep-report-v2``, tail a growing
   journal's progress live, or re-run an interrupted sweep replaying
   already-landed cells from the content-addressed result store.
 * ``stats BENCH`` — dump the full unified stat registry as JSON.
@@ -187,14 +187,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep_cmd = sub.add_parser(
         "sweep",
-        help="sweep flight-recorder journals: drift-audited reports "
-        "and live progress")
+        help="sweep flight-recorder journals: reports, live progress "
+        "and resume")
     sweep_sub = sweep_cmd.add_subparsers(dest="action", required=True)
     sweep_report_cmd = sweep_sub.add_parser(
         "report",
-        help="merge a repro-journal-v1 journal into a drift-audited "
-        "sweep report (nonzero exit on failed cells / worker drift / "
-        "incomplete sweep)")
+        help="merge a repro-journal-v1 journal into a sweep report "
+        "(exit 1 on failed cells, 3 on an incomplete but resumable "
+        "sweep)")
     sweep_report_cmd.add_argument("journal", metavar="JOURNAL",
                                   help="journal written by "
                                   "compare --journal")
@@ -206,8 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_report_cmd.add_argument("--json", action="store_true",
                                   help="emit the full report as JSON")
     sweep_report_cmd.add_argument("--github", action="store_true",
-                                  help="emit GitHub ::error/::warning "
-                                  "workflow annotations")
+                                  help="emit GitHub ::error workflow "
+                                  "annotations")
     sweep_report_cmd.add_argument("--report", default=None,
                                   metavar="PATH",
                                   help="also write the JSON report to "
@@ -601,10 +601,9 @@ def _cmd_sweep(args) -> int:
                 print(line)
         if report["ok"]:
             return 0
-        # exit 3 = incomplete but resumable (no failed cells, no drift):
-        # a killed sweep whose remainder `repro sweep resume` can run
-        if report["sweep"].get("resumable") \
-                and not report["drift"]["violations"]:
+        # exit 3 = incomplete but resumable (no failed cells): a killed
+        # sweep whose remainder `repro sweep resume` can run
+        if report["sweep"].get("resumable"):
             if report["sweep"].get("resume_command"):
                 print(f"resume with: {report['sweep']['resume_command']}",
                       file=sys.stderr)

@@ -60,10 +60,6 @@ class BranchRunaheadConfig:
                  misp_counter_max: int = 31,
                  misp_decay_amount: int = 15,
                  misp_decay_period: int = 1000,
-                 bias_counter_max: int = 127,
-                 bias_decay_amount: int = 9,
-                 bias_decay_period: int = 10,
-                 bias_threshold: int = 96,
                  bias_ratio: float = 0.85,
                  random_extract_chance: float = 0.01,
                  runahead_limit: int = 8,
@@ -90,14 +86,10 @@ class BranchRunaheadConfig:
         self.wpb_entries = wpb_entries
         self.wpb_ways = wpb_ways
         self.max_merge_distance = max_merge_distance
-        # HBT counter calibration (§4.3 footnotes 7 and 9)
+        # HBT misprediction counter calibration (§4.3 footnotes)
         self.misp_counter_max = misp_counter_max
         self.misp_decay_amount = misp_decay_amount
         self.misp_decay_period = misp_decay_period
-        self.bias_counter_max = bias_counter_max
-        self.bias_decay_amount = bias_decay_amount
-        self.bias_decay_period = bias_decay_period
-        self.bias_threshold = bias_threshold
         #: Direction-ratio above which a branch counts as highly biased.
         self.bias_ratio = bias_ratio
         #: Probability a retired HBT-resident branch triggers extraction even

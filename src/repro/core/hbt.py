@@ -2,12 +2,13 @@
 
 Identifies hard-to-predict branches with decaying 5-bit misprediction
 counters, tracks affector/guard relationships (AG / AGC / AGL fields), and
-filters highly biased branches with decaying 7-bit bias counters.
+filters highly biased branches.
 
-Counter calibration follows the paper's footnotes: the misprediction counter
-is decremented by 15 every 1000 retired branches (targets branches with
->= 1.5% of total mispredictions); the bias counter is decremented by 9 every
-10 retirements of the branch (targets ~90% bias).
+The misprediction counter follows the paper's calibration: it is
+decremented by 15 every 1000 retired branches (targets branches with
+>= 1.5% of total mispredictions).  The paper filters biased branches with a
+decaying 7-bit bias counter; this model decides bias from each entry's
+exact direction ratio instead (see :meth:`HardBranchTable.is_biased`).
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from repro.core.config import BranchRunaheadConfig
 class HbtEntry:
     """One HBT row."""
 
-    __slots__ = ("pc", "misp_counter", "ag", "agc", "agl",
-                 "bias_counter", "bias_direction", "occurrences",
+    __slots__ = ("pc", "misp_counter", "ag", "agc", "agl", "occurrences",
                  "taken_count")
 
-    def __init__(self, pc: int, first_direction: bool):
+    def __init__(self, pc: int):
         self.pc = pc
         self.misp_counter = 0
         #: This branch is an affector/guard of some hard branch.
@@ -33,9 +33,6 @@ class HbtEntry:
         self.agc = False
         #: PCs of the affector/guard branches of this (hard) branch.
         self.agl: Set[int] = set()
-        self.bias_counter = 0
-        #: Direction the bias counter measures agreement with (BD field).
-        self.bias_direction = first_direction
         self.occurrences = 0
         self.taken_count = 0
 
@@ -56,7 +53,7 @@ class HardBranchTable:
         cfg = self.config
         entry = self.entries.get(pc)
         if entry is None:
-            entry = self._allocate(pc, taken)
+            entry = self._allocate(pc)
             if entry is None:
                 return
         entry.occurrences += 1
@@ -64,14 +61,7 @@ class HardBranchTable:
             entry.taken_count += 1
         if mispredicted and entry.misp_counter < cfg.misp_counter_max:
             entry.misp_counter += 1
-        # bias tracking (7-bit counter per the paper, kept for structure)
-        if taken == entry.bias_direction \
-                and entry.bias_counter < cfg.bias_counter_max:
-            entry.bias_counter += 1
         occurrences = entry.occurrences
-        if occurrences % cfg.bias_decay_period == 0:
-            entry.bias_counter = max(0, entry.bias_counter
-                                     - cfg.bias_decay_amount)
         # is_unsuitable_trigger(pc), on the entry in hand
         if occurrences >= 64 and entry.misp_counter == 0:
             unsuitable = True
@@ -90,16 +80,16 @@ class HardBranchTable:
                 other.misp_counter = max(0, other.misp_counter
                                          - cfg.misp_decay_amount)
 
-    def _allocate(self, pc: int, first_direction: bool) -> Optional[HbtEntry]:
+    def _allocate(self, pc: int) -> Optional[HbtEntry]:
         if len(self.entries) < self.config.hbt_entries:
-            entry = HbtEntry(pc, first_direction)
+            entry = HbtEntry(pc)
             self.entries[pc] = entry
             return entry
         # replace a dead entry: counter at 0 and not an affector/guard
         for victim_pc, victim in self.entries.items():
             if victim.misp_counter == 0 and not victim.ag:
                 self._remove(victim_pc)
-                entry = HbtEntry(pc, first_direction)
+                entry = HbtEntry(pc)
                 self.entries[pc] = entry
                 return entry
         return None
@@ -131,7 +121,7 @@ class HardBranchTable:
     def is_biased(self, pc: int) -> bool:
         """Whether the branch is highly biased (ignored by extraction/AGLs).
 
-        The paper's 7-bit counter (kept above) targets a 90% bias with a 1%
+        The paper's 7-bit counter targets a 90% bias with a 1%
         false-positive rate over long runs; on our short regions its drift is
         too slow, so the decision itself uses the exact direction ratio with
         the same intent: a branch leaning >= ``bias_ratio`` one way is
@@ -190,7 +180,7 @@ class HardBranchTable:
             return False
         ag_entry = self.entries.get(ag_pc)
         if ag_entry is None:
-            ag_entry = self._allocate(ag_pc, True)
+            ag_entry = self._allocate(ag_pc)
             if ag_entry is None:
                 return False
         ag_entry.ag = True

@@ -5,8 +5,11 @@ pointers maintain each queue: *DCE push* (slots are allocated at chain
 initiation, in program order, and filled at chain completion), *core fetch*
 (consumption at fetch — a slot consumed before its chain finishes is a
 **late** prediction), and *core retire* (frees capacity as branches retire).
-The fetch pointer is checkpointed at every branch and restored on recovery,
-reinserting consumed-but-unretired predictions.
+The paper checkpoints the fetch pointer at every branch to reinsert
+predictions consumed on the wrong path; the trace-driven core fetches only
+committed branches, so a consumed prediction is never reinserted.  A
+divergence resync drops the unconsumed slots
+(:meth:`PredictionQueue.flush_unconsumed`).
 
 A 2-bit throttle counter per queue suppresses the DCE when it loses to TAGE
 (incremented when DCE right & TAGE wrong; decremented on the opposite;
@@ -29,12 +32,11 @@ READY = "ready"
 class PredictionEntry:
     """One queue slot: allocated at initiation, filled at chain completion."""
 
-    __slots__ = ("value", "available_cycle", "consumed")
+    __slots__ = ("value", "available_cycle")
 
     def __init__(self):
         self.value: Optional[bool] = None
         self.available_cycle: Optional[int] = None
-        self.consumed = False
 
     @property
     def filled(self) -> bool:
@@ -102,7 +104,6 @@ class PredictionQueue:
         if self.fetch_ptr >= self.push_ptr:
             return INACTIVE, None
         entry = self._entries[self.fetch_ptr]
-        entry.consumed = True
         self.fetch_ptr += 1
         self.total_consumed += 1
         category = READY
@@ -127,20 +128,6 @@ class PredictionQueue:
                 self.throttle -= 1
 
     # -- recovery --------------------------------------------------------------
-
-    def checkpoint(self) -> int:
-        """Snapshot the fetch pointer (taken at every branch)."""
-        return self.fetch_ptr
-
-    def restore(self, checkpoint: int) -> None:
-        """Recovery: reinsert consumed predictions after the flushed branch."""
-        if not self.retire_ptr <= checkpoint <= self.fetch_ptr:
-            raise ValueError("checkpoint outside live queue window")
-        for slot in range(checkpoint, self.fetch_ptr):
-            entry = self._entries.get(slot)
-            if entry is not None:
-                entry.consumed = False
-        self.fetch_ptr = checkpoint
 
     def flush_unconsumed(self) -> int:
         """Divergence resync: drop every allocated-but-unconsumed slot."""

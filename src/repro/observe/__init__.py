@@ -17,19 +17,17 @@ rewritten.  This package is the per-benchmark regression observatory
   ``repro baseline check`` re-runs and diffs every one of them exactly.
 * :mod:`repro.observe.journal` — the sweep flight recorder: an
   append-only ``repro-journal-v1`` JSONL event stream written live as a
-  parallel ``run_cells`` sweep lands rows (per-worker manifests, per-cell
-  wall/RSS/cache/digest facts and host phase seconds, structured
-  failures), tolerant of truncation by a killed sweep.
+  parallel ``run_cells`` sweep lands rows (the sweep's manifest and cell
+  plan, per-cell wall/RSS/cache/digest facts and host phase seconds,
+  structured failures), tolerant of truncation by a killed sweep.
 * :mod:`repro.observe.sweep_report` — ``repro sweep report``/``watch``
-  merge a journal into a ``repro-sweep-report-v1``: cross-worker
-  manifest drift audit (exact, fail-severity except the platform),
-  per-worker aggregates, load imbalance, slowest cells with their
-  dominant host phase, per-phase host totals, failure digest.
+  merge a journal into a ``repro-sweep-report-v2``: per-worker
+  aggregates, load imbalance, slowest cells with their dominant host
+  phase, per-phase host totals, failure digest.
 """
 
 from repro.observe.manifest import (  # noqa: F401
     MANIFEST_SCHEMA,
-    manifest_fingerprint,
     run_manifest,
 )
 from repro.observe.baseline import (  # noqa: F401

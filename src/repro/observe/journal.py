@@ -6,8 +6,8 @@ written and flushed atomically as rows land from the scheduler — but
 events preserve their origin as logical *streams*: the ``sweep`` stream
 carries the parent's lifecycle events, the ``scheduler`` stream the
 dispatch plan, and every worker process owns a ``worker-<pid>`` stream
-whose events (timestamps, peak-RSS deltas, manifests) were measured
-inside that worker and shipped back on the result rows.  Because the
+whose events (timestamps, peak-RSS deltas) were measured inside that
+worker and shipped back on the result rows.  Because the
 scheduler records rows in plan order, the merged journal is
 deterministic for any job count: the same sweep produces the same event
 sequence (modulo timestamps and pids), and the per-cell
@@ -15,11 +15,11 @@ sequence (modulo timestamps and pids), and the per-cell
 
 Event vocabulary::
 
-    sweep_started    manifest + fingerprint + cell plan + jobs, outputs,
-                     executor (inline/pool) and pool start method
+    sweep_started    run manifest + cell plan + jobs, outputs, executor
+                     (inline/pool) and pool start method
     units_built      dispatch units, executor, jobs, cells resumed from
                      the result store
-    worker_started   one per worker process, with *its own* run manifest
+    worker_started   one per worker process (its pid)
     cell_started     index/benchmark/variant, worker wall-clock start
     cell_finished    wall seconds, peak-RSS delta, cache-hit flags,
                      payload sha256, MPKI/IPC extract, and for a cell
@@ -31,7 +31,10 @@ Event vocabulary::
 A journal whose process was killed mid-sweep simply stops early: the
 reader tolerates a truncated final line and a missing ``sweep_finished``
 and reports the sweep as *incomplete* rather than failing to parse —
-``repro sweep resume`` re-runs such a sweep from its result store.
+``repro sweep resume`` re-runs such a sweep from its result store,
+rebuilding its ``RunConfig`` from the ``sweep_started`` manifest.
+Older journals whose ``worker_started`` events also carry each worker's
+manifest read the same way: readers ignore the extra keys.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import os
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.observe.manifest import manifest_fingerprint, run_manifest
+from repro.observe.manifest import run_manifest
 from repro.sim.bench import payload_digest
 
 JOURNAL_SCHEMA = "repro-journal-v1"
@@ -104,7 +107,7 @@ class SweepRecorder:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Write ``sweep_started`` (manifest, fingerprint, cell plan)."""
+        """Write ``sweep_started`` (manifest, cell plan)."""
         if self._started:
             return
         self._started = True
@@ -116,8 +119,6 @@ class SweepRecorder:
             schema=JOURNAL_SCHEMA,
             sweep_id=self.sweep_id,
             manifest=manifest,
-            manifest_fingerprint=(manifest_fingerprint(manifest)
-                                  if manifest else None),
             cells=[list(cell) for cell in self.cells],
             total_cells=self.total,
             jobs=self.jobs,
@@ -143,11 +144,7 @@ class SweepRecorder:
         stream = f"worker-{pid}" if pid is not None else "worker-unknown"
         if pid is not None and pid not in self._pids:
             self._pids.add(pid)
-            manifest = worker.get("manifest")
-            self._emit(
-                "worker_started", stream, pid=pid, manifest=manifest,
-                manifest_fingerprint=(manifest_fingerprint(manifest)
-                                      if manifest else None))
+            self._emit("worker_started", stream, pid=pid)
         cell = row.get("cell") or {}
         wall = cell.get("wall_seconds")
         base = dict(index=row.get("index"), benchmark=row["benchmark"],

@@ -5,11 +5,11 @@ sweep journal.  It has two parts with different stability
 contracts:
 
 * the **deterministic part** — the resolved :class:`~repro.config.RunConfig`
-  (values, fingerprint, per-field provenance) — is byte-stable under a
-  fixed configuration: recording the same baseline twice on any host
-  yields the identical deterministic subset, and
-  :func:`manifest_fingerprint` hashes exactly that subset so comparability
-  is a string equality;
+  (values, its ``config_fingerprint``, per-field provenance) — is
+  byte-stable under a fixed configuration: recording the same baseline
+  twice on any host yields identical ``config``, ``config_fingerprint``
+  and ``provenance`` entries, and ``repro sweep resume`` rebuilds a
+  sweep's ``RunConfig`` from a journal's ``config``;
 * the **host part** — git sha, interpreter, platform, peak RSS — varies
   run to run and exists for forensics, never for gating:
   :mod:`repro.observe.baseline` treats everything under ``host`` as
@@ -18,22 +18,15 @@ contracts:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import platform
 import subprocess
-from typing import Dict, Mapping, Optional, Union
+from typing import Optional, Union
 
 from repro.config import ResolvedConfig, RunConfig, resolve_config
 from repro.telemetry.timers import peak_rss_kb
 
 MANIFEST_SCHEMA = "repro-manifest-v1"
-
-#: Keys of the deterministic manifest subset (everything else is host
-#: forensics and excluded from :func:`manifest_fingerprint`).
-DETERMINISTIC_KEYS = ("schema", "config", "config_fingerprint",
-                      "provenance")
 
 
 def git_revision(cwd: Optional[str] = None) -> Optional[str]:
@@ -83,21 +76,3 @@ def run_manifest(resolved: Union[ResolvedConfig, RunConfig, None] = None
         },
     }
     return manifest
-
-
-def deterministic_subset(manifest: Mapping) -> Dict:
-    """The byte-stable part of a manifest (config identity, no host)."""
-    return {key: manifest[key] for key in DETERMINISTIC_KEYS
-            if key in manifest}
-
-
-def manifest_fingerprint(manifest: Mapping) -> str:
-    """sha256 of the deterministic subset — the comparability key.
-
-    Two runs are comparable (same regions, same caches, same variant
-    defaults) iff their manifest fingerprints are equal; host facts never
-    contribute.
-    """
-    canonical = json.dumps(deterministic_subset(manifest), sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()

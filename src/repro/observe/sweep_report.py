@@ -1,15 +1,8 @@
-"""Drift-audited sweep reports (``repro sweep report`` / ``sweep watch``).
+"""Sweep reports (``repro sweep report`` / ``sweep watch``).
 
 Merges a ``repro-journal-v1`` sweep journal into a
-``repro-sweep-report-v1`` document:
+``repro-sweep-report-v2`` document:
 
-* **per-worker drift audit** — every worker's run manifest must equal
-  the sweep manifest on each fact of :data:`DRIFT_SEVERITY`: the
-  deterministic manifest fingerprint plus the host facts that must not
-  vary *within one sweep* (git sha, interpreter) fail, the platform
-  string warns.  A worker that never shipped a manifest is itself a
-  fail-severity violation — an unauditable worker is drift you cannot
-  rule out;
 * **per-worker aggregates** — cells run, busy wall seconds, trace/result
   cache hits, peak-RSS delta high-water mark;
 * **load balance** — busiest/idlest worker and the imbalance ratio
@@ -23,8 +16,10 @@ Merges a ``repro-journal-v1`` sweep journal into a
   class, with the first message and the affected cells.
 
 ``report["ok"]`` is False — and the CLI exits nonzero — when the sweep
-is incomplete, any cell failed, or any fail-severity drift violation
-fired.
+is incomplete or any cell failed.  A sweep's workers are the calling
+process or a local pool that unpickles the parent's ``RunConfig`` and
+runs the parent's interpreter, so the report compares no per-worker
+provenance.
 """
 
 from __future__ import annotations
@@ -33,65 +28,14 @@ from typing import Dict, List, Optional
 
 from repro.observe.journal import format_progress, read_journal
 
-SWEEP_REPORT_SCHEMA = "repro-sweep-report-v1"
+SWEEP_REPORT_SCHEMA = "repro-sweep-report-v2"
 
 #: Slowest-cell table length.
 DEFAULT_SLOWEST = 10
 
-#: Severity of a worker manifest fact that differs from the sweep's.
-#: Within one sweep every worker must run the same code (git sha), the
-#: same interpreter, and the same resolved config (manifest
-#: fingerprint); any mismatch silently mixes incomparable results into
-#: one table, so those fail.  The platform string can legitimately vary
-#: across a future multi-host fleet, so it only warns.
-DRIFT_SEVERITY = {
-    "manifest_fingerprint": "fail",
-    "host.git_sha": "fail",
-    "host.python": "fail",
-    "host.platform": "warn",
-}
-
 #: Phases that run inside ``timing`` (see
 #: :func:`repro.sim.simulator.simulate`).
 NESTED_IN_TIMING = ("emulation", "dce")
-
-
-def _manifest_fact(manifest: Optional[dict], dotted: str):
-    node = manifest or {}
-    for part in dotted.split("."):
-        if not isinstance(node, dict):
-            return None
-        node = node.get(part)
-    return node
-
-
-def _drift_violation(pid, metric: str, sweep_value, worker_value,
-                     severity: str) -> dict:
-    return {
-        "worker": pid,
-        "metric": metric,
-        "sweep": sweep_value,
-        "worker_value": worker_value,
-        "severity": severity,
-    }
-
-
-def _audit_worker(pid, started: dict, sweep: dict) -> List[dict]:
-    """Drift findings for one ``worker_started`` event vs the sweep."""
-    manifest = started.get("manifest")
-    if manifest is None:
-        return [_drift_violation(pid, "manifest", "present", None, "fail")]
-    findings: List[dict] = []
-    for fact, severity in DRIFT_SEVERITY.items():
-        if fact == "manifest_fingerprint":
-            sweep_value, worker_value = sweep.get(fact), started.get(fact)
-        else:
-            sweep_value = _manifest_fact(sweep.get("manifest"), fact)
-            worker_value = _manifest_fact(manifest, fact)
-        if sweep_value != worker_value:
-            findings.append(_drift_violation(
-                pid, fact, sweep_value, worker_value, severity))
-    return findings
 
 
 # -- host phases -----------------------------------------------------------
@@ -146,8 +90,6 @@ def build_sweep_report(journal, slowest: int = DEFAULT_SLOWEST) -> dict:
     workers: Dict[object, dict] = {}
     cells_finished: List[dict] = []
     cells_failed: List[dict] = []
-    violations: List[dict] = []
-    warnings: List[dict] = []
     finished = None
     scheduler = None
     for event in events:
@@ -165,11 +107,7 @@ def build_sweep_report(journal, slowest: int = DEFAULT_SLOWEST) -> dict:
                 "pid": pid, "cells": 0, "wall_seconds": 0.0,
                 "trace_cache_hits": 0, "result_cache_hits": 0,
                 "peak_rss_kb_delta": 0,
-                "has_manifest": event.get("manifest") is not None,
             }
-            for finding in _audit_worker(pid, event, sweep):
-                (violations if finding["severity"] == "fail"
-                 else warnings).append(finding)
         elif kind in ("cell_finished", "cell_failed"):
             info = workers.get(event.get("pid"))
             if info is not None:
@@ -243,7 +181,6 @@ def build_sweep_report(journal, slowest: int = DEFAULT_SLOWEST) -> dict:
         "journal": journal_path,
         "sweep": {
             "sweep_id": sweep.get("sweep_id"),
-            "manifest_fingerprint": sweep.get("manifest_fingerprint"),
             "jobs": sweep.get("jobs"),
             "outputs": sweep.get("outputs"),
             "executor": sweep.get("executor"),
@@ -264,28 +201,17 @@ def build_sweep_report(journal, slowest: int = DEFAULT_SLOWEST) -> dict:
         "scheduler": scheduler,
         "workers": [workers[pid] for pid in sorted(
             workers, key=lambda value: (value is None, value))],
-        "drift": {
-            "ok": not violations,
-            "violations": violations,
-            "warnings": warnings,
-        },
         "load": load,
         "slowest_cells": slowest_cells,
         "phases": _rounded(phases),
         "failures": sorted(failure_groups.values(),
                            key=lambda group: group["type"]),
     }
-    report["ok"] = (journal["complete"] and not cells_failed
-                    and not violations)
+    report["ok"] = journal["complete"] and not cells_failed
     return report
 
 
 # -- rendering -------------------------------------------------------------
-
-def _describe_drift(finding: dict) -> str:
-    return (f"worker {finding['worker']}: {finding['metric']} "
-            f"{finding['worker_value']!r} != sweep {finding['sweep']!r}")
-
 
 def format_sweep_report(report: dict) -> str:
     """Human-readable ``repro sweep report`` rendering."""
@@ -312,18 +238,13 @@ def format_sweep_report(report: dict) -> str:
         lines.append(
             f"  worker {info['pid']}: {info['cells']} cell(s), "
             f"{info['wall_seconds']:.3f}s busy, "
-            f"{info['trace_cache_hits']} trace hit(s)"
-            + ("" if info["has_manifest"] else ", NO MANIFEST"))
+            f"{info['trace_cache_hits']} trace hit(s)")
     load = report["load"]
     if load and load["workers"] > 1:
         lines.append(
             f"  load: imbalance {load['imbalance']}x "
             f"(busiest {load['busiest_seconds']:.3f}s, idlest "
             f"{load['idlest_seconds']:.3f}s)")
-    for finding in report["drift"]["violations"]:
-        lines.append(f"  DRIFT    {_describe_drift(finding)}")
-    for finding in report["drift"]["warnings"]:
-        lines.append(f"  drift?   {_describe_drift(finding)}")
     for group in report["failures"]:
         lines.append(
             f"  FAILED   {group['count']} cell(s) with {group['type']}: "
@@ -340,16 +261,13 @@ def format_sweep_report(report: dict) -> str:
             f"{name} {seconds:.3f}s" for name, seconds in sorted(
                 report["phases"].items(), key=lambda item: -item[1])))
     if report["ok"]:
-        lines.append("  ok: sweep complete, no failures, no worker drift")
+        lines.append("  ok: sweep complete, no failures")
     else:
         reasons = []
         if not sweep["complete"]:
             reasons.append("incomplete sweep")
         if sweep["cells_failed"]:
             reasons.append(f"{sweep['cells_failed']} failed cell(s)")
-        if report["drift"]["violations"]:
-            reasons.append(f"{len(report['drift']['violations'])} drift "
-                           f"violation(s)")
         lines.append(f"  FAILED: {', '.join(reasons)}")
         if sweep.get("resumable") and sweep.get("resume_command"):
             lines.append(f"  resume  : {sweep['resume_command']}")
@@ -357,7 +275,7 @@ def format_sweep_report(report: dict) -> str:
 
 
 def github_annotations(report: dict) -> List[str]:
-    """``::error``/``::warning`` workflow-command lines for CI logs."""
+    """``::error`` workflow-command lines for CI logs."""
     annotations: List[str] = []
     journal = report.get("journal") or "journal"
     if not report["sweep"]["complete"]:
@@ -366,12 +284,6 @@ def github_annotations(report: dict) -> List[str]:
         annotations.append(
             f"::error title=Incomplete sweep::{journal} has no "
             f"sweep_finished event (killed or still running){hint}")
-    for finding in report["drift"]["violations"]:
-        annotations.append(f"::error title=Worker drift::"
-                           f"{_describe_drift(finding)}")
-    for finding in report["drift"]["warnings"]:
-        annotations.append(f"::warning title=Worker drift::"
-                           f"{_describe_drift(finding)}")
     for group in report["failures"]:
         annotations.append(
             f"::error title=Failed sweep cells::{group['count']} "

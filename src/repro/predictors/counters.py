@@ -1,8 +1,7 @@
 """Saturating counters and small deterministic PRNG utilities.
 
-These are the shared primitives of every table-based predictor and of the
-Branch Runahead bookkeeping structures (HBT misprediction/bias counters,
-prediction-queue throttles).
+These are the shared primitives of every table-based predictor; Branch
+Runahead draws its random extraction trigger (§4.3) from :class:`Lfsr`.
 """
 
 from __future__ import annotations

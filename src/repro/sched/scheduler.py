@@ -55,28 +55,24 @@ class SweepContext(NamedTuple):
     """What every cell of one sweep shares, shipped with each unit.
 
     ``config`` carries the sweep's region; ``cache`` is ``run_cells``'s
-    result-cache flag; ``sweep_id`` and ``announce`` tell a worker
-    whether (and under which sweep) to ship its run manifest back.
+    result-cache flag.
     """
 
     config: RunConfig
     cache: bool
     outputs: str
-    sweep_id: Optional[str]
-    announce: bool
 
 
 def cell_row(benchmark: str, variant: str, index: Optional[int], *,
              started_at: float, wall_seconds: float, payload=None,
              error=None, peak_rss_kb_delta=None,
-             trace_cache_hit=False, result_cache_hit=False, manifest=None,
+             trace_cache_hit=False, result_cache_hit=False,
              batch_size=None, result_store_hit=False) -> dict:
     """One sweep row, for a cell run alone, in a fused batch
     (``batch_size``) or resumed from the store (``result_store_hit``,
     absent otherwise so store-less journals keep their shape).
 
-    ``error`` is a raising cell's ``{type, message, traceback}``;
-    ``manifest`` is the worker's run manifest on its first journaled row.
+    ``error`` is a raising cell's ``{type, message, traceback}``.
     """
     row = {
         "benchmark": benchmark,
@@ -92,7 +88,7 @@ def cell_row(benchmark: str, variant: str, index: Optional[int], *,
             "wall_seconds": round(wall_seconds, 6),
             "peak_rss_kb_delta": peak_rss_kb_delta,
         },
-        "worker": {"pid": os.getpid(), "manifest": manifest},
+        "worker": {"pid": os.getpid()},
     }
     if batch_size is not None:
         row["cell"]["batch_size"] = batch_size
@@ -180,26 +176,16 @@ class SweepScheduler:
                         config.warmup, self.context.outputs)
 
     def _probe(self) -> Dict[int, dict]:
-        """Synthesized rows of the cells that already landed in the store.
-
-        The first synthesized row of a journaled sweep carries the
-        parent's run manifest so the journal's drift audit can still
-        vouch for the stream these rows land on.
-        """
+        """Synthesized rows of the cells that already landed in the store."""
         rows: Dict[int, dict] = {}
         for index, benchmark, variant in self.cells:
             record = self.store.get(self._cell_key(benchmark, variant))
             if record is None:
                 continue
-            manifest = None
-            if not rows and self.recorder is not None \
-                    and self.recorder.path is not None:
-                from repro.observe.manifest import run_manifest
-                manifest = run_manifest(self.context.config)
             rows[index] = cell_row(benchmark, variant, index,
                                    payload=record["payload"],
                                    started_at=time.time(), wall_seconds=0.0,
-                                   manifest=manifest, result_store_hit=True)
+                                   result_store_hit=True)
         return rows
 
     def _store_row(self, row: dict) -> None:

@@ -237,12 +237,7 @@ class Session:
                 journal, config=task_config, cells=cells, jobs=jobs,
                 outputs=outputs, sweep_id=uuid.uuid4().hex,
                 progress=progress)
-        context = SweepContext(
-            task_config, cache, outputs,
-            sweep_id=recorder.sweep_id if recorder else None,
-            # worker manifests are only worth a git subprocess when a
-            # journal will actually record them
-            announce=journal is not None)
+        context = SweepContext(task_config, cache, outputs)
         scheduler = SweepScheduler(
             [(index, benchmark, variant)
              for index, (benchmark, variant) in enumerate(cells)],
@@ -300,24 +295,6 @@ def _error_info(exc: BaseException) -> dict:
     return {"type": type(exc).__name__, "message": str(exc),
             "traceback": "".join(_traceback.format_exception(
                 type(exc), exc, exc.__traceback__))}
-
-
-#: Sweep ids this *process* has already announced a worker manifest for.
-#: Fork workers inherit the parent's copy, which never contains their
-#: sweep's id (the parent records rows, it never computes them), so each
-#: worker announces exactly once per sweep.
-_announced_sweeps: set = set()
-
-
-def _announce(context: SweepContext) -> Optional[dict]:
-    """This worker's manifest of the *sweep* config (an adopted parent
-    session keeps its own region lengths), once per journaled sweep."""
-    if not context.announce or context.sweep_id is None \
-            or context.sweep_id in _announced_sweeps:
-        return None
-    _announced_sweeps.add(context.sweep_id)
-    from repro.observe.manifest import run_manifest
-    return run_manifest(context.config)
 
 
 def _execute(session: Session, benchmark: str, variants: Sequence[str],
@@ -414,9 +391,7 @@ def _run_unit_in(session: Session, unit: Tuple[SweepContext, List[Cell]]
     :func:`~repro.sched.build_units`); they run through
     :func:`_execute`.  A raising cell becomes a structured error row
     instead of propagating — one bad cell must not abort a pool of good
-    ones.  The first row of a worker's first unit per journaled sweep
-    ships the worker's own :func:`~repro.observe.manifest.run_manifest`
-    back.
+    ones.
     """
     context, cells = unit
     config = context.config
@@ -432,9 +407,6 @@ def _run_unit_in(session: Session, unit: Tuple[SweepContext, List[Cell]]
             benchmark, variant, index,
             payload=None if failed else result.to_dict(),
             error=_error_info(result) if failed else None, **facts)])
-    manifest = _announce(context)  # after the cells' peak-RSS deltas
-    if manifest is not None:
-        rows[0][0]["worker"]["manifest"] = manifest
     return rows
 
 

@@ -306,11 +306,6 @@ class TraceCache:
         self.disk_dir = disk_dir
         self._entries: "OrderedDict[Tuple[int, int, int], TraceEntry]" = \
             OrderedDict()
-        #: Branch columns that arrived without a full entry (loaded from an
-        #: ``.events`` sidecar while the ``.trace`` pickle stayed on disk),
-        #: keyed like entries and holding the program for id() validity.
-        self._event_columns: "OrderedDict[Tuple[int, int, int], "\
-            "Tuple[Program, BranchColumns]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -368,12 +363,12 @@ class TraceCache:
         """Columnar branch events for a region, or None on a full miss.
 
         Resolution order, cheapest first: a memory entry's memoized
-        columns (extracted once from its records); columns previously
-        loaded standalone; the on-disk ``.events`` sidecar (never touches
-        pickle); finally the full on-disk ``.trace`` entry, from which
-        columns are extracted and a sidecar spilled for the next process.
-        A miss means the region was never recorded — the caller emulates
-        through :meth:`record` and re-asks with ``count=False``.
+        columns (extracted once from its records); the on-disk ``.events``
+        sidecar (never touches pickle), read again on each lookup; finally
+        the full on-disk ``.trace`` entry, from which columns are extracted
+        and a sidecar spilled for the next process.  A miss means the region
+        was never recorded — the caller emulates through :meth:`record` and
+        re-asks with ``count=False``.
         """
         key = (id(program), start, total)
         entry = self._entries.get(key)
@@ -387,19 +382,12 @@ class TraceCache:
             if count:
                 self.hits += 1
             return columns
-        side = self._event_columns.get(key)
-        if side is not None and side[0] is program:
-            self._event_columns.move_to_end(key)
-            if count:
-                self.hits += 1
-            return side[1]
         if self.disk_dir is not None:
             columns = self._load_events(program, start, total)
             if columns is not None:
                 if count:
                     self.hits += 1
                     self.event_disk_hits += 1
-                self._memo_columns(key, program, columns)
                 return columns
             entry = self._load_from_disk(program, start, total)
             if entry is not None:
@@ -416,14 +404,6 @@ class TraceCache:
         if count:
             self.misses += 1
         return None
-
-    def _memo_columns(self, key: Tuple[int, int, int], program: Program,
-                      columns: BranchColumns) -> None:
-        memo = self._event_columns
-        memo[key] = (program, columns)
-        memo.move_to_end(key)
-        while len(memo) > self.capacity:
-            memo.popitem(last=False)
 
     def bind_baseline(self, program: Program, start: int, total: int,
                       predictor: BranchPredictor
@@ -668,17 +648,6 @@ class TraceCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._event_columns.clear()
-
-    def stats(self) -> dict:
-        return {"entries": len(self._entries), "hits": self.hits,
-                "misses": self.misses, "evictions": self.evictions,
-                "disk_hits": self.disk_hits,
-                "disk_misses": self.disk_misses,
-                "spills": self.spills, "spill_errors": self.spill_errors,
-                "corrupt_entries": self.corrupt_entries,
-                "event_disk_hits": self.event_disk_hits,
-                "event_spills": self.event_spills}
 
     def register_into(self, scope) -> None:
         """Publish cache effectiveness counters (``host.trace_cache.*``)."""

@@ -1,5 +1,6 @@
 """Regression observatory: baselines, exact checks, manifests."""
 
+import hashlib
 import json
 import os
 
@@ -8,11 +9,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.config import RunConfig
 from repro.observe import baseline as ob
-from repro.observe.manifest import (
-    deterministic_subset,
-    manifest_fingerprint,
-    run_manifest,
-)
+from repro.observe.manifest import run_manifest
 from repro.session import Session
 
 #: The tiny matrix every run-based test here uses (keeps reruns cheap).
@@ -40,24 +37,29 @@ class TestStatExtraction:
         assert ob.chain_coverage(flat) == pytest.approx(0.4)
 
 
+#: The manifest's deterministic part: everything outside ``host``.
+DETERMINISTIC = ("schema", "config", "config_fingerprint", "provenance")
+
+
 class TestManifest:
     def test_deterministic_subset_is_stable_under_fixed_config(self):
         config = RunConfig(instructions=800, warmup=400)
         first = run_manifest(config)
         second = run_manifest(config)
-        # a differing host fact leaves the deterministic part alone
+        assert set(first) == {*DETERMINISTIC, "host"}
+        # a differing host fact leaves the deterministic part alone, and
+        # that part is byte-stable, not just dict-equal
         second["host"]["peak_rss_kb"] = -1
-        assert deterministic_subset(first) == deterministic_subset(second)
-        assert manifest_fingerprint(first) == manifest_fingerprint(second)
-        # byte-stable, not just dict-equal
-        canonical = lambda m: json.dumps(deterministic_subset(m),
-                                         sort_keys=True)
+        canonical = lambda m: json.dumps(
+            {key: m[key] for key in DETERMINISTIC}, sort_keys=True)
         assert canonical(first) == canonical(second)
+        assert first["config"] == config.to_dict()
+        assert first["config_fingerprint"] == config.fingerprint()
 
     def test_fingerprint_tracks_the_config(self):
         base = run_manifest(RunConfig(instructions=800, warmup=400))
         other = run_manifest(RunConfig(instructions=801, warmup=400))
-        assert manifest_fingerprint(base) != manifest_fingerprint(other)
+        assert base["config_fingerprint"] != other["config_fingerprint"]
 
     def test_host_section_carries_forensics(self):
         manifest = run_manifest(RunConfig())
@@ -307,7 +309,12 @@ class TestCommittedBaselines:
         config = document["manifest"]["config"]
         assert config["instructions"] == document["instructions"]
         assert config["warmup"] == document["warmup"]
-        assert manifest_fingerprint(document["manifest"])
+        # the stamp is self-consistent: its fingerprint hashes its config
+        # and every config field has a provenance
+        canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        assert document["manifest"]["config_fingerprint"] == \
+            hashlib.sha256(canonical.encode()).hexdigest()
+        assert set(document["manifest"]["provenance"]) == set(config)
 
     def test_committed_xz_17_baseline_check_passes(self):
         report = ob.check_baselines(

@@ -506,8 +506,10 @@ class TestEventSidecar:
         reader = TraceCache(disk_dir=str(tmp_path))
         first = reader.branch_columns(program, 0, 1_800)
         second = reader.branch_columns(program, 0, 1_800)
-        assert first is second  # memoized, not re-read from disk
-        assert reader.event_disk_hits == 1
+        # a sidecar-only region is read from disk again on each lookup
+        assert columns_of(first) == columns_of(second)
+        assert reader.event_disk_hits == 2
+        assert reader.disk_hits == 0 and len(reader) == 0
 
     def test_entry_branch_events_memoized(self):
         program = suite.load("sjeng_06")

@@ -9,6 +9,7 @@ import textwrap
 import pytest
 
 from repro.config import RunConfig
+from repro.observe import manifest
 from repro.observe.journal import (
     JOURNAL_SCHEMA,
     format_progress,
@@ -54,7 +55,6 @@ class TestJournalRoundtrip:
         started = events_of(path)[0]
         assert started["schema"] == JOURNAL_SCHEMA
         assert started["manifest"]["config"]["instructions"] == 800
-        assert started["manifest_fingerprint"]
         assert started["cells"] == [list(cell) for cell in CELLS]
         assert started["total_cells"] == len(CELLS)
         assert started["sweep_id"]
@@ -120,15 +120,37 @@ class TestJournalRoundtrip:
         for stream, seqs in streams.items():
             assert seqs == list(range(len(seqs))), stream
 
-    def test_worker_manifests_recorded_per_worker(self, tmp_path):
+    def test_one_pid_only_worker_started_per_pool_worker(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         quick_session().run_cells(CELLS, jobs=2, journal=str(path))
         started = [event for event in events_of(path)
                    if event["event"] == "worker_started"]
-        assert len(started) == 2
+        assert len({event["pid"] for event in started}) == len(started) == 2
         for event in started:
-            assert event["manifest"]["config"]["instructions"] == 800
-            assert event["manifest_fingerprint"]
+            assert set(event) == {"event", "stream", "seq", "t", "pid"}
+            assert event["pid"] != os.getpid()
+            assert event["stream"] == f"worker-{event['pid']}"
+
+    def test_pool_workers_build_no_manifest(self, tmp_path, monkeypatch):
+        # only the parent stamps a journaled sweep with a run manifest;
+        # a pool worker that builds one fails its unit and aborts the sweep
+        parent = os.getpid()
+        git_revision = manifest.git_revision
+
+        def parent_only(*args, **kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("a pool worker built a run manifest")
+            return git_revision(*args, **kwargs)
+
+        monkeypatch.setattr(manifest, "git_revision", parent_only)
+        path = tmp_path / "sweep.jsonl"
+        rows = quick_session().run_cells(CELLS, jobs=2, journal=str(path))
+        serial = quick_session().run_cells(CELLS, jobs=1)
+        assert [payload_digest(row["payload"]) for row in rows] == \
+            [payload_digest(row["payload"]) for row in serial]
+        journal = read_journal(str(path))
+        assert journal["complete"]
+        assert journal["events"][0]["executor"] == "pool"
 
     def test_spawn_fallback_journal(self, tmp_path, monkeypatch):
         import multiprocessing

@@ -1,6 +1,5 @@
-"""Tests for the prediction queues (§4.2): pointers, recovery, throttling."""
+"""Tests for the prediction queues (§4.2): pointers, resync, throttling."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +32,8 @@ class TestSlotLifecycle:
         assert category == LATE and value is None
 
     def test_not_yet_available_is_late_but_carries_value(self):
-        """§4.2: a late slot is consumed, then filled for recovery use."""
+        """§4.2: a slot consumed before its value is available is late,
+        yet carries the value its chain computed."""
         queue = PredictionQueue(4)
         slot = queue.allocate()
         queue.fill(slot, False, available_cycle=200)
@@ -73,30 +73,6 @@ class TestSlotLifecycle:
 
 
 class TestRecovery:
-    def test_checkpoint_restore_reinserts(self):
-        """§4.2 Recovery: restoring the fetch pointer reinserts consumed
-        predictions at their original positions."""
-        queue = PredictionQueue(8)
-        for value in (True, False, True):
-            slot = queue.allocate()
-            queue.fill(slot, value, 0)
-        checkpoint = queue.checkpoint()
-        assert queue.consume(10) == (READY, True)
-        assert queue.consume(10) == (READY, False)
-        queue.restore(checkpoint)
-        # the same predictions come back in the same order
-        assert queue.consume(10) == (READY, True)
-        assert queue.consume(10) == (READY, False)
-        assert queue.consume(10) == (READY, True)
-
-    def test_restore_outside_window_rejected(self):
-        queue = PredictionQueue(8)
-        slot = queue.allocate()
-        queue.fill(slot, True, 0)
-        queue.consume(10)
-        with pytest.raises(ValueError):
-            queue.restore(queue.fetch_ptr + 1)
-
     def test_flush_unconsumed_drops_future_only(self):
         queue = PredictionQueue(8)
         for _ in range(3):

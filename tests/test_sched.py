@@ -388,6 +388,82 @@ class TestSweepCliExitCodes:
             f"{row['benchmark']}/{row['variant']}":
             payload_digest(row["payload"]) for row in rows}
 
+    def test_journal_with_worker_manifests_reports_and_resumes(
+            self, tmp_path, capsys):
+        # a journal written while pool workers shipped their own run
+        # manifests (here one with another git sha and one with none) and
+        # the start events carried manifest fingerprints reports ok and
+        # resumes like any other
+        store_dir = str(tmp_path / "store")
+        config = repro_config.current_config().replace(
+            result_store_dir=store_dir, jobs=2, **REGION)
+        rows = Session(config).run_cells(CELLS)
+        os.remove(ResultStore(store_dir).path_for(cell_key(
+            "mcf_06", "gshare", REGION["instructions"], REGION["warmup"],
+            "full")))
+        manifest = {
+            "schema": "repro-manifest-v1", "config": config.to_dict(),
+            "config_fingerprint": config.fingerprint(),
+            "provenance": dict.fromkeys(RunConfig.field_names(),
+                                        "explicit"),
+            "host": {"git_sha": "1" * 40, "python": "3.11.7",
+                     "implementation": "CPython", "platform": "Linux",
+                     "peak_rss_kb": 40000}}
+        drifted = json.loads(json.dumps(manifest))
+        drifted["host"]["git_sha"] = "2" * 40
+        worker_manifests = {4101: drifted, 4102: None}
+        events, seqs = [], {}
+
+        def emit(kind, stream, **fields):
+            seqs[stream] = seqs.get(stream, -1) + 1
+            events.append({"event": kind, "stream": stream,
+                           "seq": seqs[stream], "t": 1.0, **fields})
+
+        emit("sweep_started", "sweep", schema="repro-journal-v1",
+             sweep_id="0" * 32, manifest=manifest,
+             manifest_fingerprint="a" * 64,
+             cells=[list(cell) for cell in CELLS], total_cells=len(CELLS),
+             jobs=2, outputs="full", start_method="fork", executor="pool")
+        emit("units_built", "scheduler", units=2, executor="pool", jobs=2,
+             resumed_cells=[])
+        for index, row in enumerate(rows):
+            pid = 4101 if row["benchmark"] == "sjeng_06" else 4102
+            stream = f"worker-{pid}"
+            if stream not in seqs:
+                worker = worker_manifests[pid]
+                emit("worker_started", stream, pid=pid, manifest=worker,
+                     manifest_fingerprint="a" * 64 if worker else None)
+            cell = dict(index=index, benchmark=row["benchmark"],
+                        variant=row["variant"], pid=pid)
+            emit("cell_started", stream, **cell)
+            emit("cell_finished", stream, wall_seconds=0.1,
+                 peak_rss_kb_delta=0, trace_cache_hit=index % 2 == 1,
+                 result_cache_hit=False,
+                 payload_sha256=payload_digest(row["payload"]),
+                 mpki=row["payload"]["mpki"], ipc=row["payload"]["ipc"],
+                 phase_seconds=row["payload"]["stats"]["host"]["phase"],
+                 **cell)
+        emit("sweep_finished", "sweep", cells_done=len(CELLS),
+             cells_failed=0, total_cells=len(CELLS), wall_seconds=0.4,
+             ok=True)
+        path = str(tmp_path / "sweep.jsonl")
+        with open(path, "w") as handle:
+            handle.writelines(json.dumps(event, sort_keys=True) + "\n"
+                              for event in events)
+
+        assert cli_main(["sweep", "report", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"]
+        assert [(info["pid"], info["cells"])
+                for info in report["workers"]] == [(4101, 2), (4102, 2)]
+        assert cli_main(["sweep", "resume", path, "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["cells_resumed_from_store"] == 3
+        assert summary["cells_executed"] == 1
+        assert summary["digests"] == {
+            f"{row['benchmark']}/{row['variant']}":
+            payload_digest(row["payload"]) for row in rows}
+
     def test_resume_without_store_is_hard_error(self, tmp_path, capsys):
         path = str(tmp_path / "sweep.jsonl")
         session().run_cells(CELLS[:2], journal=path)

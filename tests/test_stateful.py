@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
-    precondition,
     rule,
 )
 
@@ -24,18 +23,17 @@ from repro.isa.uop import Uop
 
 class PredictionQueueMachine(RuleBasedStateMachine):
     """The queue against a plain-list model of allocate/fill/consume/retire
-    with fetch-pointer checkpoint/restore."""
+    and the divergence flush."""
 
     CAPACITY = 6
 
     def __init__(self):
         super().__init__()
         self.queue = PredictionQueue(self.CAPACITY)
-        self.model = deque()        # entries: dict(value, avail, consumed)
+        self.model = deque()        # entries: dict(value, avail)
         self.model_base = 0         # slot index of model[0] (= retire_ptr)
         self.model_fetch = 0        # absolute fetch pointer
         self.model_push = 0
-        self.checkpoints = []
         self.cycle = 0
 
     def _occupancy(self):
@@ -52,8 +50,7 @@ class PredictionQueueMachine(RuleBasedStateMachine):
             assert slot == -1
             return
         assert slot == self.model_push
-        self.model.append({"value": value, "avail": self.cycle + delay,
-                           "consumed": False})
+        self.model.append({"value": value, "avail": self.cycle + delay})
         self.model_push += 1
         self.queue.fill(slot, value, self.cycle + delay)
 
@@ -63,7 +60,7 @@ class PredictionQueueMachine(RuleBasedStateMachine):
         if self._occupancy() >= self.CAPACITY:
             assert slot == -1
             return
-        self.model.append({"value": None, "avail": None, "consumed": False})
+        self.model.append({"value": None, "avail": None})
         self.model_push += 1
 
     @rule()
@@ -73,7 +70,6 @@ class PredictionQueueMachine(RuleBasedStateMachine):
             assert category == INACTIVE and value is None
             return
         entry = self.model[self.model_fetch - self.model_base]
-        entry["consumed"] = True
         self.model_fetch += 1
         if entry["value"] is None or entry["avail"] > self.cycle:
             assert category == LATE
@@ -87,25 +83,6 @@ class PredictionQueueMachine(RuleBasedStateMachine):
         if self.model_base < self.model_fetch:
             self.model.popleft()
             self.model_base += 1
-            # invalidate checkpoints that fell behind the retire pointer
-            self.checkpoints = [c for c in self.checkpoints
-                                if c >= self.model_base]
-
-    @rule()
-    def checkpoint(self):
-        self.checkpoints.append(self.queue.checkpoint())
-        assert self.checkpoints[-1] == self.model_fetch
-
-    @precondition(lambda self: self.checkpoints)
-    @rule()
-    def restore_latest(self):
-        checkpoint = self.checkpoints.pop()
-        if not self.model_base <= checkpoint <= self.model_fetch:
-            return
-        self.queue.restore(checkpoint)
-        for offset in range(checkpoint, self.model_fetch):
-            self.model[offset - self.model_base]["consumed"] = False
-        self.model_fetch = checkpoint
 
     @rule()
     def flush(self):

@@ -1,11 +1,10 @@
-"""Drift-audited sweep reports built from flight-recorder journals."""
+"""Sweep reports built from flight-recorder journals."""
 
 import json
 
 from repro.config import RunConfig
 from repro.observe.journal import read_journal
 from repro.observe.sweep_report import (
-    DRIFT_SEVERITY,
     SWEEP_REPORT_SCHEMA,
     build_sweep_report,
     exclusive_phases,
@@ -27,19 +26,6 @@ def record_journal(tmp_path, cells=CELLS, jobs=2, name="sweep.jsonl"):
     return str(path), rows
 
 
-def rewrite(path, mutate):
-    """Apply ``mutate(event) -> event|None`` to every journal line."""
-    events = []
-    with open(path) as handle:
-        for line in handle:
-            event = mutate(json.loads(line))
-            if event is not None:
-                events.append(event)
-    with open(path, "w") as handle:
-        for event in events:
-            handle.write(json.dumps(event, sort_keys=True) + "\n")
-
-
 class TestHealthySweepReport:
     def test_report_facts_match_the_journal(self, tmp_path):
         path, rows = record_journal(tmp_path)
@@ -54,7 +40,6 @@ class TestHealthySweepReport:
         assert sweep["jobs"] == 2
         assert len(report["workers"]) == 2
         assert sum(info["cells"] for info in report["workers"]) == len(rows)
-        assert report["drift"]["ok"]
         assert report["failures"] == []
 
     def test_accepts_a_pre_read_journal_dict(self, tmp_path):
@@ -77,74 +62,8 @@ class TestHealthySweepReport:
         path, _rows = record_journal(tmp_path)
         text = format_sweep_report(build_sweep_report(path))
         assert "sweep report: 4/4 cells done" in text
-        assert "ok: sweep complete, no failures, no worker drift" in text
+        assert "ok: sweep complete, no failures" in text
         assert github_annotations(build_sweep_report(path)) == []
-
-
-class TestDriftAudit:
-    def test_policy_severities(self):
-        assert DRIFT_SEVERITY == {"manifest_fingerprint": "fail",
-                                  "host.git_sha": "fail",
-                                  "host.python": "fail",
-                                  "host.platform": "warn"}
-
-    def test_drifted_worker_manifest_is_a_fail_violation(self, tmp_path):
-        path, _rows = record_journal(tmp_path)
-
-        def drift_first_worker(event):
-            if event["event"] == "worker_started" \
-                    and not drift_first_worker.done:
-                drift_first_worker.done = True
-                event["manifest_fingerprint"] = "0" * 64
-                event["manifest"]["host"]["git_sha"] = "deadbeef"
-            return event
-        drift_first_worker.done = False
-        rewrite(path, drift_first_worker)
-
-        report = build_sweep_report(path)
-        assert not report["ok"]
-        assert not report["drift"]["ok"]
-        metrics = {v["metric"] for v in report["drift"]["violations"]}
-        assert metrics == {"manifest_fingerprint", "host.git_sha"}
-        assert all(v["severity"] == "fail"
-                   for v in report["drift"]["violations"])
-        text = format_sweep_report(report)
-        assert "DRIFT" in text and "drift violation(s)" in text
-        assert any("::error title=Worker drift::" in line
-                   for line in github_annotations(report))
-
-    def test_platform_mismatch_only_warns(self, tmp_path):
-        path, _rows = record_journal(tmp_path)
-
-        def vary_platform(event):
-            if event["event"] == "worker_started":
-                event["manifest"]["host"]["platform"] = "elsewhere-os"
-            return event
-        rewrite(path, vary_platform)
-
-        report = build_sweep_report(path)
-        assert report["ok"]  # warnings never fail the report
-        assert report["drift"]["ok"]
-        assert {w["metric"] for w in report["drift"]["warnings"]} == \
-            {"host.platform"}
-        assert any("::warning title=Worker drift::" in line
-                   for line in github_annotations(report))
-
-    def test_worker_without_a_manifest_is_unauditable(self, tmp_path):
-        path, _rows = record_journal(tmp_path)
-
-        def strip_manifest(event):
-            if event["event"] == "worker_started":
-                event["manifest"] = None
-                event["manifest_fingerprint"] = None
-            return event
-        rewrite(path, strip_manifest)
-
-        report = build_sweep_report(path)
-        assert not report["ok"]
-        assert all(v["metric"] == "manifest" and v["severity"] == "fail"
-                   for v in report["drift"]["violations"])
-        assert "NO MANIFEST" in format_sweep_report(report)
 
 
 class TestFailuresAndTruncation:

@@ -66,8 +66,8 @@ class TestReplayBitIdentical:
         cache = TraceCache()
         recorded = stripped(run(cache))   # miss: records
         replayed = stripped(run(cache))   # hit: replays
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1
+        assert cache.hits == 1
+        assert cache.misses == 1
         assert recorded == fresh
         assert replayed == fresh
 

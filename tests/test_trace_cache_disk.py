@@ -21,6 +21,7 @@ from repro.sim.trace_cache import (
     TraceCache,
     program_fingerprint,
 )
+from repro.telemetry import StatRegistry
 from repro.workloads import suite
 
 
@@ -246,7 +247,10 @@ class TestCorruptionHandling:
     def test_stats_carry_disk_counters(self, tmp_path):
         cache = TraceCache(disk_dir=str(tmp_path))
         record(cache, store_loop_program(), 20)
-        stats = cache.stats()
-        assert stats["spills"] == 1
-        assert {"disk_hits", "disk_misses", "spill_errors",
-                "corrupt_entries"} <= set(stats)
+        registry = StatRegistry()
+        cache.register_into(registry.scope("host.trace_cache"))
+        stats = registry.to_flat_dict()
+        assert stats["host.trace_cache.spills"] == 1
+        assert {f"host.trace_cache.{name}" for name in (
+            "disk_hits", "disk_misses", "spill_errors",
+            "corrupt_entries")} <= set(stats)
