@@ -38,10 +38,6 @@ class PredictionEntry:
         self.value: Optional[bool] = None
         self.available_cycle: Optional[int] = None
 
-    @property
-    def filled(self) -> bool:
-        return self.value is not None
-
 
 class PredictionQueue:
     """One per-branch prediction FIFO with push/fetch/retire pointers."""
@@ -196,9 +192,6 @@ class PredictionQueueFile:
                 self._queues[branch_pc] = queue
                 return queue
         return None
-
-    def covered(self) -> set:
-        return set(self._queues)
 
     # -- telemetry -----------------------------------------------------------
 

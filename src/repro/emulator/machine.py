@@ -158,6 +158,19 @@ def execute_uop(op: Uop, regs: List[int], memory) -> DynamicUop:
     return record
 
 
+def _initial_image(program: Program) -> Memory:
+    """The program's canonical memory image, memoized on the Program.
+
+    Building it runs ``wrap64`` over every word; each :class:`Machine`
+    then starts from a dict copy.  Like the trace cache's fingerprint
+    memo, it assumes the image is not edited once a Machine has run.
+    """
+    image = getattr(program, "_memory_image", None)
+    if image is None:
+        image = program._memory_image = Memory(program.initial_memory)
+    return image
+
+
 class Machine:
     """Committed-path functional executor for a program.
 
@@ -170,7 +183,7 @@ class Machine:
     def __init__(self, program: Program):
         ensure_compiled(program)
         self.program = program
-        self.memory = Memory(program.initial_memory)
+        self.memory = _initial_image(program).copy()
         self.regs: List[int] = [0] * NUM_ARCH_REGS
         self.pc = 0
         self.seq = 0

@@ -21,9 +21,9 @@ from __future__ import annotations
 import os
 import platform
 import subprocess
-from typing import Optional, Union
+from typing import Optional
 
-from repro.config import ResolvedConfig, RunConfig, resolve_config
+from repro.config import RunConfig
 from repro.telemetry.timers import peak_rss_kb
 
 MANIFEST_SCHEMA = "repro-manifest-v1"
@@ -43,25 +43,13 @@ def git_revision(cwd: Optional[str] = None) -> Optional[str]:
     return completed.stdout.strip() or None
 
 
-def run_manifest(resolved: Union[ResolvedConfig, RunConfig, None] = None
-                 ) -> dict:
-    """Build the manifest for a run under ``resolved``.
+def run_manifest(config: RunConfig) -> dict:
+    """Build the manifest for a run under ``config``.
 
-    ``resolved`` may be a full :class:`~repro.config.ResolvedConfig`
-    (provenance included), a bare :class:`~repro.config.RunConfig`
-    (an explicit :class:`~repro.session.Session` config — provenance is
-    reported as ``explicit`` for every field), or None to resolve the
-    current environment.
+    Every caller passes the explicit :class:`~repro.config.RunConfig` its
+    run used, so provenance reads ``explicit`` for every field.
     """
-    if resolved is None:
-        resolved = resolve_config()
-    if isinstance(resolved, RunConfig):
-        config = resolved
-        provenance = {field: "explicit"
-                      for field in RunConfig.field_names()}
-    else:
-        config = resolved.config
-        provenance = dict(resolved.provenance)
+    provenance = {field: "explicit" for field in RunConfig.field_names()}
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "config": config.to_dict(),

@@ -7,44 +7,39 @@ of the stream, by one rule:
 * A batch with fewer lanes than :data:`TAGE_MIN_LANES`, or an empty
   stream, replays whole on :func:`_lockstep` — one scalar pass driving
   each instance's own ``observe``, bit-identical by construction — with
-  no numpy set-up and no kernel gating.
+  no kernel gating.
 * In a larger batch, each TAGE / TAGE-SC-L / MTAGE geometry group of at
   least :data:`TAGE_MIN_LANES` distinct pristine lanes runs on the
-  columnar kernel (:mod:`repro.predictors.tage_batch`), duplicate
+  packed-lane kernel (:mod:`repro.predictors.tage_batch`), duplicate
   configurations replaying once; every other lane shares one lockstep
   pass.
 
 Per-lane mispredicted-PC sequences — and so MPKI, per-PC breakdowns and
 payload digests — match a scalar predict/update loop (the reference
 ``tests/test_batch_replay.py`` keeps).  A kernel lane's evolution stays
-in the kernel's arrays, not in the instance: batch callers treat lane
-predictors as consumed.
+in the kernel's packed words, not in the instance: batch callers treat
+lane predictors as consumed.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.predictors import tage_batch
 from repro.predictors.base import BranchPredictor
 
 #: The cutover: a smaller batch, or a smaller TAGE geometry group, replays
-#: on lockstep, where the kernel's per-event numpy overhead would lose.
+#: on lockstep, where the kernel's fixed per-event work would lose.
 TAGE_MIN_LANES = 8
 
 
 def warm_backend() -> None:
-    """Pay the TAGE kernel's one-time costs now.
+    """Kept for callers that warm the batch backend off-clock: a no-op.
 
-    Builds the kernel's three transition lookup tables, priming numpy's
-    lazily-initialized paths, so a perf harness calling this off-clock
-    times kernel throughput in its first batch, not interpreter warmup.
+    The packed-lane TAGE kernel builds no lookup tables and has no lazily
+    initialized library paths, so nothing is left to pay ahead of the
+    first batch.
     """
-    tage_batch._use_alt_lut()
-    tage_batch._sc_threshold_luts()
-    tage_batch._loop_ca_lut()
 
 
 def replay_lanes(predictors: Sequence[BranchPredictor],
@@ -71,8 +66,7 @@ def replay_lanes(predictors: Sequence[BranchPredictor],
     alias: dict = {}
     if tage_lanes:
         kernel_results, alias, declined = tage_batch.run_tage_lanes(
-            predictors, tage_lanes, np.asarray(pcs).astype(np.int64),
-            np.frombuffer(bytes(takens), dtype=np.uint8) != 0, split,
+            predictors, tage_lanes, list(pcs), list(takens), split,
             TAGE_MIN_LANES)
         for lane, mispredicts in kernel_results.items():
             results[lane] = mispredicts

@@ -437,7 +437,7 @@ class TagePredictor(BranchPredictor):
 
         The batched TAGE kernel (:mod:`repro.predictors.tage_batch`) gates
         a lane on this being equal to a freshly constructed predictor of
-        the same config — the kernel starts its stacked arrays from the
+        the same config — the kernel starts its packed words from the
         construction fill values, so any trained state would drift.  Table
         stores are exported by reference (cheap; ``array``/``bytearray``
         compare elementwise), scalars by value.

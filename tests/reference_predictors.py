@@ -7,7 +7,7 @@ the behavioral contract: ``tests/test_predictor_packed_differential.py``
 drives each packed predictor and its ``Reference*`` twin in lockstep over
 randomized branch streams and requires bit-identical predictions *and*
 bit-identical observable state, and ``tests/test_tage_batch_differential.py``
-pins the columnar TAGE lanes against them.  Only the tests import them,
+pins the packed-lane TAGE kernel against them.  Only the tests import them,
 so they live here rather than in the package.
 
 Do not optimize this module — its value is being the slow, obviously

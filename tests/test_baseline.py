@@ -70,15 +70,6 @@ class TestManifest:
         # explicit session configs have no layered provenance
         assert set(manifest["provenance"].values()) == {"explicit"}
 
-    def test_bare_config_and_resolved_config_fingerprint_equal(self):
-        from repro.config import resolve_config
-        resolved = resolve_config(flags={"instructions": 800,
-                                         "warmup": 400})
-        bare = run_manifest(resolved.config)
-        full = run_manifest(resolved)
-        assert bare["config_fingerprint"] == full["config_fingerprint"]
-        assert full["provenance"]["instructions"] == "flag"
-
 
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory):

@@ -155,7 +155,7 @@ class TestQueueFile:
         queues = PredictionQueueFile(num_queues=4, entries_per_queue=4)
         for pc in pcs:
             queues.get_or_assign(pc)
-            assert len(queues.covered()) <= 4
+            assert len(queues._queues) <= 4
 
     def test_queue_invariant_fetch_between_retire_and_push(self):
         queue = PredictionQueue(8)

@@ -1,7 +1,7 @@
-"""Randomized differential suite for the columnar TAGE batch kernel.
+"""Randomized differential suite for the packed-lane TAGE batch kernel.
 
 The contract (DESIGN.md §6a.5): for pristine TAGE / TAGE-SC-L lanes,
-:func:`repro.predictors.batched.replay_lanes` with the columnar kernel
+:func:`repro.predictors.batched.replay_lanes` with the packed-lane kernel
 engaged must return mispredicted-PC sequences **bit-identical** to the
 reference per-object predictor spellings (``ReferenceTagePredictor``,
 ``ReferenceTageSCL`` in ``tests/reference_predictors.py``) driven one
@@ -45,7 +45,8 @@ SEEDS = [0, 1042]
 
 @pytest.fixture(params=["numpy"])
 def backend(request):
-    """The vectorized batch path, the only one (tests keep its id)."""
+    """The packed-lane batch path, the only one; its parameter keeps the
+    historical id ``numpy`` so the suite's test ids stay stable."""
     return request.param
 
 
@@ -96,17 +97,18 @@ def reference_lanes(predictors, pcs, takens, split):
     return lanes
 
 
-def scl_lanes(cfg_builder):
+def scl_lanes(cfg_builder, loop_log2=4):
     """Matched (packed, reference) TAGE-SC-L builders from shared knobs."""
     def packed():
         return TageSCL(tage_config=cfg_builder(),
-                       loop=LoopPredictor(size_log2=4),
+                       loop=LoopPredictor(size_log2=loop_log2),
                        corrector=StatisticalCorrector(
                            history_lengths=(2, 4, 7), table_size_log2=6))
 
     def reference():
         return ReferenceTageSCL(tage_config=cfg_builder(),
-                                loop=ReferenceLoopPredictor(size_log2=4),
+                                loop=ReferenceLoopPredictor(
+                                    size_log2=loop_log2),
                                 corrector=ReferenceStatisticalCorrector(
                                     history_lengths=(2, 4, 7),
                                     table_size_log2=6))
@@ -192,6 +194,25 @@ class TestTageBatchDifferential:
         pcs, takens = loopy_stream(3_000, seed, static_pcs=64)
         self.run_case(specs, pcs, takens, split=400)
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_wide_group_mixed_lane_bounds(self, backend, seed):
+        # 40 TAGE-SC-L lanes of ONE geometry group whose counter and
+        # useful widths, base and loop sizes and reset periods differ
+        # lane to lane: every saturation bound and reset must stay inside
+        # its own lane of the packed words
+        specs = []
+        for lane in range(40):
+            knobs = dict(counter_bits=2 + lane % 6,
+                         useful_bits=1 + lane % 3,
+                         base_size_log2=5 + lane % 4,
+                         useful_reset_period=40 + 7 * lane)
+            specs.append(scl_lanes(lambda knobs=knobs: tiny_cfg(**knobs),
+                                   loop_log2=3 + lane % 3))
+        assert len({tage_batch._group_key(packed())
+                    for packed, _ in specs}) == 1
+        pcs, takens = loopy_stream(2_500, seed, static_pcs=48)
+        self.run_case(specs, pcs, takens, split=400)
+
     @pytest.mark.parametrize("split_kind", ["none", "mid", "all"])
     def test_warmup_split_variants(self, backend, split_kind):
         pcs, takens = loopy_stream(1_500, seed=7)
@@ -219,7 +240,7 @@ class TestMinLanesCutover:
     distinct lanes engages the kernel, one lane fewer stays on lockstep.
 
     Whether the kernel engaged is observable from the outside: the
-    columnar kernel keeps lane evolution in its own arrays (the instance
+    packed-lane kernel keeps lane evolution in its own words (the instance
     stays pristine, ``_tick == 0``), while lockstep drives the instance's
     own tables (``_tick`` advances every update).
     """
